@@ -200,66 +200,6 @@ fn bench_step_loop(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_consume_batch(c: &mut Criterion) {
-    // The batched µop-event pipeline vs the per-instruction consume shim,
-    // on the same pre-assembled committed stream — isolating the timing
-    // core's feed from cracking and architectural execution. `mcf` is the
-    // paper's classic pointer-chaser; `perl` is the ptr-heavy
-    // allocation/call-mix kernel. Throughput is per guest instruction.
-    // Stream assembly and the feed loops are the shared `perf` module's,
-    // so `watchdog-cli perf` measures exactly these cases.
-    use watchdog_bench::perf::{committed_stream, consume_per_inst, feed_stream};
-    for name in ["mcf", "perl"] {
-        let stream = committed_stream(name, Scale::Test);
-        let mut group = c.benchmark_group("consume_batch");
-        group
-            .sample_size(10)
-            .throughput(Throughput::Elements(stream.len() as u64));
-        group.bench_function(format!("{name}_per_inst"), |b| {
-            b.iter(|| std::hint::black_box(consume_per_inst(&stream)));
-        });
-        group.bench_function(format!("{name}_batched"), |b| {
-            b.iter(|| {
-                std::hint::black_box(feed_stream::<watchdog_pipeline::WheelSched>(&stream, None))
-            });
-        });
-        group.finish();
-    }
-}
-
-fn bench_dispatch_table(c: &mut Criterion) {
-    // The table-driven dispatcher's acceptance gauge: the lane-streaming
-    // path (dense descriptor tables + homogeneous per-kind runs) vs the
-    // preserved match-based reference dispatcher on identical committed
-    // streams. Both are proven report-identical by the dispatch
-    // equivalence suite, so the Melem/s gap between them is pure dispatch
-    // overhead. Shared with `watchdog-cli perf` via the `perf` module so
-    // both measure the same cases.
-    use watchdog_bench::perf::{committed_stream, feed_stream_dispatch};
-    for name in ["mcf", "perl"] {
-        let stream = committed_stream(name, Scale::Test);
-        let mut group = c.benchmark_group("dispatch_table");
-        group
-            .sample_size(10)
-            .throughput(Throughput::Elements(stream.len() as u64));
-        group.bench_function(format!("{name}_lane"), |b| {
-            b.iter(|| {
-                std::hint::black_box(feed_stream_dispatch::<watchdog_pipeline::WheelSched>(
-                    &stream, None, false,
-                ))
-            });
-        });
-        group.bench_function(format!("{name}_match_reference"), |b| {
-            b.iter(|| {
-                std::hint::black_box(feed_stream_dispatch::<watchdog_pipeline::WheelSched>(
-                    &stream, None, true,
-                ))
-            });
-        });
-        group.finish();
-    }
-}
-
 fn bench_timing_wheel(c: &mut Criterion) {
     // The tentpole's acceptance gauge: the calendar-queue core (wheels,
     // release rings, rotating-cursor FU pools, hashed TLB) vs the PR 5
@@ -423,8 +363,6 @@ criterion_group!(
     bench_crack_cache,
     bench_functional_machine,
     bench_step_loop,
-    bench_consume_batch,
-    bench_dispatch_table,
     bench_timing_wheel,
     bench_trace_replay,
     bench_timed_simulation

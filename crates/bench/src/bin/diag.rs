@@ -1,8 +1,8 @@
 //! Diagnostic: per-benchmark stall breakdown, cache behaviour,
 //! crack-cache effectiveness, trace-subsystem figures (trace size,
 //! events/inst, replay-vs-live speedup) and batched-feed statistics
-//! (batch occupancy, batches/1k insts, per-inst vs batched consume
-//! speedup, lock-probe memo hits) under selected modes.
+//! (batch occupancy, batches/1k insts, lock-probe memo hits) under
+//! selected modes.
 //!
 //! Every live-run figure is read back out of the [`MetricsRegistry`]
 //! built by `export_metrics` — the same registry `watchdog-cli run
@@ -23,6 +23,13 @@ fn c(reg: &MetricsRegistry, name: &str) -> u64 {
 /// Gauge lookup, zero when absent.
 fn g(reg: &MetricsRegistry, name: &str) -> f64 {
     reg.gauge_value(name).unwrap_or(0.0)
+}
+
+/// Unit label a metric was exported under (empty when absent).
+fn unit(reg: &MetricsRegistry, name: &str) -> &'static str {
+    reg.iter()
+        .find(|m| m.name == name)
+        .map_or("", |m| m.unit.label())
 }
 
 fn main() {
@@ -55,7 +62,7 @@ fn main() {
         // many guest cycles each host nanosecond buys.
         let insts_per_sec = c(&reg, "timing.insts") as f64 / secs.max(1e-9);
         println!(
-            "{:<28} cycles={:<8} uops={:<8} ipc={:.2} stalls rob={} iq={} lq={} sq={} ic={} br={} | l1d m={} ({:.2}%) ll acc={} m={} ({:.2}%, {:.2}/1k insts) shadow={} memo={} | crack$ {} | feed occ={:.1} | host {:.2} Minsts/s {:.3} cyc/ns",
+            "{:<28} cycles={:<8} uops={:<8} ipc={:.2} stalls rob={} iq={} lq={} sq={} ic={} br={} | l1d m={} ({:.2}%) ll acc={} m={} ({:.2}%, {:.2}/1k insts) shadow={} memo={} | crack$ {} | feed occ={:.1} | host {:.2} Minsts/s cycles_per_ns={:.3} [{}]",
             mode.label(),
             c(&reg, "timing.cycles"),
             c(&reg, "timing.uops"),
@@ -72,6 +79,7 @@ fn main() {
             g(&reg, "feed.occupancy.mean"),
             insts_per_sec / 1e6,
             g(&reg, "host.cycles_per_ns"),
+            unit(&reg, "host.cycles_per_ns"),
         );
         live.push((mode, r, secs));
     }
@@ -105,72 +113,16 @@ fn main() {
     }
 
     // Batched µop-event pipeline: how the committed stream reaches the
-    // timing core, and what batching buys over the per-instruction shim.
-    // Timed on the replay path, where both feeds drain the same recorded
-    // events (the live loop uses the same batched consume).
-    println!("-- batched µop-event feed: per-inst vs batched consume --");
+    // timing core on the replay path (the live loop batches the same way).
+    println!("-- batched µop-event feed --");
     for (mode, trace) in &traces {
-        let best = |batch: bool| {
-            let cfg = ReplayConfig {
-                batch,
-                ..ReplayConfig::default()
-            };
-            // Best of three: replay is fast enough at diag scale that a
-            // single run is noise-dominated.
-            (0..3)
-                .map(|_| {
-                    let t0 = Instant::now();
-                    let out = replay_with_stats(&p, trace, &cfg).unwrap();
-                    (t0.elapsed().as_secs_f64(), out)
-                })
-                .min_by(|a, b| a.0.total_cmp(&b.0))
-                .expect("three runs")
-        };
-        let (batched_secs, (batched_report, stats)) = best(true);
-        let (per_inst_secs, (per_inst_report, _)) = best(false);
-        let exact = format!("{batched_report:?}") == format!("{per_inst_report:?}");
+        let (_, stats) = replay_with_stats(&p, trace, &ReplayConfig::default()).unwrap();
         println!(
-            "{:<28} occupancy={:.1} insts/batch batches/1k-insts={:.2} ll-memo-hits={} per-inst={:.3}s batched={:.3}s consume-speedup={:.2}x feed-exact={}",
+            "{:<28} occupancy={:.1} insts/batch batches/1k-insts={:.2} ll-memo-hits={}",
             mode.label(),
             stats.feed.mean_occupancy(),
             stats.feed.batches_per_kinst(),
             stats.ll_memo_hits,
-            per_inst_secs,
-            batched_secs,
-            per_inst_secs / batched_secs.max(1e-9),
-            if exact { "yes" } else { "NO (BUG)" },
-        );
-    }
-
-    // Lane-streaming dispatch: how the descriptor-table dispatcher sees
-    // the committed stream — per-lane occupancy (share of µops each lane
-    // carries) and how much of the stream drained through homogeneous
-    // runs (length ≥ 2) versus falling back to singleton, mixed-order
-    // dispatch.
-    println!("-- lane streaming: per-lane occupancy and homogeneous-run coverage --");
-    for (mode, trace) in &traces {
-        let (_, stats) = replay_with_stats(&p, trace, &ReplayConfig::default()).unwrap();
-        let f = &stats.feed;
-        let total: u64 = f.lane_uops.iter().sum();
-        let lanes = watchdog_isa::Lane::ALL
-            .iter()
-            .zip(f.lane_uops)
-            .map(|(lane, n)| {
-                format!(
-                    "{}={:.1}%",
-                    lane.label(),
-                    100.0 * n as f64 / total.max(1) as f64
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(" ");
-        println!(
-            "{:<28} {lanes} | runs={} mean-len={:.2} streamed={:.1}% fallback={:.1}%",
-            mode.label(),
-            f.lane_runs,
-            f.mean_run_len(),
-            100.0 * f.streamed_fraction(),
-            100.0 * (1.0 - f.streamed_fraction()),
         );
     }
 }

@@ -1,22 +1,22 @@
 //! Machine-readable perf snapshots: the shared case list behind
-//! `watchdog-cli perf` and the criterion `timing_wheel` /
-//! `consume_batch` groups.
+//! `watchdog-cli perf` and the criterion `timing_wheel` group.
 //!
-//! Both consumers measure the same thing — the calendar-queue timing
-//! core draining a pre-assembled committed µop stream — so the stream
-//! assembly and the feed loops live here once. The criterion benches
-//! wrap them in statistical sampling for interactive use; [`run_perf`]
-//! wraps them in a cheap best-of-N loop and emits
-//! [`BenchRecord`]s under the `watchdog-bench-v1` schema, which is what
-//! CI archives as `BENCH_<rev>.json`.
+//! Both consumers measure the same thing — the timing core draining a
+//! pre-assembled committed µop stream through its one batched feed — so
+//! the stream assembly and the feed loop live here once. Per workload
+//! there are three cases: the production calendar-wheel core, the same
+//! core with the self-profiler attached (the telemetry overhead gauge),
+//! and the heap-scheduled reference core. The criterion benches wrap
+//! them in statistical sampling for interactive use; [`run_perf`] wraps
+//! them in a cheap best-of-N loop and emits [`BenchRecord`]s under the
+//! `watchdog-bench-v1` schema, which is what CI archives as
+//! `BENCH_<rev>.json`.
 
 use std::time::Instant;
 use watchdog_core::machine::{Machine, MachineConfig, Step};
 use watchdog_isa::crack::CrackedInst;
 use watchdog_mem::HierarchyConfig;
-use watchdog_pipeline::{
-    CoreConfig, SchedModel, ScheduledCore, TelemetryConfig, TimingCore, UopBatch,
-};
+use watchdog_pipeline::{CoreConfig, SchedModel, ScheduledCore, TelemetryConfig, UopBatch};
 use watchdog_telemetry::{BenchRecord, BenchSnapshot};
 use watchdog_workloads::{benchmark, Scale};
 
@@ -43,21 +43,7 @@ pub fn feed_stream<S: SchedModel>(
     stream: &[CrackedInst],
     telemetry: Option<TelemetryConfig>,
 ) -> u64 {
-    feed_stream_dispatch::<S>(stream, telemetry, false)
-}
-
-/// [`feed_stream`] with the dispatch path selectable: `match_dispatch`
-/// drives the preserved match-based reference dispatcher instead of the
-/// table-driven lane-streaming default — the `dispatch_table/*` cases
-/// measure both on the same stream so the gap between them is the lane
-/// path's contribution.
-pub fn feed_stream_dispatch<S: SchedModel>(
-    stream: &[CrackedInst],
-    telemetry: Option<TelemetryConfig>,
-    match_dispatch: bool,
-) -> u64 {
     let mut core = ScheduledCore::<S>::new(CoreConfig::sandy_bridge(), HierarchyConfig::default());
-    core.set_match_dispatch(match_dispatch);
     if let Some(cfg) = telemetry {
         core.enable_telemetry(cfg);
     }
@@ -70,16 +56,6 @@ pub fn feed_stream_dispatch<S: SchedModel>(
         }
     }
     core.consume_batch(&batch);
-    core.finish().cycles
-}
-
-/// Drains `stream` through the per-instruction consume shim (the
-/// `consume_batch/{name}_per_inst` reference point).
-pub fn consume_per_inst(stream: &[CrackedInst]) -> u64 {
-    let mut core = TimingCore::new(CoreConfig::sandy_bridge(), HierarchyConfig::default());
-    for ci in stream {
-        core.consume(ci);
-    }
     core.finish().cycles
 }
 
@@ -105,9 +81,9 @@ fn measure(name: &str, elems: u64, samples: u64, mut f: impl FnMut() -> u64) -> 
 
 /// Measures every perf case whose `group/case` path contains `filter`
 /// (all cases when `filter` is `None`), invoking `progress` per finished
-/// record. The case list mirrors the criterion `timing_wheel` and
-/// `consume_batch` / `dispatch_table` groups, plus a telemetry-enabled
-/// wheel variant so the profiler's overhead is part of every snapshot.
+/// record. The case list mirrors the criterion `timing_wheel` group,
+/// including its telemetry-enabled wheel variant, so the profiler's
+/// overhead is part of every snapshot.
 pub fn run_perf(
     samples: u64,
     filter: Option<&str>,
@@ -138,26 +114,6 @@ pub fn run_perf(
             (
                 format!("timing_wheel/{name}_heap_reference"),
                 Box::new(|| feed_stream::<watchdog_pipeline::HeapSched>(&stream, None)),
-            ),
-            (
-                format!("dispatch_table/{name}_lane"),
-                Box::new(|| {
-                    feed_stream_dispatch::<watchdog_pipeline::WheelSched>(&stream, None, false)
-                }),
-            ),
-            (
-                format!("dispatch_table/{name}_match_reference"),
-                Box::new(|| {
-                    feed_stream_dispatch::<watchdog_pipeline::WheelSched>(&stream, None, true)
-                }),
-            ),
-            (
-                format!("consume_batch/{name}_per_inst"),
-                Box::new(|| consume_per_inst(&stream)),
-            ),
-            (
-                format!("consume_batch/{name}_batched"),
-                Box::new(|| feed_stream::<watchdog_pipeline::WheelSched>(&stream, None)),
             ),
         ];
         for (case, mut run) in cases {
@@ -197,11 +153,25 @@ mod tests {
         let wheel = feed_stream::<watchdog_pipeline::WheelSched>(&stream, None);
         let wheel_tele =
             feed_stream::<watchdog_pipeline::WheelSched>(&stream, Some(TelemetryConfig::default()));
-        let per_inst = consume_per_inst(&stream);
-        let match_ref = feed_stream_dispatch::<watchdog_pipeline::WheelSched>(&stream, None, true);
-        assert_eq!(wheel, per_inst, "batched and per-inst feeds agree");
+        let heap = feed_stream::<watchdog_pipeline::HeapSched>(&stream, None);
+        // One instruction per batch.
+        let mut core = watchdog_pipeline::TimingCore::new(
+            CoreConfig::sandy_bridge(),
+            HierarchyConfig::default(),
+        );
+        let mut batch = UopBatch::new();
+        for ci in &stream {
+            batch.push_cracked(ci);
+            core.consume_batch(&batch);
+            batch.clear();
+        }
+        assert_eq!(
+            wheel,
+            core.finish().cycles,
+            "batched and per-inst feeds agree"
+        );
         assert_eq!(wheel, wheel_tele, "telemetry never changes timing");
-        assert_eq!(wheel, match_ref, "lane and match dispatch agree");
+        assert_eq!(wheel, heap, "wheel and heap schedulers agree");
     }
 
     #[test]

@@ -234,22 +234,6 @@ pub struct SimConfig {
     /// allocate no cache either way. Disable only to benchmark the
     /// uncached decoder.
     pub crack_cache: bool,
-    /// Feed the timing core through the batched µop-event pipeline
-    /// ([`UopBatch`] windows of [`UopBatch::TARGET_INSTS`] instructions)
-    /// instead of one
-    /// [`TimingCore::consume`](watchdog_pipeline::ScheduledCore::consume)
-    /// call per instruction. On by
-    /// default; the two feeds produce field-identical reports (asserted by
-    /// the batch-equivalence suites), so disabling is only useful to
-    /// benchmark the per-instruction path.
-    pub batch: bool,
-    /// Drive the timing core through the preserved match-based dispatch
-    /// path instead of the table-driven lane-streaming default (see
-    /// [`ScheduledCore::set_match_dispatch`](watchdog_pipeline::ScheduledCore::set_match_dispatch)).
-    /// Off by default; the two paths produce field-identical reports
-    /// (asserted by the dispatch-equivalence suite), so enabling is only
-    /// useful as the equivalence oracle and for benchmarking.
-    pub match_dispatch: bool,
     /// Self-profiler knobs for [`Simulator::run_instrumented`] (`None`
     /// uses [`TelemetryConfig::default`]). Plain [`Simulator::run`]
     /// ignores this: telemetry is collected only on instrumented runs,
@@ -268,8 +252,6 @@ impl SimConfig {
             hierarchy: HierarchyConfig::default(),
             sampling: None,
             crack_cache: true,
-            batch: true,
-            match_dispatch: false,
             telemetry: None,
         }
     }
@@ -423,9 +405,6 @@ impl Simulator {
             .cfg
             .timing
             .then(|| ScheduledCore::<S>::new(self.cfg.core, hier));
-        if let Some(core) = core.as_mut() {
-            core.set_match_dispatch(self.cfg.match_dispatch);
-        }
         let tele_on = tele.is_some();
         let t_run = tele_on.then(Instant::now);
         if let (true, Some(core)) = (tele_on, core.as_mut()) {
@@ -442,11 +421,11 @@ impl Simulator {
         let mut executed = 0u64;
         // The batched µop-event feed: the machine appends committed
         // expansions straight into an SoA window (`Machine::step_batched`,
-        // no scratch `CrackedInst`) and `consume_batch` drains it.
+        // no scratch `CrackedInst`) and `consume_batch` drains it. A
+        // functional run emits no µops, so its window stays empty.
         // Draining an empty or partial window is always safe (batching is
         // timing-transparent), so the flush points below only have to
         // precede snapshots.
-        let batching = self.cfg.batch && core.is_some();
         let mut batch = UopBatch::with_capacity(UopBatch::TARGET_INSTS);
         let mut flush = |core: &mut ScheduledCore<S>, batch: &mut UopBatch| {
             let t0 = tele_on.then(Instant::now);
@@ -470,32 +449,24 @@ impl Simulator {
                 }
                 machine.set_emit_uops(pos >= s.fast_forward());
             }
-            let step = if batching {
-                if tele_on && batch.is_empty() {
-                    fills += 1;
-                    fill_sampled = fills % 32 == 1;
-                }
-                if fill_sampled {
-                    let t0 = Instant::now();
-                    let step = machine.step_batched(&mut batch);
-                    fetch_crack_ns += t0.elapsed().as_nanos() as u64;
-                    fetch_crack_hits += 1;
-                    step?
-                } else {
-                    machine.step_batched(&mut batch)?
-                }
+            if tele_on && batch.is_empty() {
+                fills += 1;
+                fill_sampled = fills % 32 == 1;
+            }
+            let step = if fill_sampled {
+                let t0 = Instant::now();
+                let step = machine.step_batched(&mut batch);
+                fetch_crack_ns += t0.elapsed().as_nanos() as u64;
+                fetch_crack_hits += 1;
+                step?
             } else {
-                machine.step()?
+                machine.step_batched(&mut batch)?
             };
             match step {
-                Step::Executed(ci) => {
+                Step::Executed(_) => {
                     if let Some(core) = core.as_mut() {
-                        if batching {
-                            if batch.len() >= UopBatch::TARGET_INSTS {
-                                flush(core, &mut batch);
-                            }
-                        } else if let Some(ci) = ci {
-                            core.consume(ci);
+                        if batch.len() >= UopBatch::TARGET_INSTS {
+                            flush(core, &mut batch);
                         }
                     }
                     executed += 1;
@@ -789,26 +760,50 @@ mod tests {
 
     #[test]
     fn batched_feed_matches_per_inst_feed() {
-        // The batched µop-event pipeline is timing-transparent: disabling
-        // it (one `consume` per committed instruction) must produce a
-        // field-identical report, including under sampling, where batch
-        // flushes have to line up with the measurement windows.
+        // The live loop's batched feed is timing-transparent: stepping the
+        // machine one instruction at a time and draining each expansion as
+        // a one-instruction batch yields a field-identical timing report.
+        // (The golden corpus pins the sampled regime's flush points.)
         let p = list_program(300);
-        for cfg in [
-            SimConfig::timed(Mode::watchdog_conservative()),
-            SimConfig::timed(Mode::watchdog()),
-            SimConfig::timed(Mode::Baseline),
-            SimConfig::sampled(Mode::watchdog_conservative(), Sampling::dense()),
+        for mode in [
+            Mode::Baseline,
+            Mode::LocationBased,
+            Mode::watchdog_conservative(),
+            Mode::watchdog(),
         ] {
+            let cfg = SimConfig::timed(mode);
             let batched = Simulator::new(cfg.clone()).run(&p).unwrap();
-            let mut per_inst_cfg = cfg.clone();
-            per_inst_cfg.batch = false;
-            let per_inst = Simulator::new(per_inst_cfg).run(&p).unwrap();
+            let policy = match mode.pointer_id() {
+                Some(PointerId::IsaAssisted) => {
+                    PointerPolicy::Profiled(Simulator::profile(&p, cfg.max_insts).unwrap())
+                }
+                _ => PointerPolicy::Conservative,
+            };
+            let mut machine = Machine::new(
+                &p,
+                MachineConfig {
+                    check: mode.check_mode(),
+                    bounds: mode.bounds_uops(),
+                    policy,
+                    profiling: false,
+                    emit_uops: true,
+                    crack_cache: true,
+                },
+            );
+            let mut hier = cfg.hierarchy;
+            mode.apply_hierarchy(&mut hier);
+            let mut core = ScheduledCore::<WheelSched>::new(cfg.core, hier);
+            let mut batch = UopBatch::new();
+            while let Step::Executed(ci) = machine.step().unwrap() {
+                batch.push_cracked(ci.expect("µop-emitting machine"));
+                core.consume_batch(&batch);
+                batch.clear();
+            }
             assert_eq!(
-                format!("{batched:?}"),
-                format!("{per_inst:?}"),
+                format!("{:?}", batched.timing),
+                format!("{:?}", Some(core.finish())),
                 "batched and per-instruction feeds diverge under {}",
-                cfg.mode.label()
+                mode.label()
             );
         }
     }

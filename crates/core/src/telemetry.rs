@@ -34,7 +34,7 @@ pub const RUN_SECTIONS: [&str; 3] = ["run", "run/fetch_crack", "run/consume"];
 /// Host-side observations from one instrumented run
 /// ([`Simulator::run_instrumented`](crate::sim::Simulator::run_instrumented)).
 ///
-/// Deliberately *not* part of [`RunReport`]: the feed-equivalence suites
+/// Deliberately *not* part of [`RunReport`]: the equivalence suites
 /// compare reports byte for byte, and none of this is equivalent across
 /// feeds.
 #[derive(Debug, Clone)]
@@ -181,7 +181,7 @@ pub fn export_metrics(report: &RunReport, tele: Option<&RunTelemetry>) -> Metric
         reg.counter_at("host.run.ns", Unit::Nanos, tele.host_ns);
         reg.gauge_at(
             "host.cycles_per_ns",
-            Unit::PerSec,
+            Unit::PerNano,
             tele.cycles_per_host_ns(report),
         );
     }
@@ -191,9 +191,10 @@ pub fn export_metrics(report: &RunReport, tele: Option<&RunTelemetry>) -> Metric
 
 /// Renders one run as the stable machine-readable document behind
 /// `watchdog-cli run --json`: a [`RUN_SCHEMA`] tag, the run identity
-/// (benchmark, mode, scale, violation) and the full metric registry from
-/// [`export_metrics`] under `metrics`. Key order inside `metrics` is
-/// registration order, so diffs between revisions stay readable.
+/// (benchmark, mode, scale, violation), the full metric registry from
+/// [`export_metrics`] under `metrics` and each metric's unit label under
+/// `units`. Key order inside both objects is registration order, so
+/// diffs between revisions stay readable.
 pub fn run_json(
     benchmark: &str,
     scale: &str,
@@ -204,13 +205,15 @@ pub fn run_json(
         Some(v) => JsonValue::str(v.to_string()),
         None => JsonValue::Null,
     };
+    let reg = export_metrics(report, tele);
     JsonValue::Obj(vec![
         ("schema".into(), JsonValue::str(RUN_SCHEMA)),
         ("benchmark".into(), JsonValue::str(benchmark)),
         ("mode".into(), JsonValue::str(report.mode.clone())),
         ("scale".into(), JsonValue::str(scale)),
         ("violation".into(), violation),
-        ("metrics".into(), export_metrics(report, tele).to_json()),
+        ("metrics".into(), reg.to_json()),
+        ("units".into(), reg.units_json()),
     ])
     .render_pretty()
 }
@@ -286,6 +289,14 @@ mod tests {
         assert!(reg.counter_value("section.run.ns").unwrap() > 0);
         assert!(reg.counter_value("host.run.ns").unwrap() > 0);
         assert!(tele.cycles_per_host_ns(&r) > 0.0);
+        // Simulated cycles per host nanosecond, exported under the
+        // matching per-nanosecond unit.
+        let rate = reg
+            .iter()
+            .find(|m| m.name == "host.cycles_per_ns")
+            .expect("host.cycles_per_ns exported");
+        assert_eq!(rate.unit, Unit::PerNano);
+        assert_eq!(rate.gauge, Some(tele.cycles_per_host_ns(&r)));
         // And the instrumented report itself matches an uninstrumented
         // run byte for byte — telemetry is observation, not behaviour.
         let plain = sim.run(&p).unwrap();

@@ -245,78 +245,16 @@ pub fn assemble_cracked(cur: &mut CrackedInst, stat: &Cracked, facts: &CommitFac
     }
 }
 
-/// Execution lane of a µop: the streaming class under which `UopBatch`
-/// groups homogeneous runs so the timing model's hot loop hoists its
-/// kind-dependent branches out of the inner dispatch loop.
-///
-/// Lanes partition [`UopKind`] by *dispatch shape*, not by semantics: two
-/// kinds share a lane exactly when the timing model executes them through
-/// the same sequence of resource reservations and hierarchy accesses, so a
-/// homogeneous run can be drained with every shape branch resolved once,
-/// up front.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
-pub enum Lane {
-    /// Fixed-latency compute (integer/FP ALU work, metadata select,
-    /// bounds comparison, no-op): reserve one FU, complete after the
-    /// kind's static latency. No memory access.
-    Alu,
-    /// Branch resolution: fixed-latency compute that additionally records
-    /// the completion time the frontend redirects against.
-    Branch,
-    /// Program-data and shadow-space reads: address generation plus a
-    /// load-port reservation and a read access into the hierarchy.
-    Load,
-    /// Program-data and shadow-space writes: store-port reservation plus
-    /// a write access into the hierarchy.
-    Store,
-    /// Metadata *checks* — lock-location reads (`check`, fused
-    /// check+bounds, identifier-management loads): routed to the
-    /// lock-location port when the dedicated lock cache is present.
-    MetaCheck,
-    /// Metadata *updates* — lock-location writes during identifier
-    /// allocation/deallocation.
-    MetaUpdate,
-}
-
-impl Lane {
-    /// Number of lanes (one per enum variant).
-    pub const COUNT: usize = 6;
-
-    /// Every lane, in discriminant order (`lane as usize` indexes this).
-    pub const ALL: [Lane; Lane::COUNT] = [
-        Lane::Alu,
-        Lane::Branch,
-        Lane::Load,
-        Lane::Store,
-        Lane::MetaCheck,
-        Lane::MetaUpdate,
-    ];
-
-    /// Stable lowercase label used in metric names and diagnostics.
-    pub const fn label(self) -> &'static str {
-        match self {
-            Lane::Alu => "alu",
-            Lane::Branch => "branch",
-            Lane::Load => "load",
-            Lane::Store => "store",
-            Lane::MetaCheck => "meta_check",
-            Lane::MetaUpdate => "meta_update",
-        }
-    }
-}
-
-/// Static dispatch descriptor of one [`UopKind`]: its streaming [`Lane`]
-/// plus the memory-shape bits the timing model and the hierarchy route on.
+/// Static memory-shape descriptor of one [`UopKind`]: the bits the batch
+/// fill classifies memory µops by (`MemOp::of` in the pipeline crate).
 ///
 /// The bits are definitionally redundant with the `UopKind::is_*`
-/// classifier functions — that is the point: the hot loop reads one dense
+/// classifier functions — that is the point: the fill path reads one dense
 /// table entry (`KIND_DESCS[kind as usize]`) instead of re-deriving the
 /// same facts through a chain of `matches!` tests, and an exhaustive test
 /// pins the table to the classifiers for every kind.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct KindDesc {
-    /// Streaming lane (dispatch shape) of the kind.
-    pub lane: Lane,
     /// Accesses memory (needs a resolved address and a cache port).
     pub mem: bool,
     /// Writes memory (store-shaped dispatch; reads are load-shaped).
@@ -328,27 +266,9 @@ pub struct KindDesc {
 }
 
 /// Builds the descriptor of one µop kind. `const` so the dense table is
-/// computed at compile time, and total over [`UopKind`] so adding a
-/// variant without classifying it is a compile error.
+/// computed at compile time.
 pub const fn kind_desc(kind: UopKind) -> KindDesc {
-    let lane = match kind {
-        UopKind::IntAlu
-        | UopKind::IntMul
-        | UopKind::IntDiv
-        | UopKind::FpAlu
-        | UopKind::FpMul
-        | UopKind::FpDiv
-        | UopKind::BoundsCheck
-        | UopKind::SelectMeta
-        | UopKind::Nop => Lane::Alu,
-        UopKind::Branch => Lane::Branch,
-        UopKind::Load | UopKind::ShadowLoad => Lane::Load,
-        UopKind::Store | UopKind::ShadowStore => Lane::Store,
-        UopKind::Check | UopKind::CheckCombined | UopKind::LockLoad => Lane::MetaCheck,
-        UopKind::LockStore => Lane::MetaUpdate,
-    };
     KindDesc {
-        lane,
         mem: kind.is_mem(),
         mem_write: kind.is_mem_write(),
         lock_access: kind.is_lock_access(),
@@ -356,10 +276,10 @@ pub const fn kind_desc(kind: UopKind) -> KindDesc {
     }
 }
 
-/// Dense dispatch-descriptor table, indexed by `kind as usize` (the
+/// Dense memory-shape descriptor table, indexed by `kind as usize` (the
 /// ordering guaranteed by [`UopKind::ALL`]). Generated from
 /// [`kind_desc`] at compile time next to the µop assembly code it
-/// describes, so the cracker and the timing model agree by construction.
+/// describes, so the cracker and the batch fill agree by construction.
 pub const KIND_DESCS: [KindDesc; UopKind::COUNT] = {
     let mut table = [kind_desc(UopKind::Nop); UopKind::COUNT];
     let mut i = 0;
@@ -1020,33 +940,6 @@ mod tests {
             assert_eq!(d.mem_write, k.is_mem_write(), "{k:?}: mem_write bit");
             assert_eq!(d.lock_access, k.is_lock_access(), "{k:?}: lock bit");
             assert_eq!(d.shadow_access, k.is_shadow_access(), "{k:?}: shadow bit");
-        }
-    }
-
-    #[test]
-    fn lanes_partition_kinds_by_dispatch_shape() {
-        for &k in &UopKind::ALL {
-            let d = KIND_DESCS[k as usize];
-            assert!((d.lane as usize) < Lane::COUNT);
-            assert_eq!(Lane::ALL[d.lane as usize], d.lane);
-            match d.lane {
-                // Compute lanes never touch memory; the branch lane is
-                // exactly the branch kind.
-                Lane::Alu => assert!(!d.mem, "{k:?}: ALU lane with memory"),
-                Lane::Branch => assert_eq!(k, UopKind::Branch),
-                // Memory lanes: reads on Load/MetaCheck, writes on
-                // Store/MetaUpdate; lock traffic only on the meta lanes.
-                Lane::Load => assert!(d.mem && !d.mem_write && !d.lock_access),
-                Lane::Store => assert!(d.mem && d.mem_write && !d.lock_access),
-                Lane::MetaCheck => assert!(d.mem && !d.mem_write && d.lock_access),
-                Lane::MetaUpdate => assert!(d.mem && d.mem_write && d.lock_access),
-            }
-        }
-        // Every lane label is distinct (they name metrics).
-        for (i, a) in Lane::ALL.iter().enumerate() {
-            for b in &Lane::ALL[i + 1..] {
-                assert_ne!(a.label(), b.label());
-            }
         }
     }
 

@@ -12,19 +12,16 @@
 //! [`TimingCore::consume_batch`](crate::TimingCore::consume_batch) drains
 //! it.
 //!
-//! The SoA split follows what each drain pass actually touches: the memory
-//! pre-pass streams over the `mem`/`addr` arrays only, and the scheduler
-//! over the packed 8-byte static [`Uop`] descriptors (whose five fields it
-//! consumes together) — neither drags a 40-byte
+//! The SoA split follows what the drain pass actually touches: the
+//! scheduler streams the packed 8-byte static [`Uop`] descriptors (whose
+//! five fields it consumes together) and reads the `mem`/`addr` arrays
+//! only for memory µops — it never drags a 40-byte
 //! [`UopExec`](watchdog_isa::uop::UopExec) with its resolved address and
-//! branch facts through the cache, the way the per-instruction feed does.
-//! The batch carries *no* timing state; feeding one instruction per batch
-//! is exactly equivalent to feeding sixty-four (asserted by the
-//! batch-equivalence suites).
+//! branch facts through the cache. The batch carries *no* timing state;
+//! feeding one instruction per batch is exactly equivalent to feeding
+//! sixty-four (asserted by the batch properties).
 
-use watchdog_isa::crack::{
-    CommitFacts, Cracked, CrackedInst, CtrlKind, Lane, MetaEffect, KIND_DESCS,
-};
+use watchdog_isa::crack::{CommitFacts, Cracked, CrackedInst, CtrlKind, MetaEffect, KIND_DESCS};
 use watchdog_isa::uop::{Uop, UopKind, UopTag};
 use watchdog_mem::AccessClass;
 
@@ -42,7 +39,8 @@ pub enum MemOp {
 
 impl MemOp {
     /// Classifies a µop kind (mirrors the routing
-    /// [`TimingCore::consume`](crate::TimingCore::consume) applies).
+    /// [`TimingCore::consume_batch`](crate::TimingCore::consume_batch)
+    /// applies).
     ///
     /// Derived from the cracker's dense
     /// [`KIND_DESCS`] descriptor table
@@ -70,48 +68,19 @@ impl MemOp {
     }
 }
 
-/// One homogeneous run of same-[`Lane`] µops inside a batch, in program
-/// order. Runs are maximal under the **order-admissibility rule**: a run
-/// extends only while consecutive µops share a lane *and* belong to the
-/// same instruction — per-instruction work (frontend fetch, rename,
-/// branch resolution) is a reorder-forbidden boundary, so runs never
-/// cross it. `start` indexes the batch's per-µop arrays; runs tile them
-/// exactly (each µop belongs to exactly one run, runs are contiguous and
-/// sorted by `start`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LaneRun {
-    /// Index of the run's first µop in the batch's µop arrays.
-    pub start: u32,
-    /// Number of µops in the run (≥ 1; bounded by one instruction's µop
-    /// expansion, so `u16` keeps the record at 8 bytes — the run array is
-    /// the staging buffer's fourth per-µop stream, and its traffic is
-    /// part of the fill loop's cost).
-    pub len: u16,
-    /// The shared streaming lane.
-    pub lane: Lane,
-}
-
 /// Batch-feed statistics of a [`TimingCore`](crate::TimingCore):
 /// how the committed µop stream arrived, not what it cost — these counters
 /// are deliberately **not** part of
 /// [`TimingReport`](crate::TimingReport), which must stay field-identical
-/// between batched and per-instruction feeds.
+/// however the stream is batched.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FeedStats {
-    /// Batches consumed (a per-instruction feed counts one per shim call).
+    /// Non-empty batches consumed.
     pub batches: u64,
     /// Instructions delivered across all batches.
     pub insts: u64,
     /// µops delivered across all batches.
     pub uops: u64,
-    /// µops delivered per streaming lane, indexed by `Lane as usize`.
-    pub lane_uops: [u64; Lane::COUNT],
-    /// Homogeneous lane runs delivered across all batches.
-    pub lane_runs: u64,
-    /// µops that arrived inside a homogeneous run of length ≥ 2 — the
-    /// fraction of the stream that actually amortizes the hoisted
-    /// dispatch branches. Singleton runs are the mixed-order fallback.
-    pub streamed_uops: u64,
 }
 
 impl FeedStats {
@@ -133,48 +102,6 @@ impl FeedStats {
         }
     }
 
-    /// Mean µops per homogeneous lane run.
-    pub fn mean_run_len(&self) -> f64 {
-        if self.lane_runs == 0 {
-            0.0
-        } else {
-            self.uops as f64 / self.lane_runs as f64
-        }
-    }
-
-    /// Fraction of delivered µops that streamed through a homogeneous
-    /// run (length ≥ 2) rather than falling back to mixed-order
-    /// dispatch.
-    pub fn streamed_fraction(&self) -> f64 {
-        if self.uops == 0 {
-            0.0
-        } else {
-            self.streamed_uops as f64 / self.uops as f64
-        }
-    }
-
-    /// Accumulates one delivered lane run. The table-driven path records
-    /// each run from its dispatch cursor (which walks the run list
-    /// anyway); the match-based reference records the same runs through
-    /// [`FeedStats::observe_lane_runs`] — identical values either way, so
-    /// the counters are feed observations, never timing-path dependent.
-    #[inline]
-    pub fn observe_run(&mut self, run: LaneRun) {
-        self.lane_uops[run.lane as usize] += u64::from(run.len);
-        self.lane_runs += 1;
-        if run.len >= 2 {
-            self.streamed_uops += u64::from(run.len);
-        }
-    }
-
-    /// Accumulates the lane-run shape of one consumed batch (see
-    /// [`FeedStats::observe_run`]).
-    pub fn observe_lane_runs(&mut self, runs: &[LaneRun]) {
-        for r in runs {
-            self.observe_run(*r);
-        }
-    }
-
     /// Exports the feed counters and the derived occupancy ratios under
     /// the stable `feed.*` namespace — the single source both the `diag`
     /// binary and the `--json` export render from.
@@ -189,28 +116,13 @@ impl FeedStats {
             Unit::PerKilo,
             self.batches_per_kinst(),
         );
-        for lane in Lane::ALL {
-            reg.counter_at(
-                &format!("feed.lane.{}.uops", lane.label()),
-                Unit::Count,
-                self.lane_uops[lane as usize],
-            );
-        }
-        reg.counter_at("feed.lane.runs", Unit::Count, self.lane_runs);
-        reg.counter_at("feed.lane.streamed_uops", Unit::Count, self.streamed_uops);
-        reg.gauge_at("feed.lane.run_len.mean", Unit::Count, self.mean_run_len());
-        reg.gauge_at(
-            "feed.lane.streamed_frac",
-            Unit::Ratio,
-            self.streamed_fraction(),
-        );
     }
 }
 
 /// One committed instruction's per-instruction facts in the batch: the
 /// packed counterpart of a [`CrackedInst`] header, one `Vec` push per
 /// commit.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InstEvent {
     /// Byte address of the macro-instruction.
     pub pc: u64,
@@ -230,7 +142,7 @@ pub struct InstEvent {
 }
 
 /// A structure-of-arrays window of committed instructions and their µops.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct UopBatch {
     /// Per-instruction event records.
     inst: Vec<InstEvent>,
@@ -241,15 +153,6 @@ pub struct UopBatch {
     uop: Vec<Uop>,
     mem: Vec<MemOp>,
     addr: Vec<u64>,
-    // Homogeneous same-lane runs tiling the µop arrays, built
-    // incrementally at fill time (see [`LaneRun`] for the
-    // order-admissibility rule).
-    runs: Vec<LaneRun>,
-    // Lane of the trailing run while it is still extendable — i.e. no
-    // instruction boundary has passed since it began. `None` after
-    // `begin_inst`/`clear`, which is what enforces order-admissibility
-    // without re-reading the run and instruction tails on every µop.
-    open_lane: Option<Lane>,
 }
 
 impl UopBatch {
@@ -273,9 +176,6 @@ impl UopBatch {
             uop: Vec::with_capacity(uops),
             mem: Vec::with_capacity(uops),
             addr: Vec::with_capacity(uops),
-            // Worst case is one singleton run per µop.
-            runs: Vec::with_capacity(uops),
-            open_lane: None,
         }
     }
 
@@ -285,8 +185,6 @@ impl UopBatch {
         self.uop.clear();
         self.mem.clear();
         self.addr.clear();
-        self.runs.clear();
-        self.open_lane = None;
     }
 
     /// Number of staged instructions.
@@ -317,17 +215,14 @@ impl UopBatch {
             ctrl,
             meta,
         });
-        // An instruction boundary is reorder-forbidden: close the trailing
-        // lane run so the next µop starts a fresh one even on a lane match.
-        self.open_lane = None;
     }
 
     /// Appends one µop to the instruction opened last.
     ///
     /// # Panics
     ///
-    /// Panics when a memory µop arrives without a resolved address — the
-    /// same internal-bug condition the per-instruction path reports.
+    /// Panics when a memory µop arrives without a resolved address — an
+    /// internal bug in the producer.
     pub fn push_uop(&mut self, uop: Uop, addr: Option<u64>) {
         let mem = MemOp::of(uop.kind);
         let addr = if mem == MemOp::None {
@@ -335,25 +230,9 @@ impl UopBatch {
         } else {
             addr.expect("memory µop without address")
         };
-        let idx = self.uop.len() as u32;
         self.uop.push(uop);
         self.mem.push(mem);
         self.addr.push(addr);
-        // Lane-run maintenance: extend the trailing run only when this
-        // µop shares its lane and no instruction boundary has intervened
-        // (`begin_inst` resets `open_lane`, enforcing order-admissibility),
-        // so the steady-state extend path is a single one-byte compare.
-        let lane = KIND_DESCS[uop.kind as usize].lane;
-        if self.open_lane == Some(lane) {
-            self.runs.last_mut().expect("open run exists").len += 1;
-        } else {
-            self.runs.push(LaneRun {
-                start: idx,
-                len: 1,
-                lane,
-            });
-            self.open_lane = Some(lane);
-        }
     }
 
     /// Records the branch outcome of the instruction opened last.
@@ -363,9 +242,9 @@ impl UopBatch {
         last.target = target;
     }
 
-    /// Copies one assembled [`CrackedInst`] into the batch (the
-    /// [`TimingCore::consume`](crate::TimingCore::consume) shim's fill
-    /// path).
+    /// Copies one assembled [`CrackedInst`] into the batch — the fill path
+    /// for callers holding a pre-assembled committed stream (benchmarks,
+    /// tests).
     pub fn push_cracked(&mut self, inst: &CrackedInst) {
         self.begin_inst(inst.pc, inst.len, inst.meta, inst.ctrl);
         for u in inst.uops.iter() {
@@ -454,12 +333,6 @@ impl UopBatch {
     /// model's LL$ probe keys for lock-class entries).
     pub fn addrs(&self) -> &[u64] {
         &self.addr
-    }
-
-    /// Homogeneous same-lane runs tiling the µop arrays, in program
-    /// order (see [`LaneRun`]).
-    pub fn lane_runs(&self) -> &[LaneRun] {
-        &self.runs
     }
 }
 
@@ -570,119 +443,11 @@ mod tests {
     }
 
     #[test]
-    fn lane_runs_tile_the_uop_arrays_and_respect_inst_boundaries() {
-        let ci = cracked_load(); // Check, Load, ShadowLoad
-        let mut b = UopBatch::new();
-        b.push_cracked(&ci);
-        b.push_cracked(&ci);
-        // Within one instruction: Check (MetaCheck) | Load+ShadowLoad
-        // (Load lane, streamed). Across the instruction boundary the
-        // ShadowLoad→Check transition changes lane anyway; the boundary
-        // rule is what keeps Load runs from crossing (tested below).
-        let runs = b.lane_runs();
-        assert_eq!(
-            runs,
-            [
-                LaneRun {
-                    start: 0,
-                    len: 1,
-                    lane: Lane::MetaCheck
-                },
-                LaneRun {
-                    start: 1,
-                    len: 2,
-                    lane: Lane::Load
-                },
-                LaneRun {
-                    start: 3,
-                    len: 1,
-                    lane: Lane::MetaCheck
-                },
-                LaneRun {
-                    start: 4,
-                    len: 2,
-                    lane: Lane::Load
-                },
-            ]
-        );
-        // Tiling: contiguous, sorted, covering every µop exactly once.
-        let mut next = 0u32;
-        for r in runs {
-            assert_eq!(r.start, next);
-            next += u32::from(r.len);
-        }
-        assert_eq!(next as usize, b.uops());
-        b.clear();
-        assert!(b.lane_runs().is_empty());
-    }
-
-    #[test]
-    fn same_lane_runs_never_cross_instruction_boundaries() {
-        // Two instructions whose adjacent µops share the ALU lane: the
-        // run must still break at the boundary (per-instruction work is
-        // reorder-forbidden).
-        let mut b = UopBatch::new();
-        b.begin_inst(0x100, 4, MetaEffect::None, CtrlKind::None);
-        b.push_uop(Uop::base(UopKind::IntAlu, None, None, None), None);
-        b.push_uop(Uop::base(UopKind::IntMul, None, None, None), None);
-        b.begin_inst(0x104, 4, MetaEffect::None, CtrlKind::None);
-        b.push_uop(Uop::base(UopKind::IntAlu, None, None, None), None);
-        assert_eq!(
-            b.lane_runs(),
-            [
-                LaneRun {
-                    start: 0,
-                    len: 2,
-                    lane: Lane::Alu
-                },
-                LaneRun {
-                    start: 2,
-                    len: 1,
-                    lane: Lane::Alu
-                },
-            ]
-        );
-    }
-
-    #[test]
-    fn feed_stats_lane_counters_accumulate_runs() {
-        let mut f = FeedStats {
-            uops: 6,
-            ..FeedStats::default()
-        };
-        f.observe_lane_runs(&[
-            LaneRun {
-                start: 0,
-                len: 1,
-                lane: Lane::MetaCheck,
-            },
-            LaneRun {
-                start: 1,
-                len: 2,
-                lane: Lane::Load,
-            },
-            LaneRun {
-                start: 3,
-                len: 3,
-                lane: Lane::Alu,
-            },
-        ]);
-        assert_eq!(f.lane_uops[Lane::MetaCheck as usize], 1);
-        assert_eq!(f.lane_uops[Lane::Load as usize], 2);
-        assert_eq!(f.lane_uops[Lane::Alu as usize], 3);
-        assert_eq!(f.lane_runs, 3);
-        assert_eq!(f.streamed_uops, 5, "singleton runs are the fallback");
-        assert!((f.streamed_fraction() - 5.0 / 6.0).abs() < 1e-12);
-        assert_eq!(f.mean_run_len(), 2.0);
-    }
-
-    #[test]
     fn feed_stats_ratios() {
         let f = FeedStats {
             batches: 4,
             insts: 256,
             uops: 512,
-            ..FeedStats::default()
         };
         assert_eq!(f.mean_occupancy(), 64.0);
         assert_eq!(f.batches_per_kinst(), 4000.0 / 256.0);

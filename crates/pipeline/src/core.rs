@@ -19,9 +19,9 @@
 //! critical path, they naturally overlap with real work — which is exactly
 //! why the paper's 44% µop overhead turns into only ~15% slowdown (§9.3).
 
-use watchdog_isa::crack::{CrackedInst, CtrlKind, Lane, MetaEffect};
+use watchdog_isa::crack::{CtrlKind, MetaEffect};
 use watchdog_isa::reg::{LReg, NUM_LREGS};
-use watchdog_isa::uop::{Uop, UopKind, UopTag};
+use watchdog_isa::uop::{UopKind, UopTag};
 use watchdog_mem::{AccessClass, Hierarchy, HierarchyConfig, HierarchyStats};
 
 use std::time::Instant;
@@ -139,82 +139,6 @@ impl Fu {
     }
 }
 
-/// Runtime dispatch descriptor of one µop kind: the per-kind facts the
-/// scheduling loop needs — functional unit / cache port class, unit busy
-/// time and static completion latency — resolved once at core
-/// construction from the [`CoreConfig`] latencies and the hierarchy's
-/// lock-cache configuration, so the hot loop's per-µop `match` collapses
-/// into one dense table load (`kind as usize`).
-///
-/// For memory µops, `lat` holds only the *static* part of the completion
-/// latency (address generation for reads, the single staging cycle for
-/// writes); the dynamic hierarchy latency is added per access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DispatchDesc {
-    /// Functional unit / cache port class to reserve. For lock-class
-    /// µops the lock-cache-vs-data-port routing decision is baked in
-    /// here at construction time.
-    pub fu: Fu,
-    /// Cycles the reserved unit stays busy (1 for pipelined units, the
-    /// full latency for the unpipelined dividers).
-    pub busy: u64,
-    /// Static completion latency added to the issue timestamp.
-    pub lat: u64,
-}
-
-/// Builds the dense per-kind dispatch descriptor table, indexed by
-/// `kind as usize` (the order guaranteed by
-/// [`UopKind::ALL`](watchdog_isa::uop::UopKind::ALL)). `lock_via_ll`
-/// routes lock-class µops to the dedicated lock-location-cache port
-/// ([`Fu::LlPort`]) instead of the data-cache ports, matching
-/// `Hierarchy::lock_cache_enabled` — the same decision the match-based
-/// reference path makes per µop.
-pub fn dispatch_descs(cfg: &CoreConfig, lock_via_ll: bool) -> [DispatchDesc; UopKind::COUNT] {
-    let d = |fu, busy, lat| DispatchDesc { fu, busy, lat };
-    let check_port = if lock_via_ll {
-        Fu::LlPort
-    } else {
-        Fu::LoadPort
-    };
-    let lock_store_port = if lock_via_ll {
-        Fu::LlPort
-    } else {
-        Fu::StorePort
-    };
-    std::array::from_fn(|i| match UopKind::ALL[i] {
-        UopKind::IntAlu | UopKind::SelectMeta | UopKind::BoundsCheck | UopKind::Nop => {
-            d(Fu::IntAlu, 1, cfg.lat_int_alu)
-        }
-        UopKind::IntMul => d(Fu::MulDiv, 1, cfg.lat_int_mul),
-        UopKind::IntDiv => d(Fu::MulDiv, cfg.lat_int_div, cfg.lat_int_div),
-        UopKind::FpAlu => d(Fu::FpAlu, 1, cfg.lat_fp_alu),
-        UopKind::FpMul => d(Fu::FpMul, 1, cfg.lat_fp_mul),
-        UopKind::FpDiv => d(Fu::FpDiv, cfg.lat_fp_div, cfg.lat_fp_div),
-        UopKind::Branch => d(Fu::Branch, 1, 1),
-        UopKind::Load | UopKind::ShadowLoad => d(Fu::LoadPort, 1, cfg.lat_agu),
-        UopKind::Store | UopKind::ShadowStore => d(Fu::StorePort, 1, 1),
-        UopKind::Check | UopKind::CheckCombined | UopKind::LockLoad => {
-            d(check_port, 1, cfg.lat_agu)
-        }
-        UopKind::LockStore => d(lock_store_port, 1, 1),
-    })
-}
-
-/// Per-µop results of the front half of the dispatch pipeline (frontend
-/// slot, window-occupancy checks, source readiness), threaded into the
-/// lane-specialized scheduling code and the commit-side bookkeeping.
-#[derive(Clone, Copy)]
-struct UopFront {
-    /// Dispatch timestamp after frontend and window stalls.
-    disp: u64,
-    /// Latest source-operand completion time.
-    ready: u64,
-    /// Earliest issue time (`max(disp + dispatch_latency, ready)`).
-    earliest: u64,
-    /// Stall cause of the window that last raised `disp` (0 = none).
-    win: usize,
-}
-
 /// Frontend stall cycles by cause (diagnostic).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StallCycles {
@@ -323,9 +247,8 @@ impl Snapshot {
 }
 
 /// The timing core, generic over its scheduling structures. Feed it the
-/// committed instruction stream via [`ScheduledCore::consume_batch`] (or
-/// the per-instruction [`ScheduledCore::consume`] shim), then call
-/// [`ScheduledCore::finish`].
+/// committed instruction stream via [`ScheduledCore::consume_batch`],
+/// then call [`ScheduledCore::finish`].
 ///
 /// The consume loop is written once; the [`SchedModel`] parameter selects
 /// the window-occupancy and FU-pool containers. [`TimingCore`]
@@ -364,12 +287,7 @@ pub struct ScheduledCore<S: SchedModel> {
     uops: u64,
     uops_by_tag: [u64; NUM_TAGS],
     stalls: StallCycles,
-    // Dense per-kind dispatch descriptors (table-driven fast path) and
-    // the switch selecting the match-based reference path instead.
-    disp: [DispatchDesc; UopKind::COUNT],
-    use_match_dispatch: bool,
-    // Batched-feed machinery (carries no timing state).
-    shim: UopBatch,
+    // Batch-feed counters (carry no timing state).
     feed: FeedStats,
     // Optional self-profiler (host-side observation only: no timestamp
     // ever depends on it, so equivalence holds with it on or off).
@@ -400,10 +318,8 @@ impl<S: SchedModel> ScheduledCore<S> {
             cfg.ll_ports,
             cfg.issue_width as usize,
         ]);
-        let hier = Hierarchy::new(hier_cfg);
-        let disp = dispatch_descs(&cfg, hier.lock_cache_enabled());
         ScheduledCore {
-            hier,
+            hier: Hierarchy::new(hier_cfg),
             bpred: Predictor::new(cfg.ras_entries),
             rename: Rename::new(RenameConfig {
                 int_regs: cfg.int_phys_regs,
@@ -428,9 +344,6 @@ impl<S: SchedModel> ScheduledCore<S> {
             uops: 0,
             uops_by_tag: [0; NUM_TAGS],
             stalls: StallCycles::default(),
-            disp,
-            use_match_dispatch: false,
-            shim: UopBatch::with_capacity(1),
             feed: FeedStats::default(),
             tele: None,
             cfg,
@@ -442,16 +355,6 @@ impl<S: SchedModel> ScheduledCore<S> {
     /// the consume loop allocation-free with recording on.
     pub fn enable_telemetry(&mut self, cfg: TelemetryConfig) {
         self.tele = Some(Box::new(CoreTelemetry::new(cfg)));
-    }
-
-    /// Selects the match-based reference dispatch path instead of the
-    /// table-driven lane-streaming default. The reference path keeps the
-    /// original per-µop `match` dispatch alive as a bit-for-bit oracle
-    /// (the same role `HeapSched` plays for the calendar-queue
-    /// scheduler); the equivalence suites run every workload through
-    /// both and assert field-identical reports.
-    pub fn set_match_dispatch(&mut self, on: bool) {
-        self.use_match_dispatch = on;
     }
 
     /// The collected profile, if telemetry was enabled.
@@ -556,11 +459,6 @@ impl<S: SchedModel> ScheduledCore<S> {
         self.pools.reserve_counts(fu as usize)
     }
 
-    /// `reserve_issue` for a dynamically-chosen port.
-    fn reserve_issue2(&mut self, fu: Fu, earliest: u64) -> u64 {
-        self.reserve_issue(fu, earliest, 1)
-    }
-
     /// Reserves a global issue slot, then the requested functional unit —
     /// enforcing both the 6-wide issue limit and per-unit availability.
     fn reserve_issue(&mut self, fu: Fu, earliest: u64, busy: u64) -> u64 {
@@ -588,48 +486,25 @@ impl<S: SchedModel> ScheduledCore<S> {
         t
     }
 
-    /// Consumes one committed macro-instruction — a thin shim over a
-    /// one-element [`UopBatch`], so the per-instruction and batched feeds
-    /// run the exact same pipeline.
-    pub fn consume(&mut self, inst: &CrackedInst) {
-        let mut one = std::mem::take(&mut self.shim);
-        one.clear();
-        one.push_cracked(inst);
-        self.consume_batch(&one);
-        self.shim = one;
-    }
-
     /// Consumes a batch of committed instructions, in program order.
     ///
     /// One fused pass over the SoA arrays: per instruction it touches the
     /// packed [`InstEvent`](crate::batch::InstEvent) record once, streams
     /// the 8-byte static µop descriptors through the scheduler, and reads
-    /// the `mem`/`addr` arrays only where a µop actually accesses memory —
-    /// where the per-instruction feed drags the full 40-byte
-    /// [`UopExec`](watchdog_isa::uop::UopExec) per µop. Memory accesses
-    /// drive [`Hierarchy::access`] inline, in exactly the per-instruction
-    /// path's order: the I-fetch probe stream interleaves with µop
-    /// accesses under branch-predictor control (a correctly-predicted
-    /// taken branch resets the fetch block), and L2/L3 back every access
-    /// class, so *any* batching of the hierarchy call stream would have to
-    /// materialize the same interleaved sequence first — measured to cost
-    /// more than it saves. The repeated-lock-probe fast path lives inside
-    /// the hierarchy instead (see the lock-probe memo), where it serves
-    /// every feed.
+    /// the `mem`/`addr` arrays only where a µop actually accesses memory.
+    /// Memory accesses drive [`Hierarchy::access`] inline, in program
+    /// order: the I-fetch probe stream interleaves with µop accesses under
+    /// branch-predictor control (a correctly-predicted taken branch resets
+    /// the fetch block), and L2/L3 back every access class, so *any*
+    /// batching of the hierarchy call stream would have to materialize the
+    /// same interleaved sequence first — measured to cost more than it
+    /// saves. The repeated-lock-probe fast path lives inside the hierarchy
+    /// instead (see the lock-probe memo).
     ///
-    /// Equivalence: each stateful component (hierarchy, predictor, rename)
-    /// sees exactly the call sequence the per-instruction path produces,
-    /// so the resulting [`TimingReport`] is identical for any batching of
-    /// the same stream (the batch-equivalence suites assert this field
-    /// for field).
-    /// Dispatch paths: the default drains the batch's homogeneous
-    /// [`LaneRun`](crate::batch::LaneRun)s through per-kind
-    /// [`DispatchDesc`] table loads with every kind-dependent branch
-    /// hoisted out of the inner loop; [`ScheduledCore::set_match_dispatch`]
-    /// selects the original per-µop `match` path instead, preserved as
-    /// the bit-for-bit reference oracle. Both produce field-identical
-    /// reports (the dispatch-equivalence suite asserts this on every
-    /// suite cell, mode and feed).
+    /// The batch carries no timing state: each stateful component
+    /// (hierarchy, predictor, rename) sees the same call sequence however
+    /// the stream is cut into batches, so the resulting [`TimingReport`]
+    /// is identical for any batching of the same stream.
     pub fn consume_batch(&mut self, batch: &UopBatch) {
         let n = batch.len();
         if n == 0 {
@@ -638,479 +513,6 @@ impl<S: SchedModel> ScheduledCore<S> {
         self.feed.batches += 1;
         self.feed.insts += n as u64;
         self.feed.uops += batch.uops() as u64;
-        if self.use_match_dispatch {
-            // The lane path records runs from its dispatch cursor; the
-            // reference path never walks the run list, so it observes the
-            // same runs in one pass here.
-            self.feed.observe_lane_runs(batch.lane_runs());
-            self.consume_batch_match(batch);
-        } else {
-            self.consume_batch_lanes(batch);
-        }
-    }
-
-    /// Front half of one µop's trip through the pipeline, shared by both
-    /// dispatch paths: frontend slot accounting, window-occupancy checks
-    /// (ROB/IQ and the LQ **or** SQ the µop's lane occupies) and source
-    /// readiness. Inlined into the lane-specialized loops so the
-    /// `is_load_like`/`is_store_like` constants fold away per lane.
-    #[inline(always)]
-    fn uop_front(
-        &mut self,
-        u: &Uop,
-        is_load_like: bool,
-        is_store_like: bool,
-        sampled: bool,
-        wheel_ns: &mut u64,
-    ) -> UopFront {
-        self.uops += 1;
-        self.uops_by_tag[tag_index(u.tag)] += 1;
-
-        // Frontend slot (rename/dispatch width).
-        if self.fe_slots >= self.cfg.rename_width {
-            self.fe_next_cycle();
-        }
-        self.fe_slots += 1;
-        let mut disp = self.fe_cycle;
-
-        // Wheel-drain phase: every window-occupancy check below.
-        let t_wd = sampled.then(Instant::now);
-
-        // Which window (if any) last raised this µop's dispatch time —
-        // the CPI stack's window-full attribution.
-        let mut win = 0usize;
-
-        // ROB occupancy: entries leave at commit (monotone), so a full
-        // window just waits for the head.
-        if self.rob.len() >= self.cfg.rob_entries {
-            let head = self.rob.pop_min().expect("rob non-empty");
-            if head > disp {
-                self.stalls.rob += head - disp;
-                self.fe_stall_to(head);
-                disp = head;
-                win = ST_ROB;
-            }
-        }
-        // IQ occupancy: entries leave at issue (drain deferred to
-        // capacity events, same discipline as the reference path).
-        if self.iq.len() >= self.cfg.iq_entries {
-            self.iq.drain_le(disp);
-            if self.iq.len() >= self.cfg.iq_entries {
-                if let Some(t) = self.iq.pop_min() {
-                    if t > disp {
-                        self.stalls.iq += t - disp;
-                        self.fe_stall_to(t);
-                        disp = t;
-                        win = ST_IQ;
-                    }
-                }
-            }
-        }
-        // LQ/SQ occupancy: entries leave at commit.
-        if is_load_like {
-            if self.lq.len() >= self.cfg.lq_entries {
-                self.lq.drain_le(disp);
-                if self.lq.len() >= self.cfg.lq_entries {
-                    if let Some(t) = self.lq.pop_min() {
-                        if t > disp {
-                            self.stalls.lq += t - disp;
-                            self.fe_stall_to(t);
-                            disp = t;
-                            win = ST_LQ;
-                        }
-                    }
-                }
-            }
-        } else if is_store_like && self.sq.len() >= self.cfg.sq_entries {
-            self.sq.drain_le(disp);
-            if self.sq.len() >= self.cfg.sq_entries {
-                if let Some(t) = self.sq.pop_min() {
-                    if t > disp {
-                        self.stalls.sq += t - disp;
-                        self.fe_stall_to(t);
-                        disp = t;
-                        win = ST_SQ;
-                    }
-                }
-            }
-        }
-        if let Some(t0) = t_wd {
-            *wheel_ns += t0.elapsed().as_nanos() as u64;
-        }
-
-        // Source readiness.
-        let mut ready = 0u64;
-        if let Some(src) = u.src1 {
-            ready = ready.max(self.reg_ready[src.index()]);
-        }
-        if let Some(src) = u.src2 {
-            ready = ready.max(self.reg_ready[src.index()]);
-        }
-        let earliest = (disp + self.cfg.dispatch_latency).max(ready);
-        UopFront {
-            disp,
-            ready,
-            earliest,
-            win,
-        }
-    }
-
-    /// Back half of one µop's trip, shared by both dispatch paths:
-    /// wheel-lead observation, destination readiness, CPI-stack
-    /// accounting (read off the commit-slot state *before*
-    /// [`ScheduledCore::commit_time`] advances it) and the commit-phase
-    /// window pushes. Observation-only work is gated exactly as in the
-    /// reference path, so no timestamp ever depends on telemetry.
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    fn uop_back(
-        &mut self,
-        u: &Uop,
-        f: UopFront,
-        issue: u64,
-        complete: u64,
-        outcome_eligible: bool,
-        is_load_like: bool,
-        is_store_like: bool,
-        fe_cause: usize,
-        sampled: bool,
-        tele_on: bool,
-        cpi_commit: &mut [u64; NUM_TAGS],
-        cpi_stall: &mut [u64; NUM_STALL_CAUSES],
-        commit_ns: &mut u64,
-    ) {
-        if sampled {
-            let t = self.tele.as_deref_mut().expect("telemetry enabled");
-            t.wheel_lead.observe(issue - f.disp);
-        }
-
-        if let Some(d) = u.dst {
-            self.reg_ready[d.index()] = complete;
-        }
-
-        // CPI-stack accounting: slots between the previous commit and
-        // this µop's commit are a gap, charged to one cause (first match
-        // wins — memory miss outstanding, FU contention, dependency
-        // wait, window full, frontend).
-        if tele_on {
-            let width = self.cfg.commit_width;
-            let t = complete.max(self.last_commit);
-            let gap = if t > self.commit_cycle {
-                (width - self.commit_count) + (t - self.commit_cycle - 1) * width
-            } else {
-                0
-            };
-            if gap > 0 {
-                // A load-class µop whose access just walked the
-                // hierarchy: the outcome flags say which structure
-                // missed (stores complete at issue+1, so a store's miss
-                // never explains its commit gap).
-                let outcome = outcome_eligible.then(|| self.hier.last_outcome());
-                let cause = match outcome {
-                    Some(o) if o.tlb_miss => ST_TLB,
-                    Some(o) if o.l1_miss && o.lock_path => ST_LL,
-                    Some(o) if o.l1_miss => ST_L1D,
-                    _ if issue > f.earliest => ST_FU,
-                    _ if f.ready > f.disp + self.cfg.dispatch_latency => ST_DEP,
-                    _ if f.win != 0 => f.win,
-                    _ => fe_cause,
-                };
-                cpi_stall[cause] += gap;
-            }
-            cpi_commit[tag_index(u.tag)] += 1;
-        }
-
-        // Commit phase: slot assignment + window pushes.
-        let t_c = sampled.then(Instant::now);
-        let commit = self.commit_time(complete);
-        self.rob.push(commit);
-        self.iq.push(issue);
-        if is_load_like {
-            self.lq.push(commit);
-        } else if is_store_like {
-            self.sq.push(commit);
-        }
-        if let Some(t0) = t_c {
-            *commit_ns += t0.elapsed().as_nanos() as u64;
-        }
-    }
-
-    /// The table-driven lane-streaming dispatch path (the default).
-    ///
-    /// Per instruction it runs the same frontend/rename prologue and
-    /// branch epilogue as the reference path, but drains the µop range
-    /// as homogeneous [`LaneRun`](crate::batch::LaneRun)s: a monotone
-    /// cursor walks the batch's run list (runs tile the µop arrays and
-    /// never cross instruction boundaries), and each run selects its
-    /// dispatch shape — fixed-latency compute, hierarchy read, or
-    /// hierarchy write — **once**, so the inner loop is free of
-    /// kind-dependent branches; per-µop facts (unit class, busy time,
-    /// static latency) come from the dense [`DispatchDesc`] table.
-    ///
-    /// Every stateful component (hierarchy, predictor, rename, pools,
-    /// windows) sees exactly the call sequence the reference path
-    /// produces, in the same program order — lane runs reorder nothing;
-    /// they only hoist control flow.
-    fn consume_batch_lanes(&mut self, batch: &UopBatch) {
-        let n = batch.len();
-        let insts = batch.insts();
-        let uops = batch.uop_descs();
-        let mems = batch.mems();
-        let addrs = batch.addrs();
-        let runs = batch.lane_runs();
-
-        // Self-profiler prologue (identical to the reference path).
-        let tele_on = self.tele.is_some();
-        let sampled = if tele_on {
-            let (rob, iq) = (self.rob.len() as u64, self.iq.len() as u64);
-            let (lq, sq) = (self.lq.len() as u64, self.sq.len() as u64);
-            let t = self.tele.as_deref_mut().expect("telemetry enabled");
-            t.rob_occupancy.observe(rob);
-            t.iq_occupancy.observe(iq);
-            t.lq_occupancy.observe(lq);
-            t.sq_occupancy.observe(sq);
-            t.begin_batch()
-        } else {
-            false
-        };
-        let t_batch = sampled.then(Instant::now);
-        let (mut wheel_ns, mut hier_ns, mut commit_ns) = (0u64, 0u64, 0u64);
-
-        let mut cpi_commit = [0u64; NUM_TAGS];
-        let mut cpi_stall = [0u64; NUM_STALL_CAUSES];
-
-        // Monotone cursor into the batch's lane runs.
-        let mut ri = 0usize;
-        for (i, ev) in insts.iter().enumerate() {
-            self.insts += 1;
-
-            // Frontend cause of record for this instruction's commit
-            // gaps (see the reference path).
-            let mut fe_cause = ST_FETCH;
-
-            // Honour a pending redirect (mispredicted branch before us).
-            if self.next_fetch_earliest > self.fe_cycle {
-                self.stalls.redirect += self.next_fetch_earliest - self.fe_cycle;
-                self.fe_stall_to(self.next_fetch_earliest);
-                fe_cause = ST_REDIRECT;
-            }
-
-            // Instruction fetch: one I-cache access per new 64-byte block.
-            let block = ev.pc / 64;
-            if block != self.last_fetch_block {
-                self.last_fetch_block = block;
-                let lat = timed(sampled, &mut hier_ns, || {
-                    self.hier.access(AccessClass::Ifetch, ev.pc, false)
-                });
-                let l1 = 3;
-                if lat > l1 {
-                    self.stalls.icache += lat - l1;
-                    let stall_to = self.fe_cycle + (lat - l1);
-                    self.fe_stall_to(stall_to);
-                    fe_cause = ST_ICACHE;
-                }
-            }
-
-            // Fetch bandwidth: 16 bytes per cycle.
-            let len = u64::from(ev.len);
-            if self.fe_bytes + len > self.cfg.fetch_bytes_per_cycle {
-                self.fe_next_cycle();
-            }
-            self.fe_bytes += len;
-
-            // Rename bookkeeping and its timing effect.
-            let r = batch.uop_range(i);
-            for u in &uops[r.clone()] {
-                self.rename.rename_dst(u.dst);
-            }
-            self.rename.apply_meta(&ev.meta);
-            match ev.meta {
-                MetaEffect::None => {}
-                MetaEffect::Copy { dst, src } => {
-                    self.reg_ready[LReg::M(dst).index()] = self.reg_ready[LReg::M(src).index()];
-                }
-                MetaEffect::Invalidate(r) | MetaEffect::Global(r) => {
-                    self.reg_ready[LReg::M(r).index()] = 0;
-                }
-            }
-
-            let mut branch_complete = 0u64;
-
-            // Drain this instruction's µops run by run. Runs tile the
-            // µop arrays in program order and never cross instruction
-            // boundaries, so the cursor walk covers `r` exactly.
-            while ri < runs.len() && (runs[ri].start as usize) < r.end {
-                let run = runs[ri];
-                ri += 1;
-                self.feed.observe_run(run);
-                let s = run.start as usize;
-                let e = s + run.len as usize;
-                debug_assert!(s >= r.start && e <= r.end, "run crosses inst boundary");
-                match run.lane {
-                    // Fixed-latency compute: reserve the descriptor's
-                    // unit, complete after its static latency.
-                    Lane::Alu => {
-                        for u in &uops[s..e] {
-                            let f = self.uop_front(u, false, false, sampled, &mut wheel_ns);
-                            let desc = self.disp[u.kind as usize];
-                            let st = self.reserve_issue(desc.fu, f.earliest, desc.busy);
-                            self.uop_back(
-                                u,
-                                f,
-                                st,
-                                st + desc.lat,
-                                false,
-                                false,
-                                false,
-                                fe_cause,
-                                sampled,
-                                tele_on,
-                                &mut cpi_commit,
-                                &mut cpi_stall,
-                                &mut commit_ns,
-                            );
-                        }
-                    }
-                    // Branch: fixed-latency compute that records the
-                    // completion time the frontend redirects against.
-                    Lane::Branch => {
-                        for u in &uops[s..e] {
-                            let f = self.uop_front(u, false, false, sampled, &mut wheel_ns);
-                            let desc = self.disp[u.kind as usize];
-                            let st = self.reserve_issue(desc.fu, f.earliest, desc.busy);
-                            let complete = st + desc.lat;
-                            branch_complete = complete;
-                            self.uop_back(
-                                u,
-                                f,
-                                st,
-                                complete,
-                                false,
-                                false,
-                                false,
-                                fe_cause,
-                                sampled,
-                                tele_on,
-                                &mut cpi_commit,
-                                &mut cpi_stall,
-                                &mut commit_ns,
-                            );
-                        }
-                    }
-                    // Hierarchy reads (data/shadow loads and the
-                    // lock-location checks): address generation plus the
-                    // dynamic access latency; occupies the LQ.
-                    Lane::Load | Lane::MetaCheck => {
-                        for idx in s..e {
-                            let u = &uops[idx];
-                            let f = self.uop_front(u, true, false, sampled, &mut wheel_ns);
-                            let desc = self.disp[u.kind as usize];
-                            let st = self.reserve_issue(desc.fu, f.earliest, desc.busy);
-                            let MemOp::Read(class) = mems[idx] else {
-                                unreachable!("read-lane µops are classified as reads")
-                            };
-                            let lat = timed(sampled, &mut hier_ns, || {
-                                self.hier.access(class, addrs[idx], false)
-                            });
-                            self.uop_back(
-                                u,
-                                f,
-                                st,
-                                st + desc.lat + lat,
-                                true,
-                                true,
-                                false,
-                                fe_cause,
-                                sampled,
-                                tele_on,
-                                &mut cpi_commit,
-                                &mut cpi_stall,
-                                &mut commit_ns,
-                            );
-                        }
-                    }
-                    // Hierarchy writes (data/shadow stores and
-                    // lock-location updates): complete once address+data
-                    // are staged, drain from the SQ after commit.
-                    Lane::Store | Lane::MetaUpdate => {
-                        for idx in s..e {
-                            let u = &uops[idx];
-                            let f = self.uop_front(u, false, true, sampled, &mut wheel_ns);
-                            let desc = self.disp[u.kind as usize];
-                            let st = self.reserve_issue(desc.fu, f.earliest, desc.busy);
-                            let MemOp::Write(class) = mems[idx] else {
-                                unreachable!("write-lane µops are classified as writes")
-                            };
-                            let _ = timed(sampled, &mut hier_ns, || {
-                                self.hier.access(class, addrs[idx], true)
-                            });
-                            self.uop_back(
-                                u,
-                                f,
-                                st,
-                                st + desc.lat,
-                                false,
-                                false,
-                                true,
-                                fe_cause,
-                                sampled,
-                                tele_on,
-                                &mut cpi_commit,
-                                &mut cpi_stall,
-                                &mut commit_ns,
-                            );
-                        }
-                    }
-                }
-            }
-
-            // Branch prediction epilogue (identical to the reference
-            // path).
-            if ev.ctrl != CtrlKind::None {
-                let fallthrough = ev.pc + u64::from(ev.len);
-                let correct = self
-                    .bpred
-                    .observe(ev.pc, ev.ctrl, ev.taken, ev.target, fallthrough);
-                if !correct {
-                    self.next_fetch_earliest = branch_complete + self.cfg.redirect_penalty;
-                } else if ev.taken {
-                    self.fe_next_cycle();
-                    self.last_fetch_block = u64::MAX;
-                }
-            }
-        }
-
-        // Self-profiler epilogue (identical to the reference path).
-        if tele_on {
-            let total = t_batch.map(|t0| t0.elapsed().as_nanos() as u64);
-            let t = self.tele.as_deref_mut().expect("telemetry enabled");
-            t.insts += n as u64;
-            t.uops += uops.len() as u64;
-            for u in uops {
-                t.dispatch_by_kind[u.kind as usize] += 1;
-            }
-            for (acc, add) in t.commit_slots_by_tag.iter_mut().zip(cpi_commit) {
-                *acc += add;
-            }
-            for (acc, add) in t.stall_slots.iter_mut().zip(cpi_stall) {
-                *acc += add;
-            }
-            if let Some(total_ns) = total {
-                t.phases.batches_sampled += 1;
-                t.phases.total_ns += total_ns;
-                t.phases.wheel_drain_ns += wheel_ns;
-                t.phases.hierarchy_ns += hier_ns;
-                t.phases.commit_ns += commit_ns;
-            }
-        }
-    }
-
-    /// The original per-µop `match` dispatch path, preserved as the
-    /// bit-for-bit reference oracle for the table-driven lane path
-    /// (selected via [`ScheduledCore::set_match_dispatch`], the same
-    /// role [`HeapSched`] plays for the calendar-queue scheduler).
-    fn consume_batch_match(&mut self, batch: &UopBatch) {
-        let n = batch.len();
         let insts = batch.insts();
         let uops = batch.uop_descs();
         let mems = batch.mems();
@@ -1355,7 +757,7 @@ impl<S: SchedModel> ScheduledCore<S> {
                         } else {
                             Fu::LoadPort
                         };
-                        let st = self.reserve_issue2(port, earliest);
+                        let st = self.reserve_issue(port, earliest, 1);
                         let lat = timed(sampled, &mut hier_ns, || {
                             self.hier.access(AccessClass::Lock, addr, false)
                         });
@@ -1367,7 +769,7 @@ impl<S: SchedModel> ScheduledCore<S> {
                         } else {
                             Fu::StorePort
                         };
-                        let st = self.reserve_issue2(port, earliest);
+                        let st = self.reserve_issue(port, earliest, 1);
                         let _ = timed(sampled, &mut hier_ns, || {
                             self.hier.access(AccessClass::Lock, addr, true)
                         });
@@ -1508,7 +910,7 @@ impl<S: SchedModel> ScheduledCore<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use watchdog_isa::crack::{crack, CrackConfig, Cracked};
+    use watchdog_isa::crack::{crack, CrackConfig, Cracked, CrackedInst};
     use watchdog_isa::insn::{AluOp, Inst, MemAddr, PtrHint, Width};
     use watchdog_isa::reg::Gpr;
 
@@ -1538,6 +940,13 @@ mod tests {
         }
     }
 
+    /// Feeds one instruction as a one-element batch.
+    fn feed<M: SchedModel>(core: &mut ScheduledCore<M>, ci: &CrackedInst) {
+        let mut batch = UopBatch::new();
+        batch.push_cracked(ci);
+        core.consume_batch(&batch);
+    }
+
     fn run_alu_stream(dependent: bool, n: u64) -> TimingReport {
         let mut core = TimingCore::new(CoreConfig::sandy_bridge(), HierarchyConfig::default());
         for i in 0..n {
@@ -1559,7 +968,7 @@ mod tests {
                 0x40_0000 + i * 5,
                 &[],
             );
-            core.consume(&ci);
+            feed(&mut core, &ci);
         }
         core.finish()
     }
@@ -1610,7 +1019,7 @@ mod tests {
                     vec![addr]
                 };
                 let ci = cracked(&inst, wd, &cfg, 0x40_0000 + i * 5, &addrs);
-                core.consume(&ci);
+                feed(&mut core, &ci);
                 // A consumer of the loaded value.
                 let use_inst = Inst::AluImm {
                     op: AluOp::Add,
@@ -1618,7 +1027,10 @@ mod tests {
                     a: g(1),
                     imm: 1,
                 };
-                core.consume(&cracked(&use_inst, false, &cfg, 0x40_0010 + i * 5, &[]));
+                feed(
+                    &mut core,
+                    &cracked(&use_inst, false, &cfg, 0x40_0010 + i * 5, &[]),
+                );
             }
             core.finish()
         };
@@ -1668,7 +1080,7 @@ mod tests {
                 let n = ci.uops.len();
                 ci.uops.as_mut_slice()[n - 1].taken = taken;
                 ci.uops.as_mut_slice()[n - 1].target = 0x40_0000;
-                core.consume(&ci);
+                feed(&mut core, &ci);
             }
             core.finish()
         };
@@ -1697,7 +1109,7 @@ mod tests {
                 // Large strides defeat caches and the prefetcher.
                 let addr = 0x2000_0000 + (i * stride) % (64 << 20);
                 let ci = cracked(&inst, false, &CrackConfig::baseline(), 0x40_0000, &[addr]);
-                core.consume(&ci);
+                feed(&mut core, &ci);
             }
             core.finish()
         };
@@ -1729,11 +1141,11 @@ mod tests {
             )
         };
         for i in 0..100 {
-            core.consume(&mk(i));
+            feed(&mut core, &mk(i));
         }
         let s1 = core.snapshot();
         for i in 100..300 {
-            core.consume(&mk(i));
+            feed(&mut core, &mk(i));
         }
         let s2 = core.snapshot();
         let d = s2.delta(&s1);
@@ -1760,16 +1172,8 @@ mod tests {
     /// field-identical (the workspace `wheel_equivalence` suite asserts
     /// the same at full scale).
     fn run_mixed<M: SchedModel>() -> String {
-        run_mixed_dispatch::<M>(false)
-    }
-
-    /// `run_mixed` with the dispatch path selectable: `true` drives the
-    /// preserved match-based reference, `false` the table-driven lane
-    /// default.
-    fn run_mixed_dispatch<M: SchedModel>(match_dispatch: bool) -> String {
         let mut core: ScheduledCore<M> =
             ScheduledCore::new(CoreConfig::sandy_bridge(), HierarchyConfig::default());
-        core.set_match_dispatch(match_dispatch);
         let cfg = CrackConfig::watchdog();
         let mut b = watchdog_isa::ProgramBuilder::new("x");
         let l = b.label();
@@ -1786,20 +1190,20 @@ mod tests {
                 hint: PtrHint::Auto,
             };
             let addrs = [0x5000_0000, addr, 0x4000_0000_0000 + (addr >> 3) * 16];
-            core.consume(&cracked(
-                &load,
-                true,
-                &cfg,
-                0x40_0000 + (i % 40) * 6,
-                &addrs,
-            ));
+            feed(
+                &mut core,
+                &cracked(&load, true, &cfg, 0x40_0000 + (i % 40) * 6, &addrs),
+            );
             let alu = Inst::AluImm {
                 op: AluOp::Add,
                 dst: g((i % 8) as u8),
                 a: g(1),
                 imm: 1,
             };
-            core.consume(&cracked(&alu, false, &cfg, 0x40_0100 + (i % 40) * 6, &[]));
+            feed(
+                &mut core,
+                &cracked(&alu, false, &cfg, 0x40_0100 + (i % 40) * 6, &[]),
+            );
             let br = Inst::Branch {
                 cond: watchdog_isa::Cond::Eq,
                 a: g(0),
@@ -1810,7 +1214,7 @@ mod tests {
             let n = ci.uops.len();
             ci.uops.as_mut_slice()[n - 1].taken = (x >> 62) & 1 == 1;
             ci.uops.as_mut_slice()[n - 1].target = 0x40_0000;
-            core.consume(&ci);
+            feed(&mut core, &ci);
         }
         format!("{:?}", core.finish())
     }
@@ -1818,74 +1222,6 @@ mod tests {
     #[test]
     fn wheel_core_matches_heap_reference() {
         assert_eq!(run_mixed::<WheelSched>(), run_mixed::<HeapSched>());
-    }
-
-    /// The table-driven lane-streaming dispatch path is field-identical
-    /// to the preserved match-based reference, under both scheduling
-    /// models (the workspace `dispatch_equivalence` suite asserts the
-    /// same at full scale).
-    #[test]
-    fn lane_dispatch_matches_match_reference() {
-        assert_eq!(
-            run_mixed_dispatch::<WheelSched>(false),
-            run_mixed_dispatch::<WheelSched>(true)
-        );
-        assert_eq!(
-            run_mixed_dispatch::<HeapSched>(false),
-            run_mixed_dispatch::<HeapSched>(true)
-        );
-    }
-
-    /// The runtime descriptor table agrees with the reference `match`'s
-    /// arms for **every** µop kind, under both lock-cache routings —
-    /// the expected tuples below restate the match arms independently,
-    /// so a drifted generator (or a new kind classified wrongly) fails
-    /// here rather than in a full-scale divergence hunt.
-    #[test]
-    fn dispatch_descs_agree_with_the_match_reference_for_every_kind() {
-        let cfg = CoreConfig::sandy_bridge();
-        for lock_via_ll in [false, true] {
-            let table = dispatch_descs(&cfg, lock_via_ll);
-            for &kind in &UopKind::ALL {
-                let expect = match kind {
-                    UopKind::IntAlu | UopKind::SelectMeta | UopKind::BoundsCheck | UopKind::Nop => {
-                        (Fu::IntAlu, 1, cfg.lat_int_alu)
-                    }
-                    UopKind::IntMul => (Fu::MulDiv, 1, cfg.lat_int_mul),
-                    UopKind::IntDiv => (Fu::MulDiv, cfg.lat_int_div, cfg.lat_int_div),
-                    UopKind::FpAlu => (Fu::FpAlu, 1, cfg.lat_fp_alu),
-                    UopKind::FpMul => (Fu::FpMul, 1, cfg.lat_fp_mul),
-                    UopKind::FpDiv => (Fu::FpDiv, cfg.lat_fp_div, cfg.lat_fp_div),
-                    UopKind::Branch => (Fu::Branch, 1, 1),
-                    UopKind::Load | UopKind::ShadowLoad => (Fu::LoadPort, 1, cfg.lat_agu),
-                    UopKind::Store | UopKind::ShadowStore => (Fu::StorePort, 1, 1),
-                    UopKind::Check | UopKind::CheckCombined | UopKind::LockLoad => (
-                        if lock_via_ll {
-                            Fu::LlPort
-                        } else {
-                            Fu::LoadPort
-                        },
-                        1,
-                        cfg.lat_agu,
-                    ),
-                    UopKind::LockStore => (
-                        if lock_via_ll {
-                            Fu::LlPort
-                        } else {
-                            Fu::StorePort
-                        },
-                        1,
-                        1,
-                    ),
-                };
-                let d = table[kind as usize];
-                assert_eq!(
-                    (d.fu, d.busy, d.lat),
-                    expect,
-                    "{kind:?} (lock_via_ll={lock_via_ll})"
-                );
-            }
-        }
     }
 
     /// Tentpole invariant at core level: with telemetry attached, the CPI
@@ -1908,13 +1244,10 @@ mod tests {
                 hint: PtrHint::Auto,
             };
             let addrs = [0x5000_0000, addr, 0x4000_0000_0000 + (addr >> 3) * 16];
-            core.consume(&cracked(
-                &load,
-                true,
-                &cfg,
-                0x40_0000 + (i % 40) * 6,
-                &addrs,
-            ));
+            feed(
+                &mut core,
+                &cracked(&load, true, &cfg, 0x40_0000 + (i % 40) * 6, &addrs),
+            );
         }
         let mut reg = MetricsRegistry::new();
         core.export_telemetry_into(&mut reg);
@@ -1973,7 +1306,7 @@ mod tests {
                     0x40_0000 + i * 5,
                     &[],
                 );
-                core.consume(&ci);
+                feed(&mut core, &ci);
             }
             core
         };

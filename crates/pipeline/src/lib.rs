@@ -41,10 +41,9 @@ pub mod tele;
 pub mod wheel;
 
 pub use crate::core::{
-    dispatch_descs, DispatchDesc, Fu, ReferenceCore, ScheduledCore, TimingCore, TimingReport,
-    NUM_FUS, NUM_TAGS, TAG_NAMES,
+    Fu, ReferenceCore, ScheduledCore, TimingCore, TimingReport, NUM_FUS, NUM_TAGS, TAG_NAMES,
 };
-pub use batch::{FeedStats, LaneRun, MemOp, UopBatch};
+pub use batch::{FeedStats, MemOp, UopBatch};
 pub use bpred::Predictor;
 pub use config::CoreConfig;
 pub use rename::{Rename, RenameConfig, RenameStats};

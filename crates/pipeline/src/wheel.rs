@@ -10,12 +10,9 @@
 //! heap/scan reference twin behind the [`SchedModel`] trait, and the
 //! equivalence is asserted structure-by-structure (property tests) and
 //! end-to-end (the `wheel_equivalence` workspace suite). The loop that
-//! drives these structures is the lane-streaming dispatcher of
-//! [`crate::core`]: it drains a batch's homogeneous lane runs with
-//! per-kind facts read from the dense descriptor table, so by the time a
-//! µop reaches the wheel the only per-µop work left *is* these window
-//! and pool operations (measured: dispatch restructuring is
-//! timing-neutral; the wheel ops dominate the hot loop).
+//! drives these structures is [`crate::core`]'s single per-µop dispatch
+//! loop; every µop it dispatches touches these window and pool
+//! operations.
 //!
 //! Three observations make the replacements exact:
 //!

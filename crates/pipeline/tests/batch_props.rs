@@ -1,7 +1,7 @@
 //! Batched-feed equivalence at the pipeline level: for any batching of
-//! the same committed µop stream — one instruction per `consume` call,
-//! tiny batches, the default 64-instruction target, or one giant batch —
-//! the [`TimingCore`] must produce a field-identical [`TimingReport`].
+//! the same committed µop stream — one instruction per batch, tiny
+//! batches, the default 64-instruction target, or one giant batch — the
+//! [`TimingCore`] must produce a field-identical [`TimingReport`].
 //!
 //! The streams below exercise every scheduling path the batch pipeline
 //! reroutes: dependence chains, lock/shadow/data memory µops (check-heavy
@@ -135,14 +135,6 @@ fn mixed_stream(n: u64) -> Vec<CrackedInst> {
     out
 }
 
-fn run_per_inst(stream: &[CrackedInst]) -> String {
-    let mut core = TimingCore::new(CoreConfig::sandy_bridge(), HierarchyConfig::default());
-    for ci in stream {
-        core.consume(ci);
-    }
-    format!("{:?}", core.finish())
-}
-
 fn run_batched(stream: &[CrackedInst], batch_insts: usize) -> String {
     let mut core = TimingCore::new(CoreConfig::sandy_bridge(), HierarchyConfig::default());
     let mut batch = UopBatch::new();
@@ -160,12 +152,12 @@ fn run_batched(stream: &[CrackedInst], batch_insts: usize) -> String {
 #[test]
 fn any_batching_is_equivalent_to_per_inst() {
     let stream = mixed_stream(4000);
-    let reference = run_per_inst(&stream);
-    for batch_insts in [1, 3, UopBatch::TARGET_INSTS, 1009, stream.len()] {
+    let reference = run_batched(&stream, 1);
+    for batch_insts in [3, UopBatch::TARGET_INSTS, 1009, stream.len()] {
         assert_eq!(
             reference,
             run_batched(&stream, batch_insts),
-            "batch size {batch_insts} diverges from the per-instruction feed"
+            "batch size {batch_insts} diverges from one instruction per batch"
         );
     }
 }
@@ -192,10 +184,13 @@ fn feed_stats_track_batch_occupancy() {
     assert!(f.mean_occupancy() > (UopBatch::TARGET_INSTS / 2) as f64);
     assert!(f.uops > f.insts, "watchdog streams crack to >1 µop/inst");
 
-    // The per-instruction shim reports occupancy 1.
+    // One instruction per batch reports occupancy 1.
+    batch.clear();
     let mut core = TimingCore::new(CoreConfig::sandy_bridge(), HierarchyConfig::default());
     for ci in &stream {
-        core.consume(ci);
+        batch.push_cracked(ci);
+        core.consume_batch(&batch);
+        batch.clear();
     }
     let f = core.feed_stats();
     assert_eq!(f.batches, stream.len() as u64);
@@ -228,8 +223,8 @@ fn control_stream_equivalence_across_batch_boundaries() {
     // (fetch-block resets and redirects crossing a batch boundary): sweep
     // a range of small batch sizes so every phase alignment occurs.
     let stream = mixed_stream(900);
-    let reference = run_per_inst(&stream);
-    for batch_insts in 1..24 {
+    let reference = run_batched(&stream, 1);
+    for batch_insts in 2..24 {
         assert_eq!(
             reference,
             run_batched(&stream, batch_insts),

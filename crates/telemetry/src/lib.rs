@@ -4,8 +4,8 @@
 //!
 //! The design follows two hard rules the rest of the workspace imposes:
 //!
-//! 1. **Out-of-band from [`RunReport`]** — every feed-equivalence suite
-//!    (`wheel_equivalence`, `batch_equivalence`, `trace_equivalence`)
+//! 1. **Out-of-band from [`RunReport`]** — every equivalence suite
+//!    (`wheel_equivalence`, `trace_equivalence`, the golden corpus)
 //!    compares `RunReport`s byte-for-byte across live / replayed /
 //!    sampled feeds, and telemetry legitimately *differs* between feeds
 //!    (batch counts, host timings, profile samples). Metrics therefore
@@ -55,8 +55,8 @@ pub enum Unit {
     Ratio,
     /// Events per thousand instructions (e.g. misses per kilo-inst).
     PerKilo,
-    /// Rate per host second.
-    PerSec,
+    /// Rate per host nanosecond (e.g. simulated cycles per host ns).
+    PerNano,
     /// Bytes.
     Bytes,
 }
@@ -70,7 +70,7 @@ impl Unit {
             Unit::Nanos => "ns",
             Unit::Ratio => "ratio",
             Unit::PerKilo => "per_kinst",
-            Unit::PerSec => "per_sec",
+            Unit::PerNano => "per_ns",
             Unit::Bytes => "bytes",
         }
     }
@@ -294,6 +294,16 @@ impl MetricsRegistry {
         JsonValue::Obj(obj)
     }
 
+    /// The unit of every metric as one JSON object: metric path → unit
+    /// label, in the same key order as [`MetricsRegistry::to_json`].
+    pub fn units_json(&self) -> JsonValue {
+        JsonValue::Obj(
+            self.iter()
+                .map(|m| (m.name.to_string(), JsonValue::str(m.unit.label())))
+                .collect(),
+        )
+    }
+
     /// Renders the registry for human eyes: one `name value [unit]` line
     /// per metric, histograms summarized. Used by `watchdog-cli run
     /// --telemetry`-style output and by the diagnostics binary.
@@ -331,7 +341,7 @@ mod tests {
     fn counters_gauges_and_histograms_round_trip_by_name() {
         let mut reg = MetricsRegistry::new();
         let c = reg.counter("a.count", Unit::Count);
-        let g = reg.gauge("a.rate", Unit::PerSec);
+        let g = reg.gauge("a.rate", Unit::PerNano);
         let h = reg.histogram("a.occ", Unit::Count);
         reg.add(c, 41);
         reg.add(c, 1);

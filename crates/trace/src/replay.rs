@@ -2,10 +2,9 @@
 //! facts, feed the timing core — no architectural re-execution.
 //!
 //! The replayer reproduces a live timed simulation *exactly*: the µop
-//! stream is assembled by the same
-//! [`assemble_cracked`](watchdog_isa::crack::assemble_cracked()) the machine
-//! uses, static expansions come from the same per-PC
-//! [`CrackCache`], and the functional half of the [`RunReport`] (stats,
+//! batches are filled by the same
+//! [`UopBatch::push_expansion`] the machine's batched step uses, static
+//! expansions come from the same per-PC [`CrackCache`], and the functional half of the [`RunReport`] (stats,
 //! heap, footprint, violation) is carried in the trace trailer. What *can*
 //! vary per replay is everything the timing model owns: core parameters,
 //! the cache hierarchy (LL$ size/associativity, ideal shadow) and the
@@ -14,9 +13,7 @@
 
 use watchdog_core::machine::CheckMode;
 use watchdog_core::prelude::*;
-use watchdog_isa::crack::{
-    assemble_cracked, crack, CommitFacts, CrackedInst, CtrlKind, MetaEffect,
-};
+use watchdog_isa::crack::{crack, CommitFacts, CtrlKind, MetaEffect};
 use watchdog_isa::crack_cache::CrackCache;
 use watchdog_isa::insn::Inst;
 use watchdog_isa::Program;
@@ -43,18 +40,6 @@ pub struct ReplayConfig {
     pub hierarchy: HierarchyConfig,
     /// Serve static crack expansions from the per-PC cache.
     pub crack_cache: bool,
-    /// Fill [`UopBatch`] windows straight from the decoded events and
-    /// drain them with
-    /// [`TimingCore::consume_batch`](watchdog_pipeline::ScheduledCore::consume_batch)
-    /// (no per-instruction `CrackedInst` assembly at all). On by default;
-    /// the per-instruction path produces a field-identical report and only
-    /// remains as the comparison baseline.
-    pub batch: bool,
-    /// Drive the timing core through the preserved match-based dispatch
-    /// path instead of the table-driven lane-streaming default. Off by
-    /// default; only the dispatch-equivalence suite and ablation
-    /// benchmarks flip it.
-    pub match_dispatch: bool,
 }
 
 impl Default for ReplayConfig {
@@ -63,8 +48,6 @@ impl Default for ReplayConfig {
             core: CoreConfig::sandy_bridge(),
             hierarchy: HierarchyConfig::default(),
             crack_cache: true,
-            batch: true,
-            match_dispatch: false,
         }
     }
 }
@@ -87,15 +70,13 @@ impl ReplayConfig {
             core: cfg.core,
             hierarchy: cfg.hierarchy,
             crack_cache: cfg.crack_cache,
-            batch: cfg.batch,
-            match_dispatch: cfg.match_dispatch,
         }
     }
 }
 
 /// Replay-side feed diagnostics returned by [`replay_with_stats`]:
 /// how the µop stream reached the timing core. Deliberately outside the
-/// [`RunReport`], which must stay field-identical across feeds.
+/// [`RunReport`], which must stay field-identical to the live run's.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReplayStats {
     /// Batch-feed counters of the timing core.
@@ -128,24 +109,12 @@ pub fn verify_replay(program: &Program, sim: &SimConfig) -> Result<(), String> {
         .map_err(|e| label(&format!("record failed: {e}")))?;
     let trace = Trace::from_bytes(&trace.to_bytes())
         .map_err(|e| label(&format!("serialization round-trip failed: {e}")))?;
-    let mut cfg = ReplayConfig::from_sim(sim);
+    let cfg = ReplayConfig::from_sim(sim);
     let rep = replay(program, &trace, &cfg).map_err(|e| label(&format!("replay failed: {e}")))?;
     let (a, b) = (format!("{live:?}"), format!("{rep:?}"));
     if a != b {
         return Err(label(&format!(
             "replay diverges from live\nlive:   {a}\nreplay: {b}"
-        )));
-    }
-    // The two replay feeds — batched SoA fill and per-instruction
-    // assembly — must agree with each other too, so the batch path is
-    // covered by every caller of this recipe (CI selftest included).
-    cfg.batch = !cfg.batch;
-    let alt = replay(program, &trace, &cfg)
-        .map_err(|e| label(&format!("alternate-feed replay failed: {e}")))?;
-    let c = format!("{alt:?}");
-    if b != c {
-        return Err(label(&format!(
-            "batched and per-instruction replay feeds diverge\none: {b}\nother: {c}"
         )));
     }
     Ok(())
@@ -241,11 +210,9 @@ fn replay_impl<S: SchedModel>(
         .crack_cache
         .then(|| CrackCache::new(crack_cfg, program.len()));
     let mut core = ScheduledCore::<S>::new(cfg.core, hier);
-    core.set_match_dispatch(cfg.match_dispatch);
     if let Some(tcfg) = tele {
         core.enable_telemetry(tcfg);
     }
-    let mut cur = CrackedInst::empty();
     let mut ubatch = UopBatch::with_capacity(UopBatch::TARGET_INSTS);
     let mut addrs: Vec<u64> = Vec::with_capacity(watchdog_isa::uop::MAX_UOPS + 1);
 
@@ -322,19 +289,13 @@ fn replay_impl<S: SchedModel>(
             mem_addrs: &addrs,
             branch,
         };
-        if cfg.batch {
-            // Fill the SoA batch straight from the decoded event — the
-            // same `push_expansion` the live machine's batched step uses,
-            // with no scratch `CrackedInst` and no architectural
-            // interleaving.
-            ubatch.push_expansion(stat, &facts);
-            if ubatch.len() >= UopBatch::TARGET_INSTS {
-                core.consume_batch(&ubatch);
-                ubatch.clear();
-            }
-        } else {
-            assemble_cracked(&mut cur, stat, &facts);
-            core.consume(&cur);
+        // Fill the SoA batch straight from the decoded event — the same
+        // `push_expansion` the live machine's batched step uses, with no
+        // scratch `CrackedInst` and no architectural interleaving.
+        ubatch.push_expansion(stat, &facts);
+        if ubatch.len() >= UopBatch::TARGET_INSTS {
+            core.consume_batch(&ubatch);
+            ubatch.clear();
         }
     }
     if pos != events.len() {

@@ -294,9 +294,8 @@ fn git_rev(args: &[String]) -> String {
     }
 }
 
-/// `watchdog-cli perf` — measures the shared `timing_wheel` /
-/// `consume_batch` case list (the same feed loops the criterion benches
-/// run) and writes a `watchdog-bench-v1` snapshot to `BENCH_<rev>.json`,
+/// `watchdog-cli perf` — measures the shared `timing_wheel` case list
+/// (the same feed loop the criterion benches run) and writes a `watchdog-bench-v1` snapshot to `BENCH_<rev>.json`,
 /// validated with the same parser CI uses before it is written.
 fn cmd_perf(args: &[String]) {
     if args.first().map(String::as_str) == Some("compare") {
@@ -693,8 +692,7 @@ fn cmd_trace_info(args: &[String]) {
 
 /// Record→replay→equivalence smoke: one benchmark plus a band of
 /// fuzz-generated programs, each replayed (through a serialization round
-/// trip, with both the batched and the per-instruction feed) and compared
-/// field-for-field against the live timed simulation. Cases are sharded
+/// trip) and compared field-for-field against the live timed simulation. Cases are sharded
 /// across `--jobs`/`WATCHDOG_JOBS` workers. Exit code 0 = every
 /// comparison identical.
 fn cmd_trace_selftest(args: &[String]) {
@@ -706,11 +704,10 @@ fn cmd_trace_selftest(args: &[String]) {
             std::process::exit(2);
         })
     });
-    // One shared recipe (`verify_replay`): live timed run (batched feed)
-    // vs. record→serialize→deserialize→replay under both feeds, compared
-    // field-for-field — the same helper the workspace equivalence tests
-    // assert with, so the CI smoke and tier-1 can never check different
-    // properties.
+    // One shared recipe (`verify_replay`): live timed run vs.
+    // record→serialize→deserialize→replay, compared field-for-field — the
+    // same helper the workspace equivalence tests assert with, so the CI
+    // smoke and tier-1 can never check different properties.
     let program = build_bench(&bench_name, scale);
     let gen_cfg = watchdog::gen::GenConfig::default();
     let cases: Vec<(Program, Mode)> = [Mode::watchdog_conservative(), Mode::watchdog()]
@@ -733,9 +730,8 @@ fn cmd_trace_selftest(args: &[String]) {
     .collect();
     if failures.is_empty() {
         println!(
-            "trace selftest: PASS — {} record→replay comparisons identical, batched + per-inst \
-             feeds ({bench_name} under cons+isa at {scale:?}, {seeds} fuzz seeds under cons, \
-             {jobs} worker thread(s))",
+            "trace selftest: PASS — {} record→replay comparisons identical ({bench_name} under \
+             cons+isa at {scale:?}, {seeds} fuzz seeds under cons, {jobs} worker thread(s))",
             cases.len()
         );
     } else {

@@ -118,6 +118,16 @@ fn run_json_emits_the_stable_schema() {
     ] {
         assert!(metrics.get(key).is_some(), "{key} missing from:\n{out}");
     }
+    // Simulated cycles per host nanosecond, under the matching unit.
+    assert!(metrics
+        .get("host.cycles_per_ns")
+        .and_then(|v| v.as_f64())
+        .is_some_and(|r| r > 0.0));
+    let units = doc.get("units").expect("units object");
+    assert_eq!(
+        units.get("host.cycles_per_ns").and_then(|v| v.as_str()),
+        Some("per_ns")
+    );
     // The human-readable telemetry view renders the same registry.
     let out = stdout_of(&[
         "run",

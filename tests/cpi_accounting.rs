@@ -96,10 +96,10 @@ fn cpi_stacks_are_zero_slack_on_every_suite_cell() {
 }
 
 /// Replayed feed: the trace replayer drives the same timing core from a
-/// recorded event stream, batched and per-instruction. Both must hold
-/// the zero-slack identity and reproduce the live run's `cpi.*` numbers
-/// exactly — accounting is part of the timestamp state the equivalence
-/// suites already pin, not a side effect of how µops arrive.
+/// recorded event stream. It must hold the zero-slack identity and
+/// reproduce the live run's `cpi.*` numbers exactly — accounting is part
+/// of the timestamp state the equivalence suites already pin, not a side
+/// effect of how µops arrive.
 #[test]
 fn replayed_feeds_reproduce_the_live_cpi_stack() {
     for bench in ["mcf", "perl"] {
@@ -114,23 +114,17 @@ fn replayed_feeds_reproduce_the_live_cpi_stack() {
             check_zero_slack(live, &format!("{label}, live"));
 
             let trace = record(&program, mode, sim_cfg.max_insts).unwrap();
-            for batch in [true, false] {
-                let feed = format!("{label}, replay batch={batch}");
-                let cfg = ReplayConfig {
-                    batch,
-                    ..ReplayConfig::from_sim(&sim_cfg)
-                };
-                let (_, reg) =
-                    replay_instrumented(&program, &trace, &cfg, Default::default()).unwrap();
-                check_zero_slack(&reg, &feed);
-                for m in reg.iter().filter(|m| m.name.starts_with("cpi.")) {
-                    assert_eq!(
-                        m.counter,
-                        Some(live.counter_value(m.name).unwrap()),
-                        "[{feed}] {} diverges from the live feed",
-                        m.name
-                    );
-                }
+            let feed = format!("{label}, replay");
+            let cfg = ReplayConfig::from_sim(&sim_cfg);
+            let (_, reg) = replay_instrumented(&program, &trace, &cfg, Default::default()).unwrap();
+            check_zero_slack(&reg, &feed);
+            for m in reg.iter().filter(|m| m.name.starts_with("cpi.")) {
+                assert_eq!(
+                    m.counter,
+                    Some(live.counter_value(m.name).unwrap()),
+                    "[{feed}] {} diverges from the live feed",
+                    m.name
+                );
             }
         }
     }

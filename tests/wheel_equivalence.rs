@@ -10,7 +10,7 @@
 //!
 //! Reports are compared through their `Debug` rendering, which prints
 //! every field of every nested statistic — the strongest practical
-//! byte-identity check (the same discipline as `batch_equivalence.rs`).
+//! byte-identity check (the same discipline as `golden_corpus.rs`).
 
 use watchdog::bench::parallel_map;
 use watchdog::gen::{generate, GenConfig};

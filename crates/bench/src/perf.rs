@@ -4,9 +4,13 @@
 //! Both consumers measure the same thing — the timing core draining a
 //! pre-assembled committed µop stream through its one batched feed — so
 //! the stream assembly and the feed loop live here once. Per workload
-//! there are three cases: the production calendar-wheel core, the same
-//! core with the self-profiler attached (the telemetry overhead gauge),
-//! and the heap-scheduled reference core. The criterion benches wrap
+//! there are three timing cases: the production calendar-wheel core, the
+//! same core with the self-profiler attached (the telemetry overhead
+//! gauge), and the heap-scheduled reference core. Three more cases time
+//! the functional layer the stream comes from: a functional-only machine
+//! run (no µops) in the baseline, conservative and ISA-assisted modes,
+//! which is where guest memory, shadow accesses and the pointer
+//! classification are paid for. The criterion benches wrap
 //! them in statistical sampling for interactive use; [`run_perf`] wraps
 //! them in a cheap best-of-N loop and emits [`BenchRecord`]s under the
 //! `watchdog-bench-v1` schema, which is what CI archives as
@@ -14,7 +18,9 @@
 
 use std::time::Instant;
 use watchdog_core::machine::{Machine, MachineConfig, Step};
+use watchdog_core::{Mode, SimConfig, Simulator};
 use watchdog_isa::crack::CrackedInst;
+use watchdog_isa::program::Program;
 use watchdog_mem::HierarchyConfig;
 use watchdog_pipeline::{CoreConfig, SchedModel, ScheduledCore, TelemetryConfig, UopBatch};
 use watchdog_telemetry::{BenchRecord, BenchSnapshot};
@@ -59,6 +65,26 @@ pub fn feed_stream<S: SchedModel>(
     core.finish().cycles
 }
 
+/// The functional-layer modes every perf snapshot measures, by case-name
+/// suffix.
+const FUNCTIONAL_MODES: [(&str, Mode); 3] = [
+    ("baseline", Mode::Baseline),
+    ("cons", Mode::watchdog_conservative()),
+    ("isa", Mode::watchdog()),
+];
+
+/// Steps a fresh functional-only machine through `program` to its end,
+/// returning the instructions committed. Panics on a simulator error
+/// (the perf workloads are benign).
+fn functional_run(program: &Program, cfg: &MachineConfig) -> u64 {
+    let mut machine = Machine::new(program, cfg.clone());
+    let mut insts = 0;
+    while let Step::Executed(_) = machine.step().expect("benchmark executes") {
+        insts += 1;
+    }
+    insts
+}
+
 /// Best-of-`samples` wall-clock measurement of one case.
 fn measure(name: &str, elems: u64, samples: u64, mut f: impl FnMut() -> u64) -> BenchRecord {
     let mut best = f64::INFINITY;
@@ -81,9 +107,10 @@ fn measure(name: &str, elems: u64, samples: u64, mut f: impl FnMut() -> u64) -> 
 
 /// Measures every perf case whose `group/case` path contains `filter`
 /// (all cases when `filter` is `None`), invoking `progress` per finished
-/// record. The case list mirrors the criterion `timing_wheel` group,
-/// including its telemetry-enabled wheel variant, so the profiler's
-/// overhead is part of every snapshot.
+/// record. The `timing_wheel` cases mirror the criterion group of that
+/// name, including its telemetry-enabled wheel variant, so the profiler's
+/// overhead is part of every snapshot; the `functional` cases time the
+/// functional machine per mode.
 pub fn run_perf(
     samples: u64,
     filter: Option<&str>,
@@ -121,6 +148,22 @@ pub fn run_perf(
                 continue;
             }
             let rec = measure(&case, elems, samples, &mut run);
+            progress(&rec);
+            records.push(rec);
+        }
+        let program = benchmark(name)
+            .expect("registered benchmark")
+            .build(Scale::Test);
+        for (suffix, mode) in FUNCTIONAL_MODES {
+            let case = format!("functional/{name}_{suffix}");
+            if !selected(&case) {
+                continue;
+            }
+            let cfg = Simulator::new(SimConfig::functional(mode))
+                .machine_config(&program)
+                .expect("profiling pass runs");
+            let insts = functional_run(&program, &cfg);
+            let rec = measure(&case, insts, samples, || functional_run(&program, &cfg));
             progress(&rec);
             records.push(rec);
         }
@@ -184,5 +227,27 @@ mod tests {
         for r in &parsed.records {
             assert!(r.ns_per_iter > 0.0 && r.melem_per_s > 0.0, "{r:?}");
         }
+    }
+
+    #[test]
+    fn functional_cases_cover_each_mode_and_count_instructions() {
+        let snap = perf_snapshot("testrev", 1, Some("functional/perl"), |_| {});
+        let names: Vec<&str> = snap.records.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "functional/perl_baseline",
+                "functional/perl_cons",
+                "functional/perl_isa"
+            ]
+        );
+        // Elements are committed instructions: the functional run commits
+        // exactly the µop-emitting stream's instructions.
+        let program = benchmark("perl").unwrap().build(Scale::Test);
+        let cfg = Simulator::new(SimConfig::functional(Mode::watchdog_conservative()))
+            .machine_config(&program)
+            .unwrap();
+        let stream = committed_stream("perl", Scale::Test);
+        assert_eq!(functional_run(&program, &cfg), stream.len() as u64);
     }
 }

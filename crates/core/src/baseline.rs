@@ -8,12 +8,18 @@
 //! demonstrate that failure empirically (the `table1` reproduction binary
 //! and the integration tests).
 
-use std::collections::HashSet;
+use watchdog_mem::WordSet;
 
 /// Shadow allocation-status map at 8-byte-word granularity.
 #[derive(Debug, Default)]
 pub struct LocationChecker {
-    allocated: HashSet<u64>, // word indices
+    allocated: WordSet, // word indices
+}
+
+/// The word-index range `[first, end)` a location-based tool marks for
+/// `[addr, addr + size)`.
+fn word_span(addr: u64, size: u64) -> (u64, u64) {
+    (addr >> 3, addr.saturating_add(size).saturating_add(7) >> 3)
 }
 
 impl LocationChecker {
@@ -24,31 +30,28 @@ impl LocationChecker {
 
     /// Marks `[addr, addr+size)` allocated.
     pub fn on_alloc(&mut self, addr: u64, size: u64) {
-        for w in (addr >> 3)..((addr + size + 7) >> 3) {
-            self.allocated.insert(w);
-        }
+        let (first, end) = word_span(addr, size);
+        self.allocated.insert_range(first, end);
     }
 
     /// Marks `[addr, addr+size)` unallocated. Returns `false` if the range
     /// was not fully allocated (a double/invalid free as far as a
     /// location-based tool can tell).
     pub fn on_free(&mut self, addr: u64, size: u64) -> bool {
-        let mut all = true;
-        for w in (addr >> 3)..((addr + size + 7) >> 3) {
-            all &= self.allocated.remove(&w);
-        }
-        all
+        let (first, end) = word_span(addr, size);
+        self.allocated.remove_range(first, end)
     }
 
     /// Whether an access of `len` bytes at `addr` touches only allocated
     /// memory.
     pub fn check(&self, addr: u64, len: u64) -> bool {
-        ((addr >> 3)..((addr + len.max(1) + 7) >> 3)).all(|w| self.allocated.contains(&w))
+        let (first, end) = word_span(addr, len.max(1));
+        self.allocated.contains_range(first, end)
     }
 
     /// Number of words currently marked allocated.
     pub fn allocated_words(&self) -> usize {
-        self.allocated.len()
+        self.allocated.len() as usize
     }
 }
 

@@ -201,6 +201,9 @@ pub struct Machine<'p> {
     stats: MachineStats,
     /// Per-step scratch expansion, refilled in place (see [`Step`]).
     cur: CrackedInst,
+    /// Per-step scratch list of resolved memory-µop addresses, cleared
+    /// and refilled by every step so the step itself never allocates.
+    mem_addrs: Vec<u64>,
 }
 
 impl<'p> Machine<'p> {
@@ -274,6 +277,7 @@ impl<'p> Machine<'p> {
             profile: Profile::new(),
             stats: MachineStats::default(),
             cur: CrackedInst::empty(),
+            mem_addrs: Vec::with_capacity(16),
         }
     }
 
@@ -446,8 +450,11 @@ impl<'p> Machine<'p> {
     /// stream.
     fn shadow_invalidate_span(&mut self, addr: u64, len: u64) {
         self.mem.set_tracking(false);
-        for w in (addr >> 3)..((addr + len.max(1) + 7) >> 3) {
-            self.shadow.invalidate(&mut self.mem, w << 3);
+        // One word or two adjacent ones (wrapping at the top of memory).
+        let (first, last) = (addr >> 3, addr.wrapping_add(len.max(1) - 1) >> 3);
+        self.shadow.invalidate(&mut self.mem, first << 3);
+        if last != first {
+            self.shadow.invalidate(&mut self.mem, last << 3);
         }
         self.mem.set_tracking(true);
     }
@@ -519,7 +526,7 @@ impl<'p> Machine<'p> {
 
         // Dynamic facts collected during execution, used to finalize the
         // µop expansion afterwards.
-        let mut mem_addrs: Vec<u64> = Vec::new();
+        self.mem_addrs.clear();
         let mut branch: Option<(bool, u64)> = None; // (taken, target byte addr)
 
         // Some(None) = keep the select µop; Some(Some(e)) = fold it into a
@@ -601,13 +608,13 @@ impl<'p> Machine<'p> {
                 if let Err(v) = self.check_access(addr.base, a, width.bytes()) {
                     fail!(v);
                 }
-                self.push_check_addrs(&mut mem_addrs, addr.base, a);
+                self.push_check_addrs(addr.base, a);
                 self.regs[dst.index()] = self.mem.read(a, width.bytes());
-                mem_addrs.push(a);
+                self.mem_addrs.push(a);
                 if self.wd() {
                     if ptr_op {
                         let rec = self.shadow_load(a);
-                        mem_addrs.push(self.shadow.record_addr(a));
+                        self.mem_addrs.push(self.shadow.record_addr(a));
                         if self.cfg.profiling && !rec.is_invalid() {
                             self.profile.mark(pc);
                         }
@@ -628,14 +635,14 @@ impl<'p> Machine<'p> {
                 if let Err(v) = self.check_access(addr.base, a, width.bytes()) {
                     fail!(v);
                 }
-                self.push_check_addrs(&mut mem_addrs, addr.base, a);
+                self.push_check_addrs(addr.base, a);
                 self.mem.write(a, width.bytes(), self.regs[src.index()]);
-                mem_addrs.push(a);
+                self.mem_addrs.push(a);
                 if self.wd() {
                     if ptr_op {
                         let rec = self.meta[src.index()];
                         self.shadow.store(&mut self.mem, a, rec);
-                        mem_addrs.push(self.shadow.record_addr(a));
+                        self.mem_addrs.push(self.shadow.record_addr(a));
                         if self.cfg.profiling && !rec.is_invalid() {
                             self.profile.mark(pc);
                         }
@@ -650,12 +657,12 @@ impl<'p> Machine<'p> {
                 if let Err(v) = self.check_access(addr.base, a, width.bytes()) {
                     fail!(v);
                 }
-                self.push_check_addrs(&mut mem_addrs, addr.base, a);
+                self.push_check_addrs(addr.base, a);
                 self.fregs[dst.index()] = match width {
                     watchdog_isa::insn::FpWidth::F4 => f64::from(self.mem.read_f32(a)),
                     watchdog_isa::insn::FpWidth::F8 => self.mem.read_f64(a),
                 };
-                mem_addrs.push(a);
+                self.mem_addrs.push(a);
             }
             Inst::StoreFp { src, addr, width } => {
                 let a = addr.resolve(self.regs[addr.base.index()]);
@@ -663,7 +670,7 @@ impl<'p> Machine<'p> {
                 if let Err(v) = self.check_access(addr.base, a, width.bytes()) {
                     fail!(v);
                 }
-                self.push_check_addrs(&mut mem_addrs, addr.base, a);
+                self.push_check_addrs(addr.base, a);
                 match width {
                     watchdog_isa::insn::FpWidth::F4 => {
                         self.mem.write_f32(a, self.fregs[src.index()] as f32)
@@ -672,7 +679,7 @@ impl<'p> Machine<'p> {
                         self.mem.write_f64(a, self.fregs[src.index()])
                     }
                 }
-                mem_addrs.push(a);
+                self.mem_addrs.push(a);
                 if self.wd() {
                     self.shadow_invalidate_span(a, width.bytes());
                 }
@@ -711,13 +718,13 @@ impl<'p> Machine<'p> {
                 }
                 self.regs[Gpr::RSP.index()] = new_rsp;
                 self.mem.write_u64(new_rsp, (pc + 1) as u64);
-                mem_addrs.push(new_rsp);
+                self.mem_addrs.push(new_rsp);
                 if self.wd() {
                     // Fig. 3c.
                     self.stack_key += 1;
                     self.stack_lock += 8;
                     self.mem.write_u64(self.stack_lock, self.stack_key);
-                    mem_addrs.push(self.stack_lock);
+                    self.mem_addrs.push(self.stack_lock);
                     self.meta[Gpr::RSP.index()] = MetaRecord::with_bounds(
                         self.stack_key,
                         self.stack_lock,
@@ -733,15 +740,15 @@ impl<'p> Machine<'p> {
                 self.stats.rets += 1;
                 let rsp = self.regs[Gpr::RSP.index()];
                 let ra = self.mem.read_u64(rsp) as usize;
-                mem_addrs.push(rsp);
-                self.regs[Gpr::RSP.index()] = rsp + 8;
+                self.mem_addrs.push(rsp);
+                self.regs[Gpr::RSP.index()] = rsp.wrapping_add(8);
                 if self.wd() {
                     // Fig. 3d.
                     self.mem.write_u64(self.stack_lock, INVALID_SENTINEL);
-                    mem_addrs.push(self.stack_lock);
+                    self.mem_addrs.push(self.stack_lock);
                     self.stack_lock -= 8;
                     let current_key = self.mem.read_u64(self.stack_lock);
-                    mem_addrs.push(self.stack_lock);
+                    self.mem_addrs.push(self.stack_lock);
                     self.meta[Gpr::RSP.index()] = MetaRecord::with_bounds(
                         current_key,
                         self.stack_lock,
@@ -782,13 +789,13 @@ impl<'p> Machine<'p> {
                 };
                 // Runtime touches: bin-head read+write, header write.
                 let _ = self.mem.read_u64(m.bin_head_addr);
-                mem_addrs.push(m.bin_head_addr);
+                self.mem_addrs.push(m.bin_head_addr);
                 let _ = self.mem.read_u64(m.addr); // free-list next link
-                mem_addrs.push(m.addr);
+                self.mem_addrs.push(m.addr);
                 self.mem.write_u64(m.bin_head_addr, 0);
-                mem_addrs.push(m.bin_head_addr);
+                self.mem_addrs.push(m.bin_head_addr);
                 self.mem.write_u64(m.header_addr, m.size);
-                mem_addrs.push(m.header_addr);
+                self.mem_addrs.push(m.header_addr);
                 self.regs[dst.index()] = m.addr;
                 match self.cfg.check {
                     CheckMode::Watchdog => {
@@ -797,9 +804,9 @@ impl<'p> Machine<'p> {
                             return Err(SimError::HeapExhausted { requested: 8 });
                         };
                         let _ = self.mem.read_u64(self.locks.head_slot());
-                        mem_addrs.push(self.locks.head_slot());
+                        self.mem_addrs.push(self.locks.head_slot());
                         self.mem.write_u64(lock, key);
-                        mem_addrs.push(lock);
+                        self.mem_addrs.push(lock);
                         self.meta[dst.index()] =
                             MetaRecord::with_bounds(key, lock, m.addr, m.addr + m.size);
                     }
@@ -824,19 +831,19 @@ impl<'p> Machine<'p> {
                             fail!(self.violation(ViolationKind::InvalidFree, p));
                         };
                         let _ = self.mem.read_u64(f.header_addr);
-                        mem_addrs.push(f.header_addr);
+                        self.mem_addrs.push(f.header_addr);
                         let _ = self.mem.read_u64(f.bin_head_addr);
-                        mem_addrs.push(f.bin_head_addr);
+                        self.mem_addrs.push(f.bin_head_addr);
                         self.mem.write_u64(f.addr, 0); // free-list link
-                        mem_addrs.push(f.addr);
+                        self.mem_addrs.push(f.addr);
                         self.mem.write_u64(f.bin_head_addr, f.addr);
-                        mem_addrs.push(f.bin_head_addr);
+                        self.mem_addrs.push(f.bin_head_addr);
                         // Invalidate the identifier and recycle the lock.
-                        mem_addrs.push(m.lock); // runtime check µop
+                        self.mem_addrs.push(m.lock); // runtime check µop
                         self.mem.write_u64(m.lock, INVALID_SENTINEL);
-                        mem_addrs.push(m.lock);
+                        self.mem_addrs.push(m.lock);
                         self.mem.write_u64(self.locks.head_slot(), m.lock);
-                        mem_addrs.push(self.locks.head_slot());
+                        self.mem_addrs.push(self.locks.head_slot());
                         self.locks.free_lock(m.lock);
                     }
                     CheckMode::Location => {
@@ -847,7 +854,7 @@ impl<'p> Machine<'p> {
                         self.loc.on_free(p, size);
                         for a in [f.header_addr, f.bin_head_addr, f.addr, f.bin_head_addr] {
                             let _ = self.mem.read_u64(a);
-                            mem_addrs.push(a);
+                            self.mem_addrs.push(a);
                         }
                     }
                     CheckMode::None => {
@@ -857,10 +864,10 @@ impl<'p> Machine<'p> {
                         if let Some(f) = self.heap.free(p) {
                             for a in [f.header_addr, f.bin_head_addr, f.addr, f.bin_head_addr] {
                                 let _ = self.mem.read_u64(a);
-                                mem_addrs.push(a);
+                                self.mem_addrs.push(a);
                             }
                         } else {
-                            mem_addrs.extend([HEAP_BASE; 4]);
+                            self.mem_addrs.extend([HEAP_BASE; 4]);
                         }
                     }
                 }
@@ -873,9 +880,9 @@ impl<'p> Machine<'p> {
                         return Err(SimError::HeapExhausted { requested: 8 });
                     };
                     let _ = self.mem.read_u64(self.locks.head_slot());
-                    mem_addrs.push(self.locks.head_slot());
+                    self.mem_addrs.push(self.locks.head_slot());
                     self.mem.write_u64(l, k);
-                    mem_addrs.push(l);
+                    self.mem_addrs.push(l);
                     self.regs[key.index()] = k;
                     self.regs[lock.index()] = l;
                 } else {
@@ -895,16 +902,16 @@ impl<'p> Machine<'p> {
                         fail!(self.violation(ViolationKind::InvalidFree, l));
                     }
                     let cur = self.mem.read_u64(l);
-                    mem_addrs.push(l);
+                    self.mem_addrs.push(l);
                     if cur != k {
                         // Already invalidated (double kill) or a foreign
                         // identifier.
                         fail!(self.violation(ViolationKind::DoubleFree, l));
                     }
                     self.mem.write_u64(l, INVALID_SENTINEL);
-                    mem_addrs.push(l);
+                    self.mem_addrs.push(l);
                     self.mem.write_u64(self.locks.head_slot(), l);
-                    mem_addrs.push(self.locks.head_slot());
+                    self.mem_addrs.push(self.locks.head_slot());
                     self.locks.free_lock(l);
                 }
             }
@@ -917,7 +924,7 @@ impl<'p> Machine<'p> {
                 pc_index: pc,
                 ptr_op,
                 folded: select_fold.map(|f| f.is_some()),
-                mem_addrs: &mem_addrs,
+                mem_addrs: &self.mem_addrs,
                 branch,
             });
         }
@@ -940,7 +947,7 @@ impl<'p> Machine<'p> {
             len: inst.encoded_len(),
             select_fold: select_fold.flatten(),
             location_check: self.cfg.check == CheckMode::Location && inst.is_mem(),
-            mem_addrs: &mem_addrs,
+            mem_addrs: &self.mem_addrs,
             branch,
         };
         if let Some(batch) = batch {
@@ -961,17 +968,17 @@ impl<'p> Machine<'p> {
     /// Emits the check-µop lock addresses for an access through `base`
     /// (`addr` unused for identifier-only checks; bounds checks are pure
     /// ALU).
-    fn push_check_addrs(&mut self, mem_addrs: &mut Vec<u64>, base: Gpr, addr: u64) {
+    fn push_check_addrs(&mut self, base: Gpr, addr: u64) {
         match self.cfg.check {
             CheckMode::Watchdog => {
                 let lock = self.meta[base.index()].lock;
-                mem_addrs.push(lock);
+                self.mem_addrs.push(lock);
             }
             CheckMode::Location => {
                 // One allocation-status access per memory access (§2.1
                 // hardware, e.g. MemTracker): status lives in its own
                 // shadow region, one byte per word.
-                mem_addrs.push(SHADOW_BASE + (addr >> 3));
+                self.mem_addrs.push(SHADOW_BASE + (addr >> 3));
             }
             CheckMode::None => {}
         }

@@ -13,7 +13,6 @@
 //!   metadata"; we reproduce exactly that with [`Profile`]. ≈18% of
 //!   accesses (Fig. 5, right bars).
 
-use std::collections::HashSet;
 use watchdog_isa::insn::{Inst, PtrHint, Width};
 
 /// Which identification scheme a run uses.
@@ -29,9 +28,15 @@ pub enum PointerId {
 
 /// The set of static instruction indices that ever loaded or stored valid
 /// pointer metadata, as collected by a profiling run.
+///
+/// A bitset indexed by static instruction: [`Profile::is_marked`] runs on
+/// every 8-byte `Auto` load and store of an ISA-assisted run, so it is a
+/// shift and a mask, not a hash probe. The bitset only grows to the word
+/// holding the highest marked index, so two profiles with the same marks
+/// are equal.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Profile {
-    marked: HashSet<usize>,
+    marked: Vec<u64>,
 }
 
 impl Profile {
@@ -42,17 +47,24 @@ impl Profile {
 
     /// Marks a static instruction as a pointer load/store.
     pub fn mark(&mut self, inst_index: usize) {
-        self.marked.insert(inst_index);
+        let word = inst_index / 64;
+        if word >= self.marked.len() {
+            self.marked.resize(word + 1, 0);
+        }
+        self.marked[word] |= 1 << (inst_index % 64);
     }
 
     /// Whether a static instruction is marked.
+    #[inline]
     pub fn is_marked(&self, inst_index: usize) -> bool {
-        self.marked.contains(&inst_index)
+        self.marked
+            .get(inst_index / 64)
+            .is_some_and(|w| w >> (inst_index % 64) & 1 == 1)
     }
 
     /// Number of marked static instructions.
     pub fn len(&self) -> usize {
-        self.marked.len()
+        self.marked.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Whether nothing is marked.
@@ -172,6 +184,22 @@ mod tests {
                 imm: 1
             }
         ));
+    }
+
+    #[test]
+    fn equal_marks_make_equal_profiles() {
+        let (mut a, mut b) = (Profile::new(), Profile::new());
+        for i in [3, 200, 64] {
+            a.mark(i);
+        }
+        for i in [64, 3, 200, 200] {
+            b.mark(i);
+        }
+        assert_eq!(a, b, "insertion order and repeats do not matter");
+        assert_eq!(a.len(), 3);
+        assert!(a.is_marked(200) && !a.is_marked(201) && !a.is_marked(10_000));
+        b.mark(65);
+        assert_ne!(a, b);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! live at real guest addresses so the runtime µops injected by the cracker
 //! touch plausible memory.
 
-use std::collections::HashMap;
 use watchdog_isa::layout::{HEAP_BASE, HEAP_SIZE};
+use watchdog_mem::FastMap;
 
 /// Size classes in bytes (payload). Requests above the last class are
 /// rounded up to 4KB multiples and handled as "large".
@@ -73,9 +73,11 @@ pub struct HeapStats {
 #[derive(Debug)]
 pub struct HeapAllocator {
     bins: Vec<Vec<u64>>,
-    large_bins: HashMap<u64, Vec<u64>>,
+    // Both maps are probed by address or size, never iterated, so no
+    // report depends on their order.
+    large_bins: FastMap<u64, Vec<u64>>,
     cursor: u64,
-    live: HashMap<u64, u64>, // payload addr -> rounded size
+    live: FastMap<u64, u64>, // payload addr -> rounded size
     stats: HeapStats,
 }
 
@@ -90,9 +92,9 @@ impl HeapAllocator {
     pub fn new() -> Self {
         HeapAllocator {
             bins: vec![Vec::new(); CLASSES.len()],
-            large_bins: HashMap::new(),
+            large_bins: FastMap::default(),
             cursor: CHUNK_BASE,
-            live: HashMap::new(),
+            live: FastMap::default(),
             stats: HeapStats::default(),
         }
     }

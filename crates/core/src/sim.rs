@@ -59,7 +59,7 @@ pub enum Mode {
 impl Mode {
     /// The paper's headline configuration: ISA-assisted identification with
     /// the lock-location cache.
-    pub fn watchdog() -> Mode {
+    pub const fn watchdog() -> Mode {
         Mode::Watchdog {
             ptr: PointerId::IsaAssisted,
             lock_cache: true,
@@ -69,7 +69,7 @@ impl Mode {
 
     /// Watchdog with conservative pointer identification (no binary
     /// changes, §5.1).
-    pub fn watchdog_conservative() -> Mode {
+    pub const fn watchdog_conservative() -> Mode {
         Mode::Watchdog {
             ptr: PointerId::Conservative,
             lock_cache: true,
@@ -318,6 +318,30 @@ impl Simulator {
         Ok(m.profile().clone())
     }
 
+    /// The machine configuration a run of `program` uses: the mode's
+    /// checking scheme and bounds flavour, µops only when timed, and for
+    /// ISA-assisted modes the policy from the §5.2 profiling pass.
+    ///
+    /// # Errors
+    ///
+    /// Propagates a failure of the profiling pass.
+    pub fn machine_config(&self, program: &Program) -> Result<MachineConfig, SimError> {
+        let policy = match self.cfg.mode.pointer_id() {
+            Some(PointerId::IsaAssisted) => {
+                PointerPolicy::Profiled(Self::profile(program, self.cfg.max_insts)?)
+            }
+            _ => PointerPolicy::Conservative,
+        };
+        Ok(MachineConfig {
+            check: self.cfg.mode.check_mode(),
+            bounds: self.cfg.mode.bounds_uops(),
+            policy,
+            profiling: false,
+            emit_uops: self.cfg.timing,
+            crack_cache: self.cfg.crack_cache,
+        })
+    }
+
     /// Simulates `program` under the configured mode.
     ///
     /// # Errors
@@ -376,20 +400,7 @@ impl Simulator {
         program: &Program,
         tele: Option<&mut RunTelemetry>,
     ) -> Result<RunReport, SimError> {
-        let policy = match self.cfg.mode.pointer_id() {
-            Some(PointerId::IsaAssisted) => {
-                PointerPolicy::Profiled(Self::profile(program, self.cfg.max_insts)?)
-            }
-            _ => PointerPolicy::Conservative,
-        };
-        let mcfg = MachineConfig {
-            check: self.cfg.mode.check_mode(),
-            bounds: self.cfg.mode.bounds_uops(),
-            policy,
-            profiling: false,
-            emit_uops: self.cfg.timing,
-            crack_cache: self.cfg.crack_cache,
-        };
+        let mcfg = self.machine_config(program)?;
         let mut hier = self.cfg.hierarchy;
         self.cfg.mode.apply_hierarchy(&mut hier);
         let sampling = self.cfg.sampling;
@@ -542,7 +553,7 @@ impl Simulator {
 mod tests {
     use super::*;
     use crate::error::ViolationKind;
-    use watchdog_isa::{Cond, Gpr, ProgramBuilder};
+    use watchdog_isa::{AluOp, Cond, Gpr, ProgramBuilder};
 
     fn g(n: u8) -> Gpr {
         Gpr::new(n)
@@ -635,6 +646,51 @@ mod tests {
         assert!(r.timing.is_none());
         assert_eq!(r.cycles(), 0);
         assert!(r.machine.insts > 0);
+    }
+
+    #[test]
+    fn wild_accesses_at_the_top_of_memory_halt_cleanly() {
+        // Unchecked modes let a fabricated pointer reach the last word of
+        // the address space; an 8-byte access at `…FFFC` wraps to address
+        // 0. Both must run to `halt` in debug builds too.
+        let mut b = ProgramBuilder::new("top-of-memory");
+        b.li(g(0), -8); // 0xFFFF_FFFF_FFFF_FFF8
+        b.ld8(g(1), g(0), 0);
+        b.li(g(2), -4); // 0xFFFF_FFFF_FFFF_FFFC
+        b.li(g(1), 0x1122_3344_5566_7788);
+        b.st8(g(1), g(2), 0);
+        b.ld8(g(3), g(2), 0);
+        b.halt();
+        let p = b.build().unwrap();
+        for mode in [Mode::Baseline, Mode::LocationBased] {
+            for cfg in [SimConfig::timed(mode), SimConfig::functional(mode)] {
+                let r = Simulator::new(cfg).run(&p).unwrap();
+                assert!(r.violation.is_none(), "{mode:?}: {:?}", r.violation);
+                assert_eq!(r.machine.insts, 7, "{mode:?} ran to halt");
+                // All three accesses start in the shadow range: the top
+                // word and (through the wrap) word 0 count there, and only
+                // the top page counts.
+                let f = r.footprint;
+                assert_eq!((f.shadow_words, f.shadow_pages), (2, 1), "{mode:?}");
+                assert_eq!((f.data_words, f.lock_words), (0, 0), "{mode:?}");
+            }
+        }
+        // Without bounds, Watchdog lets a live pointer's arithmetic reach
+        // the same word; its shadow record address wraps as well.
+        let mut b = ProgramBuilder::new("top-of-memory-wd");
+        b.li(g(1), 64);
+        b.malloc(g(0), g(1));
+        b.alu(AluOp::Sub, g(2), g(0), g(0)); // 0, with the allocation's identifier
+        b.addi(g(2), g(2), -8);
+        b.st8(g(0), g(2), 0); // pointer store: shadow store
+        b.ld8(g(3), g(2), 0); // pointer load: shadow load
+        b.halt();
+        let p = b.build().unwrap();
+        let r = Simulator::new(SimConfig::timed(Mode::watchdog_conservative()))
+            .run(&p)
+            .unwrap();
+        assert!(r.violation.is_none(), "{:?}", r.violation);
+        assert_eq!(r.machine.insts, 7);
     }
 
     #[test]

@@ -88,6 +88,8 @@ pub const META_BYTES_BOUNDS: u64 = 32;
 /// With 16-byte records this is `SHADOW_BASE + (addr >> 3) * 16`, i.e. a
 /// shift and a concatenation, exactly the cheap translation the paper relies
 /// on. The mapping is injective on word addresses for any fixed record size.
+/// It wraps modulo 2^64 for wild addresses far above the data space, like
+/// the guest memory it indexes.
 ///
 /// ```
 /// use watchdog_isa::layout::{shadow_addr, META_BYTES_ID, SHADOW_BASE};
@@ -96,7 +98,7 @@ pub const META_BYTES_BOUNDS: u64 = 32;
 /// ```
 #[inline]
 pub const fn shadow_addr(addr: u64, meta_bytes: u64) -> u64 {
-    SHADOW_BASE + (addr >> 3) * meta_bytes
+    SHADOW_BASE.wrapping_add((addr >> 3).wrapping_mul(meta_bytes))
 }
 
 /// Whether `addr` lies in the shadow metadata region.

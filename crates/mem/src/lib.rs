@@ -14,21 +14,29 @@
 //!   L1I/L1D, the dedicated 4KB lock-location cache (§4.2), private L2,
 //!   shared L3 and DRAM, with per-class latency composition and an
 //!   "idealized shadow accesses" mode (§9.3's cache-pressure ablation).
+//! * [`words`] — sets of words as per-page bitmaps (footprints, the
+//!   location-based checker's allocation status).
+//! * [`hash`] — the multiplicative hasher behind every page- or
+//!   address-keyed map.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cache;
+pub mod hash;
 pub mod hierarchy;
 pub mod prefetch;
 pub mod shadow;
 pub mod tlb;
 pub mod vm;
+pub mod words;
 
 pub use cache::{Cache, CacheConfig, CacheStats};
+pub use hash::{FastMap, MulHasher};
 pub use hierarchy::{
     AccessClass, AccessOutcome, AccessReq, Hierarchy, HierarchyConfig, HierarchyStats,
 };
 pub use shadow::{MetaRecord, ShadowSpace};
 pub use tlb::{ScanTlb, Tlb};
 pub use vm::{Footprint, GuestMem};
+pub use words::WordSet;

@@ -139,10 +139,10 @@ impl ShadowSpace {
             // Never-written shadow memory reads as zero = invalid.
             return MetaRecord::INVALID;
         }
-        let lock = mem.read_u64(s + 8);
+        let lock = mem.read_u64(s.wrapping_add(8));
         if self.has_bounds() {
-            let base = mem.read_u64(s + 16);
-            let bound = mem.read_u64(s + 24);
+            let base = mem.read_u64(s.wrapping_add(16));
+            let bound = mem.read_u64(s.wrapping_add(24));
             MetaRecord {
                 key,
                 lock,
@@ -158,10 +158,10 @@ impl ShadowSpace {
     pub fn store(self, mem: &mut GuestMem, addr: u64, rec: MetaRecord) {
         let s = self.record_addr(addr);
         mem.write_u64(s, rec.key);
-        mem.write_u64(s + 8, rec.lock);
+        mem.write_u64(s.wrapping_add(8), rec.lock);
         if self.has_bounds() {
-            mem.write_u64(s + 16, rec.base);
-            mem.write_u64(s + 24, rec.bound);
+            mem.write_u64(s.wrapping_add(16), rec.base);
+            mem.write_u64(s.wrapping_add(24), rec.bound);
         }
     }
 

@@ -15,6 +15,15 @@
 //! the telemetry layer's zero-overhead-when-disabled contract's sharper
 //! sibling, zero-allocation-when-enabled.
 //!
+//! The same counter then bounds the whole live loop: a complete
+//! `Simulator::run` of the `mcf` cell in the baseline, location-based,
+//! conservative and ISA-assisted modes — machine construction, the §5.2
+//! profiling pass, every functional step, batch fill and timing-core drain
+//! — allocates fewer than [`LIVE_ALLOCS_PER_KINST`] times per thousand
+//! committed instructions. What remains is construction and first-touch
+//! growth (guest pages, footprint bitmaps, allocator bins), not
+//! per-instruction work.
+//!
 //! This file holds a single `#[test]` on purpose: the counter is
 //! process-global, and a concurrent test thread would alias it.
 
@@ -22,6 +31,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use watchdog_core::machine::{Machine, MachineConfig, Step};
+use watchdog_core::sim::{Mode, SimConfig, Simulator};
 use watchdog_isa::crack::CrackedInst;
 use watchdog_mem::HierarchyConfig;
 use watchdog_pipeline::{CoreConfig, TelemetryConfig, TimingCore, UopBatch};
@@ -62,13 +72,45 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocation budget of a whole live run, per thousand committed
+/// instructions.
+const LIVE_ALLOCS_PER_KINST: u64 = 5;
+
+#[test]
+fn steady_state_timed_loop_is_allocation_free() {
+    batched_feed_allocates_nothing();
+    live_runs_stay_within_budget();
+}
+
+/// A whole live `Simulator::run` of `mcf`, setup included, in each mode
+/// the paper compares, stays under [`LIVE_ALLOCS_PER_KINST`].
+fn live_runs_stay_within_budget() {
+    let program = benchmark("mcf").expect("registered").build(Scale::Test);
+    for mode in [
+        Mode::Baseline,
+        Mode::LocationBased,
+        Mode::watchdog_conservative(),
+        Mode::watchdog(),
+    ] {
+        let sim = Simulator::new(SimConfig::timed(mode));
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let report = sim.run(&program).expect("mcf runs");
+        let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        let insts = report.machine.insts;
+        assert!(insts > 10_000, "{mode:?}: only {insts} insts");
+        assert!(
+            allocs * 1000 < LIVE_ALLOCS_PER_KINST * insts,
+            "{mode:?}: {allocs} allocations over {insts} insts"
+        );
+    }
+}
+
 /// The batched feed over a full `mcf` suite cell — with the telemetry
 /// self-profiler recording dispatch counters, occupancy histograms and
 /// FU utilization throughout — allocates nothing after construction:
 /// the allocation count across every `push_cracked` and `consume_batch`
 /// call is exactly zero.
-#[test]
-fn steady_state_timed_loop_is_allocation_free() {
+fn batched_feed_allocates_nothing() {
     // Setup (allocates freely): materialize the committed µop stream the
     // live simulator would feed the core, then build the core and the
     // batch scratch at their preallocated capacities.

@@ -201,16 +201,13 @@ fn bench_step_loop(c: &mut Criterion) {
 }
 
 fn bench_timing_wheel(c: &mut Criterion) {
-    // The tentpole's acceptance gauge: the calendar-queue core (wheels,
-    // release rings, rotating-cursor FU pools, hashed TLB) vs the PR 5
-    // heap-scheduled reference (`ScheduledCore<HeapSched>` — binary heaps
-    // and linear `min_by_key` port scans) on identical committed streams.
-    // Throughput is per guest instruction, so the wheel-over-heap speedup
-    // reads directly off the Melem/s column. The `_wheel_telemetry`
-    // variant runs the identical feed with the self-profiler attached —
-    // the acceptance gauge that telemetry stays within noise of the
-    // uninstrumented loop. Shared with `watchdog-cli perf` via the
-    // `perf` module so both measure the same cases.
+    // The timing core (wheels, release rings, rotating-cursor FU pools,
+    // hashed TLB) draining a committed stream. Throughput is per guest
+    // instruction. The `_wheel_telemetry` variant runs the identical feed
+    // with the self-profiler attached — the gauge that telemetry stays
+    // within noise of the uninstrumented loop. Shared with
+    // `watchdog-cli perf` via the `perf` module so both measure the same
+    // cases.
     use watchdog_bench::perf::{committed_stream, feed_stream};
     use watchdog_pipeline::TelemetryConfig;
 
@@ -221,30 +218,17 @@ fn bench_timing_wheel(c: &mut Criterion) {
             .sample_size(10)
             .throughput(Throughput::Elements(stream.len() as u64));
         group.bench_function(format!("{name}_wheel"), |b| {
-            b.iter(|| {
-                std::hint::black_box(feed_stream::<watchdog_pipeline::WheelSched>(&stream, None))
-            });
+            b.iter(|| std::hint::black_box(feed_stream(&stream, None)));
         });
         group.bench_function(format!("{name}_wheel_telemetry"), |b| {
-            b.iter(|| {
-                std::hint::black_box(feed_stream::<watchdog_pipeline::WheelSched>(
-                    &stream,
-                    Some(TelemetryConfig::default()),
-                ))
-            });
-        });
-        group.bench_function(format!("{name}_heap_reference"), |b| {
-            b.iter(|| {
-                std::hint::black_box(feed_stream::<watchdog_pipeline::HeapSched>(&stream, None))
-            });
+            b.iter(|| std::hint::black_box(feed_stream(&stream, Some(TelemetryConfig::default()))));
         });
         group.finish();
     }
 
-    // The TLB leg of the refactor in isolation: hashed intrusive-LRU
-    // lookup vs the linear-scan reference, on a page stream wider than
-    // the capacity so both hit and miss/evict paths are exercised.
-    use watchdog_mem::{ScanTlb, Tlb};
+    // The hashed TLB in isolation, on a page stream wider than the
+    // capacity so both hit and miss/evict paths are exercised.
+    use watchdog_mem::Tlb;
     const TLB_OPS: usize = 4096;
     let addrs: Vec<u64> = {
         let mut x = 0x2545_f491_4f6c_dd1du64;
@@ -263,16 +247,6 @@ fn bench_timing_wheel(c: &mut Criterion) {
         .throughput(Throughput::Elements(TLB_OPS as u64));
     group.bench_function("tlb_hashed", |b| {
         let mut tlb = Tlb::new(64);
-        b.iter(|| {
-            let mut hits = 0u64;
-            for &a in &addrs {
-                hits += u64::from(tlb.access(a));
-            }
-            std::hint::black_box(hits)
-        });
-    });
-    group.bench_function("tlb_scan_reference", |b| {
-        let mut tlb = ScanTlb::new(64);
         b.iter(|| {
             let mut hits = 0u64;
             for &a in &addrs {

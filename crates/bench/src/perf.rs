@@ -4,9 +4,9 @@
 //! Both consumers measure the same thing — the timing core draining a
 //! pre-assembled committed µop stream through its one batched feed — so
 //! the stream assembly and the feed loop live here once. Per workload
-//! there are three timing cases: the production calendar-wheel core, the
-//! same core with the self-profiler attached (the telemetry overhead
-//! gauge), and the heap-scheduled reference core. Three more cases time
+//! there are two timing cases: the calendar-wheel core, and the same core
+//! with the self-profiler attached (the telemetry overhead gauge). Three
+//! more cases time
 //! the functional layer the stream comes from: a functional-only machine
 //! run (no µops) in the baseline, conservative and ISA-assisted modes,
 //! which is where guest memory, shadow accesses and the pointer
@@ -22,7 +22,7 @@ use watchdog_core::{Mode, SimConfig, Simulator};
 use watchdog_isa::crack::CrackedInst;
 use watchdog_isa::program::Program;
 use watchdog_mem::HierarchyConfig;
-use watchdog_pipeline::{CoreConfig, SchedModel, ScheduledCore, TelemetryConfig, UopBatch};
+use watchdog_pipeline::{CoreConfig, TelemetryConfig, TimingCore, UopBatch};
 use watchdog_telemetry::{BenchRecord, BenchSnapshot};
 use watchdog_workloads::{benchmark, Scale};
 
@@ -42,14 +42,11 @@ pub fn committed_stream(name: &str, scale: Scale) -> Vec<CrackedInst> {
     stream
 }
 
-/// Drains `stream` through a fresh `ScheduledCore<S>` with the batched
-/// feed, optionally with the self-profiler attached (the telemetry
-/// overhead gauge), returning final cycles.
-pub fn feed_stream<S: SchedModel>(
-    stream: &[CrackedInst],
-    telemetry: Option<TelemetryConfig>,
-) -> u64 {
-    let mut core = ScheduledCore::<S>::new(CoreConfig::sandy_bridge(), HierarchyConfig::default());
+/// Drains `stream` through a fresh [`TimingCore`] with the batched feed,
+/// optionally with the self-profiler attached (the telemetry overhead
+/// gauge), returning final cycles.
+pub fn feed_stream(stream: &[CrackedInst], telemetry: Option<TelemetryConfig>) -> u64 {
+    let mut core = TimingCore::new(CoreConfig::sandy_bridge(), HierarchyConfig::default());
     if let Some(cfg) = telemetry {
         core.enable_telemetry(cfg);
     }
@@ -127,20 +124,11 @@ pub fn run_perf(
         let cases: Vec<(String, Runner<'_>)> = vec![
             (
                 format!("timing_wheel/{name}_wheel"),
-                Box::new(|| feed_stream::<watchdog_pipeline::WheelSched>(&stream, None)),
+                Box::new(|| feed_stream(&stream, None)),
             ),
             (
                 format!("timing_wheel/{name}_wheel_telemetry"),
-                Box::new(|| {
-                    feed_stream::<watchdog_pipeline::WheelSched>(
-                        &stream,
-                        Some(TelemetryConfig::default()),
-                    )
-                }),
-            ),
-            (
-                format!("timing_wheel/{name}_heap_reference"),
-                Box::new(|| feed_stream::<watchdog_pipeline::HeapSched>(&stream, None)),
+                Box::new(|| feed_stream(&stream, Some(TelemetryConfig::default()))),
             ),
         ];
         for (case, mut run) in cases {
@@ -193,15 +181,10 @@ mod tests {
     fn wheel_and_batched_feeds_agree_with_per_inst() {
         let stream = committed_stream("mcf", Scale::Test);
         assert!(!stream.is_empty());
-        let wheel = feed_stream::<watchdog_pipeline::WheelSched>(&stream, None);
-        let wheel_tele =
-            feed_stream::<watchdog_pipeline::WheelSched>(&stream, Some(TelemetryConfig::default()));
-        let heap = feed_stream::<watchdog_pipeline::HeapSched>(&stream, None);
+        let wheel = feed_stream(&stream, None);
+        let wheel_tele = feed_stream(&stream, Some(TelemetryConfig::default()));
         // One instruction per batch.
-        let mut core = watchdog_pipeline::TimingCore::new(
-            CoreConfig::sandy_bridge(),
-            HierarchyConfig::default(),
-        );
+        let mut core = TimingCore::new(CoreConfig::sandy_bridge(), HierarchyConfig::default());
         let mut batch = UopBatch::new();
         for ci in &stream {
             batch.push_cracked(ci);
@@ -214,7 +197,6 @@ mod tests {
             "batched and per-inst feeds agree"
         );
         assert_eq!(wheel, wheel_tele, "telemetry never changes timing");
-        assert_eq!(wheel, heap, "wheel and heap schedulers agree");
     }
 
     #[test]

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use watchdog_pipeline::ConfigError;
+
 /// What kind of memory-safety violation a check detected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ViolationKind {
@@ -80,6 +82,15 @@ pub enum SimError {
     },
     /// The guest stack overflowed its region.
     StackOverflow,
+    /// The core configuration describes a machine the timing model cannot
+    /// build; rejected before the run starts.
+    Config(ConfigError),
+}
+
+impl From<ConfigError> for SimError {
+    fn from(e: ConfigError) -> Self {
+        SimError::Config(e)
+    }
 }
 
 impl fmt::Display for SimError {
@@ -91,6 +102,7 @@ impl fmt::Display for SimError {
             }
             SimError::PcOutOfRange { pc } => write!(f, "program counter {pc} out of range"),
             SimError::StackOverflow => write!(f, "guest stack overflow"),
+            SimError::Config(e) => write!(f, "invalid configuration: {e}"),
         }
     }
 }

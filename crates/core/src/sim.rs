@@ -20,9 +20,7 @@ use watchdog_isa::crack::BoundsUops;
 use watchdog_isa::program::Program;
 use watchdog_mem::HierarchyConfig;
 use watchdog_pipeline::core::Snapshot;
-use watchdog_pipeline::{
-    CoreConfig, HeapSched, SchedModel, ScheduledCore, TelemetryConfig, UopBatch, WheelSched,
-};
+use watchdog_pipeline::{CoreConfig, TelemetryConfig, TimingCore, UopBatch};
 
 use crate::error::SimError;
 use crate::machine::{CheckMode, Machine, MachineConfig, Step};
@@ -346,26 +344,12 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] for simulator-level failures. Detected
-    /// memory-safety violations are *not* errors — they are reported in
-    /// [`RunReport::violation`].
+    /// Returns [`SimError::Config`] when the core configuration is
+    /// invalid (see [`CoreConfig::validate`]), and [`SimError`] for other
+    /// simulator-level failures. Detected memory-safety violations are
+    /// *not* errors — they are reported in [`RunReport::violation`].
     pub fn run(&self, program: &Program) -> Result<RunReport, SimError> {
-        self.run_with::<WheelSched>(program)
-    }
-
-    /// [`Simulator::run`] on the heap-scheduled [`ReferenceCore`]
-    /// (`ScheduledCore<HeapSched>`) — the PR 5 timing structures, kept as
-    /// the oracle the wheel-scheduled production core is proven
-    /// report-identical to (equivalence suites, benches). Not for
-    /// production use.
-    ///
-    /// [`ReferenceCore`]: watchdog_pipeline::ReferenceCore
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`Simulator::run`].
-    pub fn run_reference(&self, program: &Program) -> Result<RunReport, SimError> {
-        self.run_with::<HeapSched>(program)
+        self.run_impl(program, None)
     }
 
     /// [`Simulator::run`] with the self-profiler attached: the timing
@@ -384,22 +368,18 @@ impl Simulator {
         program: &Program,
     ) -> Result<(RunReport, RunTelemetry), SimError> {
         let mut tele = RunTelemetry::new();
-        let report = self.run_impl::<WheelSched>(program, Some(&mut tele))?;
+        let report = self.run_impl(program, Some(&mut tele))?;
         Ok((report, tele))
     }
 
-    /// The run loop, generic over the timing core's scheduling model.
-    fn run_with<S: SchedModel>(&self, program: &Program) -> Result<RunReport, SimError> {
-        self.run_impl::<S>(program, None)
-    }
-
-    /// The run loop proper; `tele`, when supplied, collects host-side
+    /// The run loop; `tele`, when supplied, collects host-side
     /// observations without touching any report field.
-    fn run_impl<S: SchedModel>(
+    fn run_impl(
         &self,
         program: &Program,
         tele: Option<&mut RunTelemetry>,
     ) -> Result<RunReport, SimError> {
+        self.cfg.core.validate()?;
         let mcfg = self.machine_config(program)?;
         let mut hier = self.cfg.hierarchy;
         self.cfg.mode.apply_hierarchy(&mut hier);
@@ -415,7 +395,7 @@ impl Simulator {
         let mut core = self
             .cfg
             .timing
-            .then(|| ScheduledCore::<S>::new(self.cfg.core, hier));
+            .then(|| TimingCore::new(self.cfg.core, hier));
         let tele_on = tele.is_some();
         let t_run = tele_on.then(Instant::now);
         if let (true, Some(core)) = (tele_on, core.as_mut()) {
@@ -438,7 +418,7 @@ impl Simulator {
         // timing-transparent), so the flush points below only have to
         // precede snapshots.
         let mut batch = UopBatch::with_capacity(UopBatch::TARGET_INSTS);
-        let mut flush = |core: &mut ScheduledCore<S>, batch: &mut UopBatch| {
+        let mut flush = |core: &mut TimingCore, batch: &mut UopBatch| {
             let t0 = tele_on.then(Instant::now);
             core.consume_batch(batch);
             batch.clear();
@@ -848,7 +828,7 @@ mod tests {
             );
             let mut hier = cfg.hierarchy;
             mode.apply_hierarchy(&mut hier);
-            let mut core = ScheduledCore::<WheelSched>::new(cfg.core, hier);
+            let mut core = TimingCore::new(cfg.core, hier);
             let mut batch = UopBatch::new();
             while let Step::Executed(ci) = machine.step().unwrap() {
                 batch.push_cracked(ci.expect("µop-emitting machine"));

@@ -37,6 +37,6 @@ pub use hierarchy::{
     AccessClass, AccessOutcome, AccessReq, Hierarchy, HierarchyConfig, HierarchyStats,
 };
 pub use shadow::{MetaRecord, ShadowSpace};
-pub use tlb::{ScanTlb, Tlb};
+pub use tlb::Tlb;
 pub use vm::{Footprint, GuestMem};
 pub use words::WordSet;

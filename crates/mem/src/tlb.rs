@@ -6,13 +6,12 @@
 //! as fully-associative LRU arrays of 4KB page translations; a miss charges
 //! a fixed page-walk penalty in the hierarchy.
 //!
-//! [`Tlb`] is the production implementation: an open-addressing hash table
-//! over the entry arena plus an intrusive doubly-linked recency list, so
-//! lookup, LRU refresh and eviction are all O(1) — where the original
-//! linear scan paid O(capacity) per access on the data-TLB hot path. The
-//! scan survives as [`ScanTlb`], the reference model the property suite
-//! (`tlb_props.rs`) holds the hash version to, access for access: exact
-//! LRU is exact LRU, whichever structure tracks it.
+//! [`Tlb`] is an open-addressing hash table over the entry arena plus an
+//! intrusive doubly-linked recency list, so lookup, LRU refresh and
+//! eviction are all O(1) — where a linear scan would pay O(capacity) per
+//! access on the data-TLB hot path. The property suite (`tlb_props.rs`)
+//! holds it, access for access, to a few-line spec: an MRU-ordered deque
+//! of page numbers with exact LRU eviction.
 
 const NIL: u32 = u32::MAX;
 
@@ -197,72 +196,6 @@ impl Tlb {
     }
 }
 
-/// The original linear-scan, stamp-based LRU TLB — kept as the reference
-/// model the hashed [`Tlb`] is property-tested against. Same API, same
-/// exact-LRU policy, O(capacity) per access.
-#[derive(Debug)]
-pub struct ScanTlb {
-    entries: Vec<(u64, u64)>, // (vpn, lru stamp)
-    capacity: usize,
-    clock: u64,
-    accesses: u64,
-    misses: u64,
-}
-
-impl ScanTlb {
-    /// Builds a TLB holding `capacity` translations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "TLB capacity must be positive");
-        ScanTlb {
-            entries: Vec::with_capacity(capacity),
-            capacity,
-            clock: 0,
-            accesses: 0,
-            misses: 0,
-        }
-    }
-
-    /// Looks up the page containing `addr`; fills on miss. Returns `true`
-    /// on hit.
-    pub fn access(&mut self, addr: u64) -> bool {
-        let vpn = addr >> 12;
-        self.accesses += 1;
-        self.clock += 1;
-        if let Some(e) = self.entries.iter_mut().find(|(v, _)| *v == vpn) {
-            e.1 = self.clock;
-            return true;
-        }
-        self.misses += 1;
-        if self.entries.len() == self.capacity {
-            let victim = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (_, lru))| *lru)
-                .map(|(i, _)| i)
-                .expect("non-empty");
-            self.entries.swap_remove(victim);
-        }
-        self.entries.push((vpn, self.clock));
-        false
-    }
-
-    /// Accounts a hit without touching replacement state (see
-    /// [`Tlb::repeat_hit`]).
-    pub fn repeat_hit(&mut self) {
-        self.accesses += 1;
-    }
-
-    /// `(accesses, misses)` counters.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.accesses, self.misses)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,30 +227,42 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn scan_zero_capacity_panics() {
-        let _ = ScanTlb::new(0);
-    }
-
-    #[test]
     fn hash_matches_scan_under_pressure() {
         // Deterministic churn over a VPN space larger than the capacity,
         // so every structural path (fill, hit-refresh, evict-recycle,
-        // backward-shift deletion) runs many times.
+        // backward-shift deletion) runs many times, checked against a
+        // linear scan of an MRU-first deque.
         let mut hash = Tlb::new(8);
-        let mut scan = ScanTlb::new(8);
+        let mut spec = std::collections::VecDeque::new();
+        let (mut accesses, mut misses) = (0u64, 0u64);
         let mut x = 0x0123_4567_89AB_CDEFu64;
         for k in 0..20_000u64 {
             x = x
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             let addr = ((x >> 20) % 24) << 12 | (x & 0xfff);
-            assert_eq!(hash.access(addr), scan.access(addr), "access {k}");
+            let vpn = addr >> 12;
+            let hit = match spec.iter().position(|&v| v == vpn) {
+                Some(i) => {
+                    spec.remove(i);
+                    true
+                }
+                None => {
+                    if spec.len() == 8 {
+                        spec.pop_back();
+                    }
+                    misses += 1;
+                    false
+                }
+            };
+            spec.push_front(vpn);
+            accesses += 1;
+            assert_eq!(hash.access(addr), hit, "access {k}");
             if x & 0xf == 0 {
                 hash.repeat_hit();
-                scan.repeat_hit();
+                accesses += 1;
             }
         }
-        assert_eq!(hash.stats(), scan.stats());
+        assert_eq!(hash.stats(), (accesses, misses));
     }
 }

@@ -1,5 +1,16 @@
 //! Core configuration reproducing Table 2 of the paper.
 
+use std::fmt;
+
+use crate::rename::META_REGS_FLOOR;
+use crate::wheel::POOL_PAD;
+
+/// Table 2's physical register files, printed by
+/// [`CoreConfig::describe`]. Not modelled: the timing model renames only
+/// the metadata file (`CoreConfig::meta_phys_regs`), so these sizes never
+/// affect a simulated number.
+pub const TABLE2_REGISTERS: &str = "(160 int + 144 floating point)";
+
 /// Out-of-order core parameters.
 ///
 /// [`CoreConfig::sandy_bridge`] reproduces Table 2; every field is public so
@@ -50,10 +61,6 @@ pub struct CoreConfig {
     /// the L1 caches; two ports match the D-cache's load-port bandwidth so
     /// checks keep pace with loads).
     pub ll_ports: usize,
-    /// Physical integer registers ("160 int").
-    pub int_phys_regs: usize,
-    /// Physical FP registers ("144 floating point").
-    pub fp_phys_regs: usize,
     /// Physical metadata registers (128-bit sidecars; sizing follows the
     /// integer file — the paper does not size this file separately).
     pub meta_phys_regs: usize,
@@ -103,8 +110,6 @@ impl CoreConfig {
             fp_muls: 1,
             fp_divs: 1,
             ll_ports: 2,
-            int_phys_regs: 160,
-            fp_phys_regs: 144,
             meta_phys_regs: 160,
             redirect_penalty: 14,
             lat_int_alu: 1,
@@ -151,13 +156,7 @@ impl CoreConfig {
                     self.rename_width, self.dispatch_latency
                 ),
             ),
-            (
-                "Registers".into(),
-                format!(
-                    "({} int + {} floating point)",
-                    self.int_phys_regs, self.fp_phys_regs
-                ),
-            ),
+            ("Registers".into(), TABLE2_REGISTERS.into()),
             (
                 "ROB/IQ".into(),
                 format!(
@@ -191,7 +190,95 @@ impl CoreConfig {
             ("SQ size".into(), format!("{}-entry SQ", self.sq_entries)),
         ]
     }
+
+    /// Checks that every sizing field describes a buildable machine:
+    /// each window holds at least one entry, each functional-unit class
+    /// (including the issue-slot pool, sized by `issue_width`) has
+    /// `1..=`[`POOL_PAD`] units, the fetch/rename/commit widths and the
+    /// return-address stack are non-zero, and the metadata register file
+    /// is larger than rename's permanent mappings.
+    ///
+    /// # Errors
+    ///
+    /// A [`ConfigError`] naming the first offending field.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let at_least = |field, value: usize, min: usize| {
+            if value >= min {
+                Ok(())
+            } else {
+                Err(ConfigError::new(field, value as u64, min as u64, u64::MAX))
+            }
+        };
+        let units = |field, value: usize| {
+            if (1..=POOL_PAD).contains(&value) {
+                Ok(())
+            } else {
+                Err(ConfigError::new(field, value as u64, 1, POOL_PAD as u64))
+            }
+        };
+        at_least("rob_entries", self.rob_entries, 1)?;
+        at_least("iq_entries", self.iq_entries, 1)?;
+        at_least("lq_entries", self.lq_entries, 1)?;
+        at_least("sq_entries", self.sq_entries, 1)?;
+        units("int_alus", self.int_alus)?;
+        units("muldiv_units", self.muldiv_units)?;
+        units("fp_alus", self.fp_alus)?;
+        units("fp_muls", self.fp_muls)?;
+        units("fp_divs", self.fp_divs)?;
+        units("branch_units", self.branch_units)?;
+        units("load_ports", self.load_ports)?;
+        units("store_ports", self.store_ports)?;
+        units("ll_ports", self.ll_ports)?;
+        units("issue_width", self.issue_width as usize)?;
+        at_least(
+            "fetch_bytes_per_cycle",
+            self.fetch_bytes_per_cycle as usize,
+            1,
+        )?;
+        at_least("rename_width", self.rename_width as usize, 1)?;
+        at_least("commit_width", self.commit_width as usize, 1)?;
+        at_least("ras_entries", self.ras_entries, 1)?;
+        at_least("meta_phys_regs", self.meta_phys_regs, META_REGS_FLOOR + 1)
+    }
 }
+
+/// A [`CoreConfig`] field outside the range the timing model can build,
+/// as reported by [`CoreConfig::validate`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ConfigError {
+    /// Name of the offending `CoreConfig` field.
+    pub field: &'static str,
+    /// The value it held.
+    pub value: u64,
+    /// Smallest accepted value.
+    pub min: u64,
+    /// Largest accepted value (`u64::MAX` when unbounded).
+    pub max: u64,
+}
+
+impl ConfigError {
+    fn new(field: &'static str, value: u64, min: u64, max: u64) -> Self {
+        ConfigError {
+            field,
+            value,
+            min,
+            max,
+        }
+    }
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "core config field `{}` = {} ", self.field, self.value)?;
+        if self.max == u64::MAX {
+            write!(f, "must be at least {}", self.min)
+        } else {
+            write!(f, "must be in {}..={}", self.min, self.max)
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 impl Default for CoreConfig {
     fn default() -> Self {
@@ -213,8 +300,6 @@ mod tests {
         assert_eq!(c.int_alus, 6);
         assert_eq!(c.load_ports, 2);
         assert_eq!(c.store_ports, 1);
-        assert_eq!(c.int_phys_regs, 160);
-        assert_eq!(c.fp_phys_regs, 144);
         assert_eq!(c.fetch_bytes_per_cycle, 16);
         assert_eq!(c.clock_mhz, 3200);
     }
@@ -225,5 +310,30 @@ mod tests {
         assert!(rows.len() >= 12);
         assert!(rows.iter().any(|(k, v)| k == "ROB/IQ" && v.contains("168")));
         assert!(rows.iter().any(|(k, _)| k == "Bpred"));
+        assert!(rows
+            .iter()
+            .any(|(k, v)| k == "Registers" && v == "(160 int + 144 floating point)"));
+    }
+
+    #[test]
+    fn table2_config_validates() {
+        assert_eq!(CoreConfig::sandy_bridge().validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_names_the_offending_field() {
+        let bad = CoreConfig {
+            int_alus: POOL_PAD + 1,
+            ..CoreConfig::sandy_bridge()
+        };
+        let err = bad.validate().unwrap_err();
+        assert_eq!(err.field, "int_alus");
+        assert_eq!((err.min, err.max), (1, POOL_PAD as u64));
+        assert!(err.to_string().contains("int_alus"), "{err}");
+        let bad = CoreConfig {
+            meta_phys_regs: META_REGS_FLOOR,
+            ..CoreConfig::sandy_bridge()
+        };
+        assert_eq!(bad.validate().unwrap_err().field, "meta_phys_regs");
     }
 }

@@ -21,9 +21,9 @@
 //!   window-pressure effects that Figures 7–11 measure, at a fraction of
 //!   the cost of a cycle-by-cycle pipeline.
 //! * [`wheel`] — the calendar-queue scheduling structures behind the hot
-//!   loop: release-time rings, a circular timing wheel, rotating-cursor FU
-//!   pools, and the [`wheel::SchedModel`] trait that keeps the PR 5
-//!   heap/scan structures alive as a bit-for-bit reference oracle.
+//!   loop: release-time rings, a circular timing wheel and rotating-cursor
+//!   FU pools, one structure per role, each property-tested against a
+//!   small executable spec.
 //! * [`tele`] — the core's optional self-profiler: per-kind dispatch
 //!   counters, window-occupancy and wheel-lead histograms, and sampled
 //!   phase timers, recorded out-of-band so no report field ever depends
@@ -40,15 +40,12 @@ pub mod rename;
 pub mod tele;
 pub mod wheel;
 
-pub use crate::core::{
-    Fu, ReferenceCore, ScheduledCore, TimingCore, TimingReport, NUM_FUS, NUM_TAGS, TAG_NAMES,
-};
+pub use crate::core::{Fu, TimingCore, TimingReport, NUM_FUS, NUM_TAGS, TAG_NAMES};
 pub use batch::{FeedStats, MemOp, UopBatch};
 pub use bpred::Predictor;
-pub use config::CoreConfig;
+pub use config::{ConfigError, CoreConfig};
 pub use rename::{Rename, RenameConfig, RenameStats};
 pub use tele::{
     CoreTelemetry, PhaseProfile, TelemetryConfig, NUM_STALL_CAUSES, NUM_UOP_KINDS,
     STALL_CAUSE_NAMES, UOP_KIND_NAMES,
 };
-pub use wheel::{HeapSched, SchedModel, WheelSched};

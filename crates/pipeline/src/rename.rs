@@ -8,8 +8,9 @@
 //! implementation eliminates the register copies by physical register
 //! sharing ... these physical registers need to be reference counted."
 //!
-//! This module implements exactly that structure: separate physical pools
-//! for integer, floating-point and metadata registers; a dual map table;
+//! This module implements exactly that structure: a physical pool of
+//! metadata registers (the data register files are not modelled — they
+//! never limit the timing model); a dual map table;
 //! copy elimination via mapping aliasing with reference counts; and two
 //! permanent metadata registers — the always-**invalid** register and the
 //! **global**-identifier register (§7) — that invalidations and PC-relative
@@ -19,26 +20,24 @@ use watchdog_isa::crack::{CrackedInst, MetaEffect};
 use watchdog_isa::reg::{Gpr, LReg, NUM_META_TEMPS};
 use watchdog_isa::uop::Uop;
 
-/// Physical register file sizes.
+/// Physical register file sizes. Only the metadata file is modelled: the
+/// data mappings never limit the timing model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RenameConfig {
-    /// Integer physical registers (Table 2: 160).
-    pub int_regs: usize,
-    /// Floating-point physical registers (Table 2: 144).
-    pub fp_regs: usize,
-    /// Metadata physical registers.
+    /// Metadata physical registers; must exceed [`META_REGS_FLOOR`].
     pub meta_regs: usize,
 }
 
 impl Default for RenameConfig {
     fn default() -> Self {
-        RenameConfig {
-            int_regs: 160,
-            fp_regs: 144,
-            meta_regs: 160,
-        }
+        RenameConfig { meta_regs: 160 }
     }
 }
+
+/// Metadata physical registers the initial mappings pin: the two
+/// permanent registers plus one per GPR and cracker metadata temporary.
+/// A pool must be strictly larger to rename anything.
+pub const META_REGS_FLOOR: usize = 2 + Gpr::COUNT + NUM_META_TEMPS;
 
 /// Renaming statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -81,10 +80,7 @@ pub struct Rename {
 impl Rename {
     /// Builds the rename table; all metadata mappings start invalid.
     pub fn new(cfg: RenameConfig) -> Self {
-        assert!(
-            cfg.meta_regs > 2 + Gpr::COUNT + NUM_META_TEMPS,
-            "metadata pool too small"
-        );
+        assert!(cfg.meta_regs > META_REGS_FLOOR, "metadata pool too small");
         let mut meta_ref = vec![0u32; cfg.meta_regs];
         // Permanent registers: refcounts account for the initial mappings.
         meta_ref[META_PREG_INVALID] = (Gpr::COUNT + NUM_META_TEMPS) as u32;
@@ -437,10 +433,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "metadata pool too small")]
     fn tiny_pool_rejected() {
-        let _ = Rename::new(RenameConfig {
-            int_regs: 160,
-            fp_regs: 144,
-            meta_regs: 4,
-        });
+        let _ = Rename::new(RenameConfig { meta_regs: 4 });
     }
 }

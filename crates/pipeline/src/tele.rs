@@ -1,7 +1,7 @@
 //! The timing core's self-profiler.
 //!
 //! [`CoreTelemetry`] is an optional, preallocated instrumentation block
-//! a [`ScheduledCore`](crate::core::ScheduledCore) carries beside its
+//! a [`TimingCore`](crate::core::TimingCore) carries beside its
 //! model state. When absent (the default) the consume loop pays one
 //! predictable branch per batch; when present it collects what the
 //! dispatch-path investigation needs and the model cannot tell us:

@@ -2,19 +2,21 @@
 //!
 //! The timestamp-based model of [`crate::core`] tracks window occupancy
 //! (ROB/IQ/LQ/SQ) as multisets of *release times* and functional units as
-//! small pools of *next-free times*. PR 5 kept the windows in
-//! `BinaryHeap<Reverse<u64>>`s, paying a comparison-sorted log factor per
-//! µop on the hottest loop in the workspace. This module replaces them
-//! with structures whose operations are O(1) in the steady state and whose
-//! behaviour is **provably identical** — each production structure has a
-//! heap/scan reference twin behind the [`SchedModel`] trait, and the
-//! equivalence is asserted structure-by-structure (property tests) and
-//! end-to-end (the `wheel_equivalence` workspace suite). The loop that
-//! drives these structures is [`crate::core`]'s single per-µop dispatch
-//! loop; every µop it dispatches touches these window and pool
-//! operations.
+//! small pools of *next-free times*. A textbook model keeps the windows in
+//! binary heaps and scans the pools linearly, paying a comparison-sorted
+//! log factor per µop on the hottest loop in the workspace. This module
+//! keeps one structure per role whose operations are O(1) in the steady
+//! state: [`ReleaseRing`] for the ROB/LQ/SQ, [`CalendarWheel`] for the IQ
+//! and [`CursorPools`] for the functional units. The loop that drives them
+//! is [`crate::core`]'s single per-µop dispatch loop.
 //!
-//! Three observations make the replacements exact:
+//! Each structure is held to a few-line executable spec by property tests
+//! (`tests/wheel_props.rs`: a sorted-`Vec` multiset for the windows,
+//! per-class `Vec`s of next-free times for the pools), and the reports
+//! they produce end to end are pinned by the workspace golden corpus
+//! (`tests/golden/reports.txt`).
+//!
+//! Three observations make the structures exact:
 //!
 //! * **ROB/LQ/SQ release times are monotone.** All three windows release
 //!   at *commit*, and [`commit_time`](crate::core) is non-decreasing
@@ -31,65 +33,29 @@
 //!   the rare entry scheduled beyond the horizon (a DRAM-missing
 //!   dependence chain) waits in a preallocated overflow list whose length
 //!   the IQ capacity bounds.
-//! * **Unit choice among equal minima is invisible.** [`FuPools::reserve`]
-//!   must replace a *true minimum* of the pool's next-free multiset
-//!   (replacing any merely-idle unit diverges: with units free at `{0, 5}`,
-//!   reserving at `earliest = 6` must consume the `0` — a later
-//!   `reserve(3)` distinguishes `{5, ...}` from `{0, ...}`). But *which*
-//!   of several **equal** minima is replaced cannot be observed — the
-//!   resulting multiset is the same — so [`CursorPools`] may rotate its
-//!   scan origin for deterministic, balanced port assignment while
-//!   remaining report-identical to [`ScanPools`]' lowest-index scan.
+//! * **Unit choice among equal minima is invisible.**
+//!   [`CursorPools::reserve`] must replace a *true minimum* of the pool's
+//!   next-free multiset (replacing any merely-idle unit diverges: with
+//!   units free at `{0, 5}`, reserving at `earliest = 6` must consume the
+//!   `0` — a later `reserve(3)` distinguishes `{5, ...}` from `{0, ...}`).
+//!   But *which* of several **equal** minima is replaced cannot be
+//!   observed — the resulting multiset is the same — so [`CursorPools`]
+//!   may rotate its scan origin for deterministic, balanced port
+//!   assignment while returning the start times of a lowest-index scan.
 //!
 //! All structures allocate at construction only: the wheel's slot counts,
 //! bitmap and overflow list, the rings' buffers and the pools' arrays are
 //! sized once from [`CoreConfig`](crate::CoreConfig) window depths, so the
 //! timed hot loop runs allocation-free (asserted by the workspace's
 //! `alloc_discipline` test).
-
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
-use std::fmt;
+//!
+//! The window structures share one contract (upheld by the consume loop,
+//! `debug_assert`ed by the implementations): the `bound` arguments of
+//! `drain_le` are non-decreasing, every `push` is `>=` the largest bound
+//! drained so far, and the caller keeps `len() <= capacity` by popping
+//! before pushing when full.
 
 use crate::core::NUM_FUS;
-
-/// A window-occupancy multiset of release times.
-///
-/// Contract (upheld by the consume loop, `debug_assert`ed by the
-/// implementations): the `bound` arguments of [`WindowQueue::drain_le`]
-/// are non-decreasing, every [`WindowQueue::push`] is `>=` the largest
-/// bound drained so far, and the caller keeps `len() <= capacity` by
-/// popping before pushing when full.
-pub trait WindowQueue: fmt::Debug {
-    /// An empty queue that will never hold more than `cap` entries.
-    fn with_capacity(cap: usize) -> Self;
-
-    /// Number of entries currently queued.
-    fn len(&self) -> usize;
-
-    /// Whether no entries are queued.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Adds a release time.
-    fn push(&mut self, t: u64);
-
-    /// Removes and returns the earliest release time.
-    fn pop_min(&mut self) -> Option<u64>;
-
-    /// Removes every entry with release time `<= bound`.
-    fn drain_le(&mut self, bound: u64);
-
-    /// High-water mark of entries that ever waited beyond the
-    /// structure's fast horizon (the calendar wheel's overflow list);
-    /// `0` for structures without a slow path. A telemetry observable:
-    /// a non-zero peak means some issue skew exceeded the
-    /// [`WHEEL_SLOTS`]-cycle horizon.
-    fn overflow_peak(&self) -> usize {
-        0
-    }
-}
 
 /// Fixed-capacity ring buffer over a **monotone** release-time stream
 /// (ROB/LQ/SQ, whose entries release at the non-decreasing commit time).
@@ -105,8 +71,13 @@ pub struct ReleaseRing {
     last_push: u64,
 }
 
-impl WindowQueue for ReleaseRing {
-    fn with_capacity(cap: usize) -> Self {
+impl ReleaseRing {
+    /// An empty ring that will never hold more than `cap` entries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cap` is zero.
+    pub fn with_capacity(cap: usize) -> Self {
         assert!(cap > 0, "window capacity must be positive");
         ReleaseRing {
             buf: vec![0; cap].into_boxed_slice(),
@@ -116,11 +87,18 @@ impl WindowQueue for ReleaseRing {
         }
     }
 
-    fn len(&self) -> usize {
+    /// Number of entries currently queued.
+    pub fn len(&self) -> usize {
         self.len
     }
 
-    fn push(&mut self, t: u64) {
+    /// Whether no entries are queued.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Adds a release time (`>=` every earlier push).
+    pub fn push(&mut self, t: u64) {
         debug_assert!(self.len < self.buf.len(), "ring window overfilled");
         debug_assert!(t >= self.last_push, "ring pushes must be monotone");
         self.last_push = t;
@@ -132,7 +110,8 @@ impl WindowQueue for ReleaseRing {
         self.len += 1;
     }
 
-    fn pop_min(&mut self) -> Option<u64> {
+    /// Removes and returns the earliest release time.
+    pub fn pop_min(&mut self) -> Option<u64> {
         if self.len == 0 {
             return None;
         }
@@ -145,7 +124,8 @@ impl WindowQueue for ReleaseRing {
         Some(t)
     }
 
-    fn drain_le(&mut self, bound: u64) {
+    /// Removes every entry with release time `<= bound`.
+    pub fn drain_le(&mut self, bound: u64) {
         while self.len > 0 && self.buf[self.head] <= bound {
             self.head += 1;
             if self.head == self.buf.len() {
@@ -169,8 +149,8 @@ const WHEEL_WORDS: usize = WHEEL_SLOTS / 64;
 /// `t` in the horizon `[base, base + 4096)`; a per-64-slot occupancy word
 /// plus one summary word finds the earliest occupied slot in O(1) word
 /// operations. `base` is the largest `drain_le` bound seen, so every live
-/// entry and every future push is `>= base` (the [`WindowQueue`]
-/// contract) and slot indices never collide across laps. Entries pushed
+/// entry and every future push is `>= base` (the window contract in
+/// the module docs) and slot indices never collide across laps. Entries pushed
 /// beyond the horizon sit in `overflow` (preallocated to the window
 /// capacity; scanned only while non-empty, which requires a >4096-cycle
 /// issue skew) and migrate into the wheel as `base` advances past
@@ -256,10 +236,14 @@ impl CalendarWheel {
         debug_assert!(m != 0, "summary occupied but no slot found");
         Some(w0 * 64 + m.trailing_zeros() as usize)
     }
-}
 
-impl WindowQueue for CalendarWheel {
-    fn with_capacity(cap: usize) -> Self {
+    /// An empty wheel whose overflow list is preallocated for `cap`
+    /// entries (the IQ depth bounds it).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cap` is zero.
+    pub fn with_capacity(cap: usize) -> Self {
         assert!(cap > 0, "window capacity must be positive");
         CalendarWheel {
             counts: vec![0; WHEEL_SLOTS].into_boxed_slice(),
@@ -272,11 +256,18 @@ impl WindowQueue for CalendarWheel {
         }
     }
 
-    fn len(&self) -> usize {
+    /// Number of entries currently queued.
+    pub fn len(&self) -> usize {
         self.in_horizon + self.overflow.len()
     }
 
-    fn push(&mut self, t: u64) {
+    /// Whether no entries are queued.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Adds a release time (`>=` the largest bound drained so far).
+    pub fn push(&mut self, t: u64) {
         debug_assert!(t >= self.base, "push below the drained horizon");
         if t.wrapping_sub(self.base) < WHEEL_SLOTS as u64 {
             self.insert_horizon(t);
@@ -286,7 +277,8 @@ impl WindowQueue for CalendarWheel {
         }
     }
 
-    fn pop_min(&mut self) -> Option<u64> {
+    /// Removes and returns the earliest release time.
+    pub fn pop_min(&mut self) -> Option<u64> {
         // In-horizon entries are all `< base + 4096 <=` any overflow entry,
         // so the horizon minimum is the global minimum whenever it exists.
         if let Some(s) = self.first_slot() {
@@ -310,7 +302,8 @@ impl WindowQueue for CalendarWheel {
         Some(self.overflow.swap_remove(best))
     }
 
-    fn drain_le(&mut self, bound: u64) {
+    /// Removes every entry with release time `<= bound`.
+    pub fn drain_le(&mut self, bound: u64) {
         // A long frontend stall can advance the bound past the horizon, so
         // overflow entries are drainable too (rarely: the list is almost
         // always empty).
@@ -369,91 +362,13 @@ impl WindowQueue for CalendarWheel {
         }
     }
 
-    fn overflow_peak(&self) -> usize {
+    /// High-water mark of entries that ever waited beyond the
+    /// [`WHEEL_SLOTS`]-cycle horizon in the overflow list. A telemetry
+    /// observable: a non-zero peak means some issue skew exceeded the
+    /// horizon.
+    pub fn overflow_peak(&self) -> usize {
         self.overflow_peak
     }
-}
-
-/// Reference twin of [`ReleaseRing`]: the `VecDeque` the PR 5 core used
-/// for the ROB (pop-front ≡ pop-min on the monotone commit stream).
-#[derive(Debug)]
-pub struct FifoQueue(VecDeque<u64>);
-
-impl WindowQueue for FifoQueue {
-    fn with_capacity(cap: usize) -> Self {
-        FifoQueue(VecDeque::with_capacity(cap + 1))
-    }
-
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    fn push(&mut self, t: u64) {
-        self.0.push_back(t);
-    }
-
-    fn pop_min(&mut self) -> Option<u64> {
-        self.0.pop_front()
-    }
-
-    fn drain_le(&mut self, bound: u64) {
-        while let Some(&t) = self.0.front() {
-            if t <= bound {
-                self.0.pop_front();
-            } else {
-                break;
-            }
-        }
-    }
-}
-
-/// Reference twin of [`CalendarWheel`]: the `BinaryHeap<Reverse<u64>>`
-/// the PR 5 core used for the IQ/LQ/SQ.
-#[derive(Debug)]
-pub struct HeapQueue(BinaryHeap<Reverse<u64>>);
-
-impl WindowQueue for HeapQueue {
-    fn with_capacity(cap: usize) -> Self {
-        HeapQueue(BinaryHeap::with_capacity(cap + 1))
-    }
-
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    fn push(&mut self, t: u64) {
-        self.0.push(Reverse(t));
-    }
-
-    fn pop_min(&mut self) -> Option<u64> {
-        self.0.pop().map(|Reverse(t)| t)
-    }
-
-    fn drain_le(&mut self, bound: u64) {
-        while let Some(&Reverse(t)) = self.0.peek() {
-            if t <= bound {
-                self.0.pop();
-            } else {
-                break;
-            }
-        }
-    }
-}
-
-/// Per-functional-unit-class pools of next-free times.
-pub trait FuPools: fmt::Debug {
-    /// Builds pools with `sizes[class]` units per class, all free at 0.
-    fn new(sizes: [usize; NUM_FUS]) -> Self;
-
-    /// Reserves a unit of `class` whose next-free time is a **minimum** of
-    /// the class pool, starting no earlier than `earliest`, occupying it
-    /// for `busy` cycles. Returns the start time
-    /// (`earliest.max(min_free)`).
-    fn reserve(&mut self, class: usize, earliest: u64, busy: u64) -> u64;
-
-    /// How many reservations each unit of `class` has served (index =
-    /// unit/port number).
-    fn reserve_counts(&self, class: usize) -> &[u64];
 }
 
 /// Units per pool after padding. Every pool stores exactly this many
@@ -487,12 +402,12 @@ fn scan_from(pool: &[u64; POOL_PAD], origin: usize) -> (usize, u64) {
 /// minimum **starting at a cursor** that advances past the chosen unit, so
 /// ties rotate deterministically across ports instead of hammering unit 0.
 ///
-/// Report-identical to [`ScanPools`]: both replace a minimum of the same
-/// multiset with the same `start + busy`, and the choice among *equal*
-/// minima cannot affect any later reservation (the multisets stay equal).
-/// Only the per-unit utilization counters differ — which is the point:
-/// under the cursor, symmetric µop streams load the ports symmetrically
-/// (pinned by a regression test in `crate::core`).
+/// Start times equal a lowest-index scan's: both replace a minimum of the
+/// same multiset with the same `start + busy`, and the choice among
+/// *equal* minima cannot affect any later reservation (the multisets stay
+/// equal). Only the per-unit utilization counters depend on the choice —
+/// which is the point: under the cursor, symmetric µop streams load the
+/// ports symmetrically (pinned by a regression test in `crate::core`).
 #[derive(Debug)]
 pub struct CursorPools {
     free: [[u64; POOL_PAD]; NUM_FUS],
@@ -501,26 +416,32 @@ pub struct CursorPools {
     cursor: [usize; NUM_FUS],
 }
 
-fn padded_pools(sizes: [usize; NUM_FUS]) -> [[u64; POOL_PAD]; NUM_FUS] {
-    sizes.map(|n| {
-        assert!(n <= POOL_PAD, "FU classes support at most {POOL_PAD} units");
-        let mut pool = [u64::MAX; POOL_PAD];
-        pool[..n].fill(0);
-        pool
-    })
-}
-
-impl FuPools for CursorPools {
-    fn new(sizes: [usize; NUM_FUS]) -> Self {
+impl CursorPools {
+    /// Builds pools with `sizes[class]` units per class, all free at 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a class has more than [`POOL_PAD`] units.
+    pub fn new(sizes: [usize; NUM_FUS]) -> Self {
+        let free = sizes.map(|n| {
+            assert!(n <= POOL_PAD, "FU classes support at most {POOL_PAD} units");
+            let mut pool = [u64::MAX; POOL_PAD];
+            pool[..n].fill(0);
+            pool
+        });
         CursorPools {
-            free: padded_pools(sizes),
+            free,
             counts: [[0; POOL_PAD]; NUM_FUS],
             n: sizes,
             cursor: [0; NUM_FUS],
         }
     }
 
-    fn reserve(&mut self, class: usize, earliest: u64, busy: u64) -> u64 {
+    /// Reserves a unit of `class` whose next-free time is a **minimum** of
+    /// the class pool, starting no earlier than `earliest`, occupying it
+    /// for `busy` cycles. Returns the start time
+    /// (`earliest.max(min_free)`).
+    pub fn reserve(&mut self, class: usize, earliest: u64, busy: u64) -> u64 {
         debug_assert!(self.n[class] > 0, "every FU class has at least one unit");
         let (best, best_t) = scan_from(&self.free[class], self.cursor[class]);
         let start = earliest.max(best_t);
@@ -532,90 +453,18 @@ impl FuPools for CursorPools {
         start
     }
 
-    fn reserve_counts(&self, class: usize) -> &[u64] {
+    /// How many reservations each unit of `class` has served (index =
+    /// unit/port number).
+    pub fn reserve_counts(&self, class: usize) -> &[u64] {
         &self.counts[class][..self.n[class]]
     }
-}
-
-/// Reference twin of [`CursorPools`]: the PR 5 `min_by_key` scan, which
-/// always picks the lowest-index unit among equal minima (a scan from a
-/// cursor pinned at 0).
-#[derive(Debug)]
-pub struct ScanPools {
-    free: [[u64; POOL_PAD]; NUM_FUS],
-    counts: [[u64; POOL_PAD]; NUM_FUS],
-    n: [usize; NUM_FUS],
-}
-
-impl FuPools for ScanPools {
-    fn new(sizes: [usize; NUM_FUS]) -> Self {
-        ScanPools {
-            free: padded_pools(sizes),
-            counts: [[0; POOL_PAD]; NUM_FUS],
-            n: sizes,
-        }
-    }
-
-    fn reserve(&mut self, class: usize, earliest: u64, busy: u64) -> u64 {
-        debug_assert!(self.n[class] > 0, "every FU class has at least one unit");
-        let (idx, free_at) = scan_from(&self.free[class], 0);
-        let start = earliest.max(free_at);
-        self.free[class][idx] = start + busy;
-        debug_assert!(start.checked_add(busy).is_some(), "next-free saturated");
-        self.counts[class][idx] += 1;
-        start
-    }
-
-    fn reserve_counts(&self, class: usize) -> &[u64] {
-        &self.counts[class][..self.n[class]]
-    }
-}
-
-/// Selects the scheduling structures of a
-/// [`ScheduledCore`](crate::core::ScheduledCore): the production
-/// [`WheelSched`] or the test-only reference [`HeapSched`]. Both models
-/// run the *same* consume loop; only the occupancy/pool containers differ.
-pub trait SchedModel {
-    /// ROB occupancy (monotone commit-time releases).
-    type Rob: WindowQueue;
-    /// IQ occupancy (unordered issue-time releases).
-    type Iq: WindowQueue;
-    /// LQ/SQ occupancy (monotone commit-time releases).
-    type Memq: WindowQueue;
-    /// Functional-unit/port pools.
-    type Pools: FuPools;
-}
-
-/// The production model: rings, the calendar wheel and rotating-cursor
-/// pools. Allocation-free and comparison-free in the steady state.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WheelSched;
-
-impl SchedModel for WheelSched {
-    type Rob = ReleaseRing;
-    type Iq = CalendarWheel;
-    type Memq = ReleaseRing;
-    type Pools = CursorPools;
-}
-
-/// The PR 5 reference model: deque + binary heaps + lowest-index scans.
-/// Kept as the bit-for-bit oracle the production model is tested against
-/// (same methodology as the repeat-probe memos).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HeapSched;
-
-impl SchedModel for HeapSched {
-    type Rob = FifoQueue;
-    type Iq = HeapQueue;
-    type Memq = HeapQueue;
-    type Pools = ScanPools;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn drain_all<Q: WindowQueue>(q: &mut Q) -> Vec<u64> {
+    fn drain_all(q: &mut CalendarWheel) -> Vec<u64> {
         let mut out = Vec::new();
         while let Some(t) = q.pop_min() {
             out.push(t);
@@ -665,8 +514,6 @@ mod tests {
         // Draining migrates entries out, but the peak is a high-water mark.
         w.drain_le(9_000);
         assert_eq!(w.overflow_peak(), 2);
-        let f = FifoQueue::with_capacity(8);
-        assert_eq!(f.overflow_peak(), 0, "rings have no slow path");
     }
 
     #[test]
@@ -723,6 +570,15 @@ mod tests {
         assert_eq!(r.pop_min(), None);
     }
 
+    /// Pools spec: per-class next-free times; a reservation replaces a
+    /// minimum and starts no earlier than it.
+    fn spec_reserve(pool: &mut [u64], earliest: u64, busy: u64) -> u64 {
+        let (i, &free) = pool.iter().enumerate().min_by_key(|&(_, t)| *t).unwrap();
+        let start = earliest.max(free);
+        pool[i] = start + busy;
+        start
+    }
+
     #[test]
     fn cursor_pools_match_scan_pools_on_start_times() {
         let sizes = {
@@ -732,7 +588,7 @@ mod tests {
             s
         };
         let mut cursor = CursorPools::new(sizes);
-        let mut scan = ScanPools::new(sizes);
+        let mut spec: Vec<Vec<u64>> = sizes.iter().map(|&n| vec![0; n]).collect();
         let mut x = 0x9E3779B97F4A7C15u64;
         for _ in 0..10_000 {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -741,17 +597,16 @@ mod tests {
             let busy = 1 + (x >> 32) % 4;
             assert_eq!(
                 cursor.reserve(class, earliest, busy),
-                scan.reserve(class, earliest, busy)
+                spec_reserve(&mut spec[class], earliest, busy)
             );
         }
         // The multisets of next-free times agree even though unit order may
         // differ.
         for class in 0..2 {
-            let mut a = cursor.free[class];
-            let mut b = scan.free[class];
+            let mut a = cursor.free[class][..sizes[class]].to_vec();
             a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b);
+            spec[class].sort_unstable();
+            assert_eq!(a, spec[class]);
         }
     }
 
@@ -768,27 +623,5 @@ mod tests {
             assert_eq!(p.reserve(0, 0, 1), 0);
         }
         assert_eq!(p.reserve_counts(0), &[1, 1, 1, 1]);
-        let mut scan = ScanPools::new(sizes);
-        for _ in 0..4 {
-            assert_eq!(scan.reserve(0, 0, 1), 0);
-        }
-        // The reference piles equal minima onto the lowest index first —
-        // observable only through the utilization counters, never the
-        // returned start times.
-        assert_eq!(scan.reserve_counts(0), &[1, 1, 1, 1]);
-    }
-
-    #[test]
-    fn heap_and_fifo_references_agree_on_monotone_streams() {
-        let mut h = HeapQueue::with_capacity(8);
-        let mut f = FifoQueue::with_capacity(8);
-        for t in [1u64, 4, 4, 9] {
-            h.push(t);
-            f.push(t);
-        }
-        h.drain_le(4);
-        f.drain_le(4);
-        assert_eq!(h.len(), f.len());
-        assert_eq!(h.pop_min(), f.pop_min());
     }
 }

@@ -1,24 +1,84 @@
-//! Property tests pinning the calendar-queue structures to their PR 5
-//! heap/scan references on adversarial operation streams: wheel
-//! wrap-around at the horizon boundary, overflow beyond it, drain jumps
-//! past everything, and release times near `u64::MAX`.
+//! Property tests pinning the calendar-queue structures to few-line
+//! executable specs on adversarial operation streams: wheel wrap-around
+//! at the horizon boundary, overflow beyond it, drain jumps past
+//! everything, and release times near `u64::MAX`.
+//!
+//! * Windows ([`ReleaseRing`], [`CalendarWheel`]): a sorted `Vec<u64>`
+//!   multiset, where pop-min takes the front and drain-le cuts a prefix.
+//! * Pools ([`CursorPools`]): per-class `Vec<u64>` next-free times, where
+//!   each reservation replaces a minimum.
 
 use proptest::prelude::*;
-use watchdog_pipeline::wheel::{
-    CalendarWheel, CursorPools, FifoQueue, FuPools, HeapQueue, ReleaseRing, ScanPools, WindowQueue,
-    WHEEL_SLOTS,
-};
+use watchdog_pipeline::wheel::{CalendarWheel, CursorPools, ReleaseRing, WHEEL_SLOTS};
 use watchdog_pipeline::NUM_FUS;
 
-/// Drives one operation stream through a queue and its reference under
-/// the [`WindowQueue`] contract (pushes `>=` the largest drain bound,
+/// The window operations the lockstep driver exercises, implemented by
+/// both window structures and the spec.
+trait Window {
+    fn with_capacity(cap: usize) -> Self;
+    fn len(&self) -> usize;
+    fn push(&mut self, t: u64);
+    fn pop_min(&mut self) -> Option<u64>;
+    fn drain_le(&mut self, bound: u64);
+}
+
+macro_rules! window_impl {
+    ($ty:ty) => {
+        impl Window for $ty {
+            fn with_capacity(cap: usize) -> Self {
+                <$ty>::with_capacity(cap)
+            }
+            fn len(&self) -> usize {
+                <$ty>::len(self)
+            }
+            fn push(&mut self, t: u64) {
+                <$ty>::push(self, t)
+            }
+            fn pop_min(&mut self) -> Option<u64> {
+                <$ty>::pop_min(self)
+            }
+            fn drain_le(&mut self, bound: u64) {
+                <$ty>::drain_le(self, bound)
+            }
+        }
+    };
+}
+
+window_impl!(ReleaseRing);
+window_impl!(CalendarWheel);
+
+/// The windows spec: a sorted multiset of release times.
+struct SpecWindow(Vec<u64>);
+
+impl Window for SpecWindow {
+    fn with_capacity(_: usize) -> Self {
+        SpecWindow(Vec::new())
+    }
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+    fn push(&mut self, t: u64) {
+        let i = self.0.partition_point(|&x| x <= t);
+        self.0.insert(i, t);
+    }
+    fn pop_min(&mut self) -> Option<u64> {
+        (!self.0.is_empty()).then(|| self.0.remove(0))
+    }
+    fn drain_le(&mut self, bound: u64) {
+        let n = self.0.partition_point(|&x| x <= bound);
+        self.0.drain(..n);
+    }
+}
+
+/// Drives one operation stream through a window structure and the spec
+/// under the window contract (pushes `>=` the largest drain bound,
 /// occupancy capped by popping first), comparing every observable.
 ///
 /// `sel % 3` picks the operation; `a` parameterizes it. `skews` maps the
 /// push parameter to an offset above the current bound — the caller
 /// chooses skews that stress wrap-around (±1 around [`WHEEL_SLOTS`]) or
 /// overflow (far beyond it).
-fn lockstep<Q: WindowQueue, R: WindowQueue>(
+fn lockstep<Q: Window>(
     start: u64,
     cap: usize,
     ops: &[(u8, u64)],
@@ -26,7 +86,7 @@ fn lockstep<Q: WindowQueue, R: WindowQueue>(
     monotone: bool,
 ) -> Result<(), TestCaseError> {
     let mut q = Q::with_capacity(cap);
-    let mut r = R::with_capacity(cap);
+    let mut r = SpecWindow::with_capacity(cap);
     let mut bound = start;
     let mut last_push = start;
     q.drain_le(bound);
@@ -64,57 +124,68 @@ fn lockstep<Q: WindowQueue, R: WindowQueue>(
     Ok(())
 }
 
+/// The pools spec: reserves on a minimum of `pool`, no earlier than
+/// `earliest`, for `busy` cycles; returns the start time.
+fn spec_reserve(pool: &mut [u64], earliest: u64, busy: u64) -> u64 {
+    let (i, &free) = pool.iter().enumerate().min_by_key(|&(_, t)| *t).unwrap();
+    let start = earliest.max(free);
+    pool[i] = start + busy;
+    start
+}
+
 proptest! {
-    /// The calendar wheel matches the binary heap on unordered streams
-    /// whose skews straddle the horizon boundary (in-slot, last-slot,
-    /// first-wrapped-slot, deep overflow).
+    /// The calendar wheel matches the spec on unordered streams whose
+    /// skews straddle the horizon boundary (in-slot, last-slot,
+    /// first-wrapped-slot, deep overflow at `3w` and `10w` — the only
+    /// coverage of the overflow path, which the suite never reaches).
     #[test]
-    fn wheel_matches_heap_across_wrap_and_overflow(
+    fn wheel_matches_spec_across_wrap_and_overflow(
         start in prop_oneof![Just(0u64), 0u64..10_000, Just(u64::MAX - 9000)],
         cap in 1usize..54,
         ops in proptest::collection::vec((any::<u8>(), any::<u64>()), 1..300),
     ) {
         let w = WHEEL_SLOTS as u64;
         let skews = [0, 1, 2, 63, 64, w - 1, w, w + 1, 3 * w, 10 * w];
-        lockstep::<CalendarWheel, HeapQueue>(start, cap, &ops, &skews, false)?;
+        lockstep::<CalendarWheel>(start, cap, &ops, &skews, false)?;
     }
 
-    /// The release ring matches both PR 5 references (deque and heap) on
-    /// monotone streams — the only streams the ROB/LQ/SQ produce.
+    /// The release ring matches the spec on monotone streams — the only
+    /// streams the ROB/LQ/SQ produce.
     #[test]
-    fn ring_matches_fifo_and_heap_on_monotone_streams(
+    fn ring_matches_spec_on_monotone_streams(
         start in prop_oneof![Just(0u64), Just(u64::MAX - 5000)],
         cap in 1usize..64,
         ops in proptest::collection::vec((any::<u8>(), any::<u64>()), 1..300),
     ) {
         let skews = [0, 1, 2, 3, 17];
-        lockstep::<ReleaseRing, FifoQueue>(start, cap, &ops, &skews, true)?;
-        lockstep::<ReleaseRing, HeapQueue>(start, cap, &ops, &skews, true)?;
+        lockstep::<ReleaseRing>(start, cap, &ops, &skews, true)?;
     }
 
-    /// Rotating-cursor pools return the same start times as the
-    /// lowest-index scan for any reservation stream, leaving identical
-    /// next-free multisets behind.
+    /// Rotating-cursor pools return the spec's start times for any
+    /// reservation stream, with one utilization count per reservation.
     #[test]
     fn cursor_pools_match_scan_pools(
         sizes in proptest::collection::vec(1usize..7, NUM_FUS..NUM_FUS + 1),
         ops in proptest::collection::vec(
             (0usize..NUM_FUS, 0u64..2000, 1u64..30), 1..400),
     ) {
+        let mut spec: Vec<Vec<u64>> = sizes.iter().map(|&n| vec![0; n]).collect();
         let sizes: [usize; NUM_FUS] = sizes.try_into().unwrap();
         let mut cursor = CursorPools::new(sizes);
-        let mut scan = ScanPools::new(sizes);
+        let mut reserved = [0u64; NUM_FUS];
         for (i, &(class, earliest, busy)) in ops.iter().enumerate() {
             prop_assert_eq!(
                 cursor.reserve(class, earliest, busy),
-                scan.reserve(class, earliest, busy),
+                spec_reserve(&mut spec[class], earliest, busy),
                 "reservation {} diverged", i
             );
+            reserved[class] += 1;
         }
         for class in 0..NUM_FUS {
+            prop_assert_eq!(cursor.reserve_counts(class).len(), sizes[class]);
             prop_assert_eq!(
                 cursor.reserve_counts(class).iter().sum::<u64>(),
-                scan.reserve_counts(class).iter().sum::<u64>(),
+                reserved[class],
                 "class {} total utilization", class
             );
         }

@@ -5,7 +5,7 @@
 //! The design follows two hard rules the rest of the workspace imposes:
 //!
 //! 1. **Out-of-band from [`RunReport`]** — every equivalence suite
-//!    (`wheel_equivalence`, `trace_equivalence`, the golden corpus)
+//!    (`trace_equivalence`, the golden corpus)
 //!    compares `RunReport`s byte-for-byte across live / replayed /
 //!    sampled feeds, and telemetry legitimately *differs* between feeds
 //!    (batch counts, host timings, profile samples). Metrics therefore

@@ -28,6 +28,7 @@ use watchdog_core::runtime::HeapStats;
 use watchdog_isa::crack::BoundsUops;
 use watchdog_isa::Program;
 use watchdog_mem::Footprint;
+use watchdog_pipeline::ConfigError;
 
 use crate::wire::{get_uvarint, put_uvarint};
 
@@ -57,6 +58,15 @@ pub enum TraceError {
         /// Name of the program offered for replay.
         program: String,
     },
+    /// The replay's core configuration describes a machine the timing
+    /// model cannot build; rejected before replay starts.
+    Config(ConfigError),
+}
+
+impl From<ConfigError> for TraceError {
+    fn from(e: ConfigError) -> Self {
+        TraceError::Config(e)
+    }
 }
 
 impl fmt::Display for TraceError {
@@ -73,6 +83,7 @@ impl fmt::Display for TraceError {
                 "trace was recorded from {trace:?}, not from the offered program {program:?} \
                  (or from a different build of it)"
             ),
+            TraceError::Config(e) => write!(f, "invalid configuration: {e}"),
         }
     }
 }
@@ -684,6 +695,14 @@ mod tests {
                 trace: "a".into(),
                 program: "b".into(),
             },
+            TraceError::Config(
+                watchdog_pipeline::CoreConfig {
+                    rob_entries: 0,
+                    ..Default::default()
+                }
+                .validate()
+                .unwrap_err(),
+            ),
         ];
         let mut seen = std::collections::HashSet::new();
         for e in errors {

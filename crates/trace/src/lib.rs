@@ -72,6 +72,5 @@ pub mod wire;
 pub use format::{program_fingerprint, Trace, TraceError, TraceInfo, TraceOutcome};
 pub use record::{record, TraceRecorder};
 pub use replay::{
-    replay, replay_instrumented, replay_reference, replay_with_stats, verify_replay, ReplayConfig,
-    ReplayStats,
+    replay, replay_instrumented, replay_with_stats, verify_replay, ReplayConfig, ReplayStats,
 };

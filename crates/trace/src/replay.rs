@@ -18,10 +18,7 @@ use watchdog_isa::crack_cache::CrackCache;
 use watchdog_isa::insn::Inst;
 use watchdog_isa::Program;
 use watchdog_mem::HierarchyConfig;
-use watchdog_pipeline::{
-    CoreConfig, FeedStats, HeapSched, SchedModel, ScheduledCore, TelemetryConfig, UopBatch,
-    WheelSched,
-};
+use watchdog_pipeline::{CoreConfig, FeedStats, TelemetryConfig, TimingCore, UopBatch};
 use watchdog_telemetry::MetricsRegistry;
 
 use crate::format::{program_fingerprint, Trace, TraceError};
@@ -126,9 +123,11 @@ pub fn verify_replay(program: &Program, sim: &SimConfig) -> Result<(), String> {
 ///
 /// # Errors
 ///
-/// [`TraceError::ProgramMismatch`] when `program` is not the program the
-/// trace was recorded from (name or fingerprint differ); other
-/// [`TraceError`]s when the event stream is corrupt or truncated.
+/// [`TraceError::Config`] when `cfg.core` is invalid (see
+/// [`CoreConfig::validate`]); [`TraceError::ProgramMismatch`] when
+/// `program` is not the program the trace was recorded from (name or
+/// fingerprint differ); other [`TraceError`]s when the event stream is
+/// corrupt or truncated.
 pub fn replay(
     program: &Program,
     trace: &Trace,
@@ -148,7 +147,7 @@ pub fn replay_with_stats(
     trace: &Trace,
     cfg: &ReplayConfig,
 ) -> Result<(RunReport, ReplayStats), TraceError> {
-    replay_impl::<WheelSched>(program, trace, cfg, None).map(|(report, stats, _)| (report, stats))
+    replay_impl(program, trace, cfg, None).map(|(report, stats, _)| (report, stats))
 }
 
 /// [`replay()`] with the timing core's self-profiler attached: the core
@@ -166,34 +165,19 @@ pub fn replay_instrumented(
     cfg: &ReplayConfig,
     tele: TelemetryConfig,
 ) -> Result<(RunReport, MetricsRegistry), TraceError> {
-    replay_impl::<WheelSched>(program, trace, cfg, Some(tele)).map(|(report, _, reg)| (report, reg))
+    replay_impl(program, trace, cfg, Some(tele)).map(|(report, _, reg)| (report, reg))
 }
 
-/// [`replay()`] on the heap-scheduled reference core
-/// ([`ReferenceCore`](watchdog_pipeline::ReferenceCore)) — the oracle the
-/// wheel-scheduled replay is proven report-identical to. Not for
-/// production use.
-///
-/// # Errors
-///
-/// Exactly as [`replay()`].
-pub fn replay_reference(
-    program: &Program,
-    trace: &Trace,
-    cfg: &ReplayConfig,
-) -> Result<RunReport, TraceError> {
-    replay_impl::<HeapSched>(program, trace, cfg, None).map(|(report, _, _)| report)
-}
-
-/// The replay loop, generic over the timing core's scheduling model.
-/// `tele`, when supplied, attaches the core's self-profiler and exports
-/// its registry as the third element (empty otherwise).
-fn replay_impl<S: SchedModel>(
+/// The replay loop. `tele`, when supplied, attaches the core's
+/// self-profiler and exports its registry as the third element (empty
+/// otherwise).
+fn replay_impl(
     program: &Program,
     trace: &Trace,
     cfg: &ReplayConfig,
     tele: Option<TelemetryConfig>,
 ) -> Result<(RunReport, ReplayStats, MetricsRegistry), TraceError> {
+    cfg.core.validate()?;
     if trace.program != program.name() || trace.fingerprint != program_fingerprint(program) {
         return Err(TraceError::ProgramMismatch {
             trace: trace.program.clone(),
@@ -209,7 +193,7 @@ fn replay_impl<S: SchedModel>(
     let mut cache = cfg
         .crack_cache
         .then(|| CrackCache::new(crack_cfg, program.len()));
-    let mut core = ScheduledCore::<S>::new(cfg.core, hier);
+    let mut core = TimingCore::new(cfg.core, hier);
     if let Some(tcfg) = tele {
         core.enable_telemetry(tcfg);
     }

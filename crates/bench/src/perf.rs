@@ -1,20 +1,19 @@
-//! Machine-readable perf snapshots: the shared case list behind
-//! `watchdog-cli perf` and the criterion `timing_wheel` group.
+//! Machine-readable perf snapshots: the case list behind
+//! `watchdog-cli perf`, the in-tree cliff gate.
 //!
-//! Both consumers measure the same thing — the timing core draining a
-//! pre-assembled committed µop stream through its one batched feed — so
-//! the stream assembly and the feed loop live here once. Per workload
-//! there are two timing cases: the calendar-wheel core, and the same core
-//! with the self-profiler attached (the telemetry overhead gauge). Three
-//! more cases time
-//! the functional layer the stream comes from: a functional-only machine
-//! run (no µops) in the baseline, conservative and ISA-assisted modes,
-//! which is where guest memory, shadow accesses and the pointer
-//! classification are paid for. The criterion benches wrap
-//! them in statistical sampling for interactive use; [`run_perf`] wraps
-//! them in a cheap best-of-N loop and emits [`BenchRecord`]s under the
-//! `watchdog-bench-v1` schema, which is what CI archives as
-//! `BENCH_<rev>.json`.
+//! The timing cases drain a pre-assembled committed µop stream through
+//! the timing core's one batched feed. Per workload there are three: the
+//! calendar-wheel core, the identical runner measured again under an
+//! `_aa` name (the A/A pair, whose spread is the snapshot's own noise
+//! floor), and the same core with the self-profiler attached (the
+//! telemetry overhead gauge). Three more cases time the functional layer
+//! the stream comes from: a functional-only machine run (no µops) in the
+//! baseline, conservative and ISA-assisted modes, which is where guest
+//! memory, shadow accesses and the pointer classification are paid for.
+//! [`perf_snapshot`] wraps them in a cheap best-of-N loop and emits
+//! [`BenchRecord`]s under the `watchdog-bench-v1` schema, which is what
+//! CI archives as `BENCH_<rev>.json`. Speed claims are made with the
+//! standalone `perfbench` benchmark, not with these cases.
 
 use std::time::Instant;
 use watchdog_core::machine::{Machine, MachineConfig, Step};
@@ -22,17 +21,17 @@ use watchdog_core::{Mode, SimConfig, Simulator};
 use watchdog_isa::crack::CrackedInst;
 use watchdog_isa::program::Program;
 use watchdog_mem::HierarchyConfig;
-use watchdog_pipeline::{CoreConfig, TelemetryConfig, TimingCore, UopBatch};
+use watchdog_pipeline::{CoreConfig, TimingCore, UopBatch};
 use watchdog_telemetry::{BenchRecord, BenchSnapshot};
 use watchdog_workloads::{benchmark, Scale};
 
 /// The workloads every perf snapshot measures: `mcf` is the paper's
 /// pointer-chaser, `perl` the allocation/call-heavy contrast.
-pub const PERF_WORKLOADS: [&str; 2] = ["mcf", "perl"];
+const PERF_WORKLOADS: [&str; 2] = ["mcf", "perl"];
 
 /// Runs the functional machine once and returns the committed cracked
 /// stream — the input every timing-core case drains.
-pub fn committed_stream(name: &str, scale: Scale) -> Vec<CrackedInst> {
+fn committed_stream(name: &str, scale: Scale) -> Vec<CrackedInst> {
     let program = benchmark(name).expect("registered benchmark").build(scale);
     let mut machine = Machine::new(&program, MachineConfig::watchdog());
     let mut stream = Vec::new();
@@ -45,10 +44,10 @@ pub fn committed_stream(name: &str, scale: Scale) -> Vec<CrackedInst> {
 /// Drains `stream` through a fresh [`TimingCore`] with the batched feed,
 /// optionally with the self-profiler attached (the telemetry overhead
 /// gauge), returning final cycles.
-pub fn feed_stream(stream: &[CrackedInst], telemetry: Option<TelemetryConfig>) -> u64 {
+fn feed_stream(stream: &[CrackedInst], telemetry: bool) -> u64 {
     let mut core = TimingCore::new(CoreConfig::sandy_bridge(), HierarchyConfig::default());
-    if let Some(cfg) = telemetry {
-        core.enable_telemetry(cfg);
+    if telemetry {
+        core.enable_telemetry();
     }
     let mut batch = UopBatch::with_capacity(UopBatch::TARGET_INSTS);
     for ci in stream {
@@ -104,11 +103,11 @@ fn measure(name: &str, elems: u64, samples: u64, mut f: impl FnMut() -> u64) -> 
 
 /// Measures every perf case whose `group/case` path contains `filter`
 /// (all cases when `filter` is `None`), invoking `progress` per finished
-/// record. The `timing_wheel` cases mirror the criterion group of that
-/// name, including its telemetry-enabled wheel variant, so the profiler's
-/// overhead is part of every snapshot; the `functional` cases time the
+/// record. The `timing_wheel` cases include the A/A repeat and the
+/// telemetry-enabled variant, so the noise floor and the profiler's
+/// overhead are part of every snapshot; the `functional` cases time the
 /// functional machine per mode.
-pub fn run_perf(
+fn run_perf(
     samples: u64,
     filter: Option<&str>,
     mut progress: impl FnMut(&BenchRecord),
@@ -118,17 +117,21 @@ pub fn run_perf(
     for name in PERF_WORKLOADS {
         let stream = committed_stream(name, Scale::Test);
         let elems = stream.len() as u64;
-        // (case path, elements per iteration, runner); the throughput
-        // denominator is guest instructions, matching the bench groups.
+        // (case path, runner); the throughput denominator is guest
+        // instructions.
         type Runner<'a> = Box<dyn FnMut() -> u64 + 'a>;
         let cases: Vec<(String, Runner<'_>)> = vec![
             (
                 format!("timing_wheel/{name}_wheel"),
-                Box::new(|| feed_stream(&stream, None)),
+                Box::new(|| feed_stream(&stream, false)),
+            ),
+            (
+                format!("timing_wheel/{name}_wheel_aa"),
+                Box::new(|| feed_stream(&stream, false)),
             ),
             (
                 format!("timing_wheel/{name}_wheel_telemetry"),
-                Box::new(|| feed_stream(&stream, Some(TelemetryConfig::default()))),
+                Box::new(|| feed_stream(&stream, true)),
             ),
         ];
         for (case, mut run) in cases {
@@ -159,8 +162,10 @@ pub fn run_perf(
     records
 }
 
-/// [`run_perf`] packaged as a validated snapshot ready to be written to
-/// `BENCH_<rev>.json`.
+/// Measures every perf case whose path contains `filter` (all when
+/// `None`), best of `samples` each, and packages the records as a
+/// snapshot ready to be written to `BENCH_<rev>.json`. `progress` is
+/// called per finished record.
 pub fn perf_snapshot(
     rev: &str,
     samples: u64,
@@ -181,8 +186,8 @@ mod tests {
     fn wheel_and_batched_feeds_agree_with_per_inst() {
         let stream = committed_stream("mcf", Scale::Test);
         assert!(!stream.is_empty());
-        let wheel = feed_stream(&stream, None);
-        let wheel_tele = feed_stream(&stream, Some(TelemetryConfig::default()));
+        let wheel = feed_stream(&stream, false);
+        let wheel_tele = feed_stream(&stream, true);
         // One instruction per batch.
         let mut core = TimingCore::new(CoreConfig::sandy_bridge(), HierarchyConfig::default());
         let mut batch = UopBatch::new();
@@ -202,8 +207,15 @@ mod tests {
     #[test]
     fn snapshot_round_trips_through_the_shared_schema() {
         let snap = perf_snapshot("testrev", 1, Some("mcf_wheel"), |_| {});
-        assert!(snap.record("timing_wheel/mcf_wheel").is_some());
-        assert!(snap.record("timing_wheel/mcf_wheel_telemetry").is_some());
+        let names: Vec<&str> = snap.records.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "timing_wheel/mcf_wheel",
+                "timing_wheel/mcf_wheel_aa",
+                "timing_wheel/mcf_wheel_telemetry"
+            ]
+        );
         let parsed = BenchSnapshot::from_json(&snap.to_json()).expect("self-validates");
         assert_eq!(parsed, snap);
         for r in &parsed.records {

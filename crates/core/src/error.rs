@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use watchdog_pipeline::ConfigError;
+use watchdog_mem::ConfigError;
 
 /// What kind of memory-safety violation a check detected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -82,8 +82,8 @@ pub enum SimError {
     },
     /// The guest stack overflowed its region.
     StackOverflow,
-    /// The core configuration describes a machine the timing model cannot
-    /// build; rejected before the run starts.
+    /// The core, hierarchy or sampling configuration describes a machine
+    /// the simulator cannot build; rejected before the run starts.
     Config(ConfigError),
 }
 

@@ -18,9 +18,9 @@ use std::time::Instant;
 
 use watchdog_isa::crack::BoundsUops;
 use watchdog_isa::program::Program;
-use watchdog_mem::HierarchyConfig;
+use watchdog_mem::{ConfigError, HierarchyConfig};
 use watchdog_pipeline::core::Snapshot;
-use watchdog_pipeline::{CoreConfig, TelemetryConfig, TimingCore, UopBatch};
+use watchdog_pipeline::{CoreConfig, TimingCore, UopBatch};
 
 use crate::error::SimError;
 use crate::machine::{CheckMode, Machine, MachineConfig, Step};
@@ -203,6 +203,21 @@ impl Sampling {
         }
     }
 
+    /// Checks that a period holds at least one measured instruction and
+    /// fits its warmup and sample windows.
+    ///
+    /// # Errors
+    ///
+    /// A [`ConfigError`] naming `sampling.sample` or `sampling.period`.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        ConfigError::check_min("sampling.sample", self.sample, 1)?;
+        ConfigError::check_min(
+            "sampling.period",
+            self.period,
+            self.warmup.saturating_add(self.sample),
+        )
+    }
+
     fn fast_forward(&self) -> u64 {
         self.period - self.warmup - self.sample
     }
@@ -232,11 +247,6 @@ pub struct SimConfig {
     /// allocate no cache either way. Disable only to benchmark the
     /// uncached decoder.
     pub crack_cache: bool,
-    /// Self-profiler knobs for [`Simulator::run_instrumented`] (`None`
-    /// uses [`TelemetryConfig::default`]). Plain [`Simulator::run`]
-    /// ignores this: telemetry is collected only on instrumented runs,
-    /// and never changes any report field either way.
-    pub telemetry: Option<TelemetryConfig>,
 }
 
 impl SimConfig {
@@ -250,7 +260,6 @@ impl SimConfig {
             hierarchy: HierarchyConfig::default(),
             sampling: None,
             crack_cache: true,
-            telemetry: None,
         }
     }
 
@@ -344,8 +353,10 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Config`] when the core configuration is
-    /// invalid (see [`CoreConfig::validate`]), and [`SimError`] for other
+    /// Returns [`SimError::Config`] when the core, hierarchy or sampling
+    /// configuration is invalid (see [`CoreConfig::validate`],
+    /// [`HierarchyConfig::validate`] and [`Sampling::validate`]; sampling
+    /// also requires `timing`), and [`SimError`] for other
     /// simulator-level failures. Detected memory-safety violations are
     /// *not* errors — they are reported in [`RunReport::violation`].
     pub fn run(&self, program: &Program) -> Result<RunReport, SimError> {
@@ -380,17 +391,15 @@ impl Simulator {
         tele: Option<&mut RunTelemetry>,
     ) -> Result<RunReport, SimError> {
         self.cfg.core.validate()?;
+        self.cfg.hierarchy.validate()?;
+        let sampling = self.cfg.sampling;
+        if let Some(s) = sampling {
+            ConfigError::check_range("timing", u64::from(self.cfg.timing), 1, 1)?;
+            s.validate()?;
+        }
         let mcfg = self.machine_config(program)?;
         let mut hier = self.cfg.hierarchy;
         self.cfg.mode.apply_hierarchy(&mut hier);
-        let sampling = self.cfg.sampling;
-        if let Some(s) = sampling {
-            assert!(self.cfg.timing, "sampling requires the timing model");
-            assert!(
-                s.warmup + s.sample <= s.period && s.sample > 0,
-                "sampling windows must fit in the period"
-            );
-        }
         let mut machine = Machine::new(program, mcfg);
         let mut core = self
             .cfg
@@ -399,7 +408,7 @@ impl Simulator {
         let tele_on = tele.is_some();
         let t_run = tele_on.then(Instant::now);
         if let (true, Some(core)) = (tele_on, core.as_mut()) {
-            core.enable_telemetry(self.cfg.telemetry.unwrap_or_default());
+            core.enable_telemetry();
         }
         // Section-timer accumulators, folded into `tele` once at the end.
         // Consume laps time every batch flush; fetch/crack laps sample the
@@ -769,12 +778,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "sampling requires the timing model")]
     fn sampling_without_timing_is_rejected() {
         let p = list_program(10);
         let mut cfg = SimConfig::sampled(Mode::Baseline, Sampling::dense());
         cfg.timing = false;
-        let _ = Simulator::new(cfg).run(&p);
+        match Simulator::new(cfg).run(&p) {
+            Err(SimError::Config(e)) => assert_eq!(e.field, "timing"),
+            other => panic!("expected a config error, got {other:?}"),
+        }
     }
 
     #[test]

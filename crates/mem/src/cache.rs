@@ -10,6 +10,8 @@
 //! branch per lookup is the final hit/miss decision. The LRU victim scan
 //! runs on the miss path only.
 
+use crate::config::ConfigError;
+
 /// Geometry of one cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
@@ -26,13 +28,28 @@ impl CacheConfig {
     ///
     /// # Panics
     ///
-    /// Panics unless `size`, `ways` and `block` are powers of two and
-    /// consistent (at least one set, at most 16 ways).
+    /// Panics when [`CacheConfig::validate`] rejects it.
     pub fn new(size: u64, ways: u64, block: u64) -> Self {
-        assert!(size.is_power_of_two() && ways.is_power_of_two() && block.is_power_of_two());
-        assert!(size >= ways * block, "cache must have at least one set");
-        assert!(ways <= 16, "at most 16 ways (validity masks are u16)");
-        CacheConfig { size, ways, block }
+        let cfg = CacheConfig { size, ways, block };
+        if let Err(e) = cfg.validate(["size", "ways", "block"]) {
+            panic!("cache geometry needs powers of two, at least one set and at most 16 ways: {e}");
+        }
+        cfg
+    }
+
+    /// Checks that `size`, `ways` and `block` are powers of two with at
+    /// least one set and at most 16 ways (validity masks are `u16`).
+    /// `fields` names `size`, `ways` and `block` in the error.
+    ///
+    /// # Errors
+    ///
+    /// A [`ConfigError`] naming the first offending field.
+    pub fn validate(&self, [size, ways, block]: [&'static str; 3]) -> Result<(), ConfigError> {
+        ConfigError::check_pow2(block, self.block)?;
+        ConfigError::check_pow2(ways, self.ways)?;
+        ConfigError::check_range(ways, self.ways, 1, 16)?;
+        ConfigError::check_pow2(size, self.size)?;
+        ConfigError::check_min(size, self.size, self.ways.saturating_mul(self.block))
     }
 
     /// Number of sets.

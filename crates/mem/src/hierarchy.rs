@@ -19,6 +19,7 @@
 //!   (§9.3's cache-pressure isolation experiment).
 
 use crate::cache::{Cache, CacheConfig, CacheStats};
+use crate::config::ConfigError;
 use crate::prefetch::StreamPrefetcher;
 use crate::tlb::Tlb;
 
@@ -170,6 +171,29 @@ impl Default for HierarchyConfig {
             lock_cache: true,
             ideal_shadow: false,
         }
+    }
+}
+
+impl HierarchyConfig {
+    /// Checks every field the hierarchy cannot be built from: each cache
+    /// geometry (see [`CacheConfig::validate`]), at least one entry per
+    /// TLB and at least one stream per prefetcher. The fields are `pub`,
+    /// so a struct literal can skip [`CacheConfig::new`]'s checks; every
+    /// driver calls this before building a [`Hierarchy`].
+    ///
+    /// # Errors
+    ///
+    /// A [`ConfigError`] naming the first offending field.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        self.l1i.validate(["l1i.size", "l1i.ways", "l1i.block"])?;
+        self.l1d.validate(["l1d.size", "l1d.ways", "l1d.block"])?;
+        self.ll.validate(["ll.size", "ll.ways", "ll.block"])?;
+        self.l2.validate(["l2.size", "l2.ways", "l2.block"])?;
+        self.l3.validate(["l3.size", "l3.ways", "l3.block"])?;
+        ConfigError::check_min("dtlb_entries", self.dtlb_entries as u64, 1)?;
+        ConfigError::check_min("lltlb_entries", self.lltlb_entries as u64, 1)?;
+        ConfigError::check_min("l1_prefetch.streams", self.l1_prefetch.0 as u64, 1)?;
+        ConfigError::check_min("l2_prefetch.streams", self.l2_prefetch.0 as u64, 1)
     }
 }
 

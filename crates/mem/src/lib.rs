@@ -6,6 +6,7 @@
 //! * [`shadow`] — the disjoint shadow metadata space: 128-bit (identifier)
 //!   or 256-bit (identifier + bounds) records per 8-byte data word (§3.3,
 //!   §8).
+//! * [`config`] — the typed error every configuration check returns.
 //! * [`cache`] — set-associative write-back caches with LRU replacement.
 //! * [`tlb`] — translation lookaside buffers.
 //! * [`prefetch`] — stream prefetchers (Table 2 lists per-level stream
@@ -23,6 +24,7 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+pub mod config;
 pub mod hash;
 pub mod hierarchy;
 pub mod prefetch;
@@ -32,6 +34,7 @@ pub mod vm;
 pub mod words;
 
 pub use cache::{Cache, CacheConfig, CacheStats};
+pub use config::{ConfigError, Constraint};
 pub use hash::{FastMap, MulHasher};
 pub use hierarchy::{
     AccessClass, AccessOutcome, AccessReq, Hierarchy, HierarchyConfig, HierarchyStats,

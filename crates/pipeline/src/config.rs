@@ -1,9 +1,8 @@
 //! Core configuration reproducing Table 2 of the paper.
 
-use std::fmt;
-
 use crate::rename::META_REGS_FLOOR;
 use crate::wheel::POOL_PAD;
+use watchdog_mem::ConfigError;
 
 /// Table 2's physical register files, printed by
 /// [`CoreConfig::describe`]. Not modelled: the timing model renames only
@@ -203,19 +202,10 @@ impl CoreConfig {
     /// A [`ConfigError`] naming the first offending field.
     pub fn validate(&self) -> Result<(), ConfigError> {
         let at_least = |field, value: usize, min: usize| {
-            if value >= min {
-                Ok(())
-            } else {
-                Err(ConfigError::new(field, value as u64, min as u64, u64::MAX))
-            }
+            ConfigError::check_min(field, value as u64, min as u64)
         };
-        let units = |field, value: usize| {
-            if (1..=POOL_PAD).contains(&value) {
-                Ok(())
-            } else {
-                Err(ConfigError::new(field, value as u64, 1, POOL_PAD as u64))
-            }
-        };
+        let units =
+            |field, value: usize| ConfigError::check_range(field, value as u64, 1, POOL_PAD as u64);
         at_least("rob_entries", self.rob_entries, 1)?;
         at_least("iq_entries", self.iq_entries, 1)?;
         at_least("lq_entries", self.lq_entries, 1)?;
@@ -242,44 +232,6 @@ impl CoreConfig {
     }
 }
 
-/// A [`CoreConfig`] field outside the range the timing model can build,
-/// as reported by [`CoreConfig::validate`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ConfigError {
-    /// Name of the offending `CoreConfig` field.
-    pub field: &'static str,
-    /// The value it held.
-    pub value: u64,
-    /// Smallest accepted value.
-    pub min: u64,
-    /// Largest accepted value (`u64::MAX` when unbounded).
-    pub max: u64,
-}
-
-impl ConfigError {
-    fn new(field: &'static str, value: u64, min: u64, max: u64) -> Self {
-        ConfigError {
-            field,
-            value,
-            min,
-            max,
-        }
-    }
-}
-
-impl fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "core config field `{}` = {} ", self.field, self.value)?;
-        if self.max == u64::MAX {
-            write!(f, "must be at least {}", self.min)
-        } else {
-            write!(f, "must be in {}..={}", self.min, self.max)
-        }
-    }
-}
-
-impl std::error::Error for ConfigError {}
-
 impl Default for CoreConfig {
     fn default() -> Self {
         Self::sandy_bridge()
@@ -289,6 +241,7 @@ impl Default for CoreConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use watchdog_mem::Constraint;
 
     #[test]
     fn table2_values() {
@@ -328,7 +281,13 @@ mod tests {
         };
         let err = bad.validate().unwrap_err();
         assert_eq!(err.field, "int_alus");
-        assert_eq!((err.min, err.max), (1, POOL_PAD as u64));
+        assert_eq!(
+            err.constraint,
+            Constraint::Range {
+                min: 1,
+                max: POOL_PAD as u64
+            }
+        );
         assert!(err.to_string().contains("int_alus"), "{err}");
         let bad = CoreConfig {
             meta_phys_regs: META_REGS_FLOOR,

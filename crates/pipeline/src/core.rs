@@ -33,7 +33,7 @@ use crate::batch::{FeedStats, MemOp, UopBatch};
 use crate::bpred::{BpredStats, Predictor};
 use crate::config::CoreConfig;
 use crate::rename::{Rename, RenameConfig, RenameStats};
-use crate::tele::{timed, CoreTelemetry, TelemetryConfig, NUM_STALL_CAUSES, STALL_CAUSE_NAMES};
+use crate::tele::{timed, CoreTelemetry, NUM_STALL_CAUSES, STALL_CAUSE_NAMES};
 use crate::wheel::{CalendarWheel, CursorPools, ReleaseRing};
 
 /// Number of µop accounting tags.
@@ -340,8 +340,8 @@ impl TimingCore {
     /// Attaches the self-profiler. Call before feeding the core: the
     /// one-time `Box` here is the profiler's only allocation, keeping
     /// the consume loop allocation-free with recording on.
-    pub fn enable_telemetry(&mut self, cfg: TelemetryConfig) {
-        self.tele = Some(Box::new(CoreTelemetry::new(cfg)));
+    pub fn enable_telemetry(&mut self) {
+        self.tele = Some(Box::new(CoreTelemetry::new()));
     }
 
     /// The collected profile, if telemetry was enabled.
@@ -1225,7 +1225,7 @@ mod tests {
     #[test]
     fn cpi_stack_is_zero_slack_on_a_mixed_stream() {
         let mut core = TimingCore::new(CoreConfig::sandy_bridge(), HierarchyConfig::default());
-        core.enable_telemetry(TelemetryConfig::default());
+        core.enable_telemetry();
         let cfg = CrackConfig::watchdog();
         let mut x = 0x243F6A8885A308D3u64;
         for i in 0..3000u64 {

@@ -43,9 +43,8 @@ pub mod wheel;
 pub use crate::core::{Fu, TimingCore, TimingReport, NUM_FUS, NUM_TAGS, TAG_NAMES};
 pub use batch::{FeedStats, MemOp, UopBatch};
 pub use bpred::Predictor;
-pub use config::{ConfigError, CoreConfig};
+pub use config::CoreConfig;
 pub use rename::{Rename, RenameConfig, RenameStats};
 pub use tele::{
-    CoreTelemetry, PhaseProfile, TelemetryConfig, NUM_STALL_CAUSES, NUM_UOP_KINDS,
-    STALL_CAUSE_NAMES, UOP_KIND_NAMES,
+    CoreTelemetry, PhaseProfile, NUM_STALL_CAUSES, NUM_UOP_KINDS, STALL_CAUSE_NAMES, UOP_KIND_NAMES,
 };

@@ -17,8 +17,8 @@
 //! * **phase timers** — host-nanosecond attribution of the consume loop
 //!   to *dispatch*, *wheel drain* (window-occupancy checks), *hierarchy
 //!   walk* (cache accesses) and *commit*, measured on one batch in
-//!   [`TelemetryConfig::profile_every`] so the `Instant` cost never
-//!   shows up in throughput (the ≤2%-overhead acceptance bound).
+//!   [`PROFILE_EVERY`] so the `Instant` cost never shows up in
+//!   throughput (the ≤2%-overhead acceptance bound).
 //!
 //! Everything here is host-side observation: enabling telemetry never
 //! changes a timestamp, so every equivalence suite holds with it on.
@@ -68,22 +68,12 @@ pub const UOP_KIND_NAMES: [&str; NUM_UOP_KINDS] = [
     "nop",
 ];
 
-/// Self-profiler knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TelemetryConfig {
-    /// Phase-time one batch in every `profile_every` (`0` disables phase
-    /// timing entirely; counters and occupancy histograms still run).
-    /// The default of 256 keeps the `Instant` calls off ~99.6% of
-    /// batches, holding whole-profiler overhead under the 2% budget the
-    /// `timing_wheel/*_wheel_telemetry` perf case tracks.
-    pub profile_every: u64,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig { profile_every: 256 }
-    }
-}
+/// The self-profiler phase-times one batch in every `PROFILE_EVERY`;
+/// counters and occupancy histograms run on every batch. 256 keeps the
+/// `Instant` calls off ~99.6% of batches, holding whole-profiler
+/// overhead under the 2% budget the `timing_wheel/*_wheel_telemetry`
+/// perf case tracks.
+pub const PROFILE_EVERY: u64 = 256;
 
 /// Host-nanosecond attribution of the consume loop's phases, summed over
 /// the sampled batches.
@@ -118,7 +108,6 @@ impl PhaseProfile {
 /// one of these attached.
 #[derive(Debug, Clone)]
 pub struct CoreTelemetry {
-    cfg: TelemetryConfig,
     batches: u64,
     /// Macro-instructions seen by the instrumented consume loop — a
     /// second accounting path for the cross-check suite.
@@ -154,9 +143,8 @@ pub struct CoreTelemetry {
 
 impl CoreTelemetry {
     /// Fresh, empty instrumentation block.
-    pub fn new(cfg: TelemetryConfig) -> Self {
+    pub(crate) fn new() -> Self {
         CoreTelemetry {
-            cfg,
             batches: 0,
             insts: 0,
             uops: 0,
@@ -177,7 +165,7 @@ impl CoreTelemetry {
     #[inline]
     pub(crate) fn begin_batch(&mut self) -> bool {
         self.batches += 1;
-        self.cfg.profile_every != 0 && self.batches.is_multiple_of(self.cfg.profile_every)
+        self.batches.is_multiple_of(PROFILE_EVERY)
     }
 
     /// Exports every collected quantity under the stable `profile.*`
@@ -288,17 +276,9 @@ mod tests {
 
     #[test]
     fn phase_sampling_cadence() {
-        let mut t = CoreTelemetry::new(TelemetryConfig { profile_every: 4 });
-        let sampled: Vec<bool> = (0..8).map(|_| t.begin_batch()).collect();
-        assert_eq!(
-            sampled,
-            [false, false, false, true, false, false, false, true]
-        );
-        let mut off = CoreTelemetry::new(TelemetryConfig { profile_every: 0 });
-        assert!(
-            (0..8).all(|_| !off.begin_batch()),
-            "0 disables phase timing"
-        );
+        let mut t = CoreTelemetry::new();
+        let sampled: Vec<u64> = (1..=512).filter(|_| t.begin_batch()).collect();
+        assert_eq!(sampled, [256, 512]);
     }
 
     #[test]
@@ -322,7 +302,7 @@ mod tests {
 
     #[test]
     fn export_produces_the_stable_namespace() {
-        let mut t = CoreTelemetry::new(TelemetryConfig::default());
+        let mut t = CoreTelemetry::new();
         t.insts = 10;
         t.uops = 25;
         t.dispatch_by_kind[UopKind::Check as usize] = 5;

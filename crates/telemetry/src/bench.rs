@@ -1,11 +1,11 @@
 //! The shared benchmark-snapshot format.
 //!
-//! One schema — `watchdog-bench-v1` — is produced by three writers (the
-//! criterion shim's `--json`, `watchdog-cli perf`, and CI) and consumed
-//! by anything that reads `BENCH_<rev>.json` perf history. Keeping the
-//! record type and its parser here means the producers cannot drift
-//! apart: the CLI validates shim output with the same code CI uses to
-//! validate the CLI's.
+//! One schema — `watchdog-bench-v1` — is written by one producer,
+//! `watchdog-cli perf` (which CI runs), and consumed by anything that
+//! reads `BENCH_<rev>.json` perf history. Keeping the record type and its
+//! parser here means the writer and its readers cannot drift apart: the
+//! CLI validates a snapshot with the same code `perf compare` and CI use
+//! to read it.
 
 use crate::json::{JsonError, JsonValue};
 

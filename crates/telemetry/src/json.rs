@@ -3,7 +3,7 @@
 //! The workspace ships no serde (the build environment is offline), and
 //! every machine-readable surface — `watchdog-cli run --json`, the
 //! `BENCH_<rev>.json` perf snapshots, the campaign's JSONL event stream
-//! and the criterion shim's `--json` output — needs the same small
+//! and perfbench's result lines — needs the same small
 //! thing: escape-correct rendering and enough of a parser for schema
 //! validation in tests and CI. This module is that one implementation.
 //!

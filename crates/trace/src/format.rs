@@ -11,13 +11,17 @@
 //! event count | event-stream length | event-stream bytes
 //! outcome tag (1 raw byte) [| violation kind, pc index, address]
 //! machine stats (5) | heap stats (5) | footprint (6)
+//! checksum (8 raw bytes, little-endian FNV-1a over every byte before it)
 //! ```
 //!
 //! The event stream itself is opaque at this layer — its grammar needs the
 //! program to decode (address counts come from re-cracking), and is owned
 //! by the [`mod@crate::record`] / [`mod@crate::replay`] modules.
 //! The header and trailer are
-//! self-contained, so `trace info` works without the program.
+//! self-contained, so `trace info` works without the program. The
+//! checksum is verified right after the magic and version, before any
+//! other field is decoded, so a corrupted body is rejected rather than
+//! replayed into a different report.
 
 use std::fmt;
 
@@ -27,8 +31,7 @@ use watchdog_core::prelude::*;
 use watchdog_core::runtime::HeapStats;
 use watchdog_isa::crack::BoundsUops;
 use watchdog_isa::Program;
-use watchdog_mem::Footprint;
-use watchdog_pipeline::ConfigError;
+use watchdog_mem::{ConfigError, Footprint};
 
 use crate::wire::{get_uvarint, put_uvarint};
 
@@ -37,7 +40,10 @@ pub const MAGIC: [u8; 4] = *b"WDTR";
 
 /// Current format version. Readers reject other versions outright — the
 /// format is compact, so re-recording beats migration shims.
-pub const VERSION: u64 = 1;
+pub const VERSION: u64 = 2;
+
+/// Bytes of the trailing checksum.
+const CHECKSUM_BYTES: usize = 8;
 
 /// Errors reading, decoding or replaying a trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,6 +56,14 @@ pub enum TraceError {
     BadVersion(u64),
     /// A structurally invalid encoding (the reason names the spot).
     Corrupt(&'static str),
+    /// The trailing checksum does not match the bytes before it: the
+    /// trace was damaged after it was written.
+    ChecksumMismatch {
+        /// The checksum stored in the trace.
+        stored: u64,
+        /// The checksum of the bytes actually read.
+        computed: u64,
+    },
     /// The trace was recorded from a different program than the one
     /// offered for replay.
     ProgramMismatch {
@@ -58,8 +72,8 @@ pub enum TraceError {
         /// Name of the program offered for replay.
         program: String,
     },
-    /// The replay's core configuration describes a machine the timing
-    /// model cannot build; rejected before replay starts.
+    /// The replay's core or hierarchy configuration describes a machine
+    /// the timing model cannot build; rejected before replay starts.
     Config(ConfigError),
 }
 
@@ -78,6 +92,10 @@ impl fmt::Display for TraceError {
                 write!(f, "unsupported trace version {v} (expected {VERSION})")
             }
             TraceError::Corrupt(why) => write!(f, "corrupt trace: {why}"),
+            TraceError::ChecksumMismatch { stored, computed } => write!(
+                f,
+                "corrupt trace: checksum {computed:016x} does not match stored {stored:016x}"
+            ),
             TraceError::ProgramMismatch { trace, program } => write!(
                 f,
                 "trace was recorded from {trace:?}, not from the offered program {program:?} \
@@ -210,7 +228,7 @@ impl Trace {
             mode: self.mode.label(),
             events: self.event_count,
             event_bytes: self.events.len(),
-            total_bytes: envelope.len() + self.events.len(),
+            total_bytes: envelope.len() + self.events.len() + CHECKSUM_BYTES,
             insts: self.machine.insts,
             outcome: match self.outcome {
                 TraceOutcome::Halted => "halted".to_string(),
@@ -225,6 +243,7 @@ impl Trace {
         self.put_header(&mut buf);
         buf.extend_from_slice(&self.events);
         self.put_trailer(&mut buf);
+        seal(&mut buf);
         buf
     }
 
@@ -295,6 +314,17 @@ impl Trace {
         let version = get_uvarint(buf, &mut pos)?;
         if version != VERSION {
             return Err(TraceError::BadVersion(version));
+        }
+        let body_len = buf
+            .len()
+            .checked_sub(CHECKSUM_BYTES)
+            .filter(|&n| n >= pos)
+            .ok_or(TraceError::Truncated)?;
+        let (buf, sum) = buf.split_at(body_len);
+        let stored = u64::from_le_bytes(sum.try_into().expect("checksum width"));
+        let computed = fnv1a(FNV_OFFSET, buf);
+        if stored != computed {
+            return Err(TraceError::ChecksumMismatch { stored, computed });
         }
         let name_len = get_uvarint(buf, &mut pos)?;
         let name_bytes = take_slice(buf, &mut pos, name_len)?.to_vec();
@@ -477,19 +507,33 @@ fn kind_from_code(b: u8) -> Result<ViolationKind, TraceError> {
     })
 }
 
+/// The FNV-1a 64-bit offset basis: the hash of no bytes.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the FNV-1a 64-bit hash state `h`. Each step is a
+/// bijection of the state, so any single changed byte changes the result.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
+/// Appends the checksum of everything in `buf` so far.
+fn seal(buf: &mut Vec<u8>) {
+    let sum = fnv1a(FNV_OFFSET, buf);
+    buf.extend_from_slice(&sum.to_le_bytes());
+}
+
 /// FNV-1a fingerprint of a program's instructions and globals.
 ///
 /// Recorded in every trace header and checked at replay time, so a trace
 /// can never silently drive the timing model with the wrong program (pc
 /// indices and crack expansions would be garbage).
 pub fn program_fingerprint(p: &Program) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
+    let mut h = FNV_OFFSET;
+    let mut eat = |bytes: &[u8]| h = fnv1a(h, bytes);
     eat(p.name().as_bytes());
     eat(&(p.len() as u64).to_le_bytes());
     for i in 0..p.len() {
@@ -610,6 +654,21 @@ mod tests {
             let cut = (cut as usize) % bytes.len();
             prop_assert!(Trace::from_bytes(&bytes[..cut]).is_err());
         }
+
+        /// Any single-bit flip of a valid trace is rejected, never
+        /// decoded into a different trace.
+        #[test]
+        fn bit_flips_are_rejected(
+            seed in any::<u64>(),
+            events in proptest::collection::vec(any::<u8>(), 0..256),
+            bit in any::<u64>(),
+        ) {
+            let t = arbitrary_trace(seed, events, "p".into());
+            let mut bytes = t.to_bytes();
+            let bit = (bit as usize) % (bytes.len() * 8);
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            prop_assert!(Trace::from_bytes(&bytes).is_err());
+        }
     }
 
     #[test]
@@ -629,23 +688,26 @@ mod tests {
         // `pos + len` slice would overflow and panic in debug builds).
         let mut bytes = vec![];
         bytes.extend_from_slice(&MAGIC);
-        bytes.push(1); // version
+        bytes.push(VERSION as u8);
         bytes.extend_from_slice(&[0xff; 9]); // name length varint...
         bytes.push(0x01); // ...= u64::MAX
+        seal(&mut bytes);
         assert_eq!(Trace::from_bytes(&bytes), Err(TraceError::Truncated));
         // Same for the event-stream length.
         let t = arbitrary_trace(3, vec![], "x".into());
         let good = t.to_bytes();
         let events_len_at = good.len() - {
             // Rebuild everything after the events-length varint to find
-            // its offset: trailer + events (empty here) + 1 varint byte.
+            // its offset: checksum + trailer + events (empty here) + 1
+            // varint byte.
             let mut tail = Vec::new();
             t.put_trailer(&mut tail);
-            tail.len() + 1
+            CHECKSUM_BYTES + tail.len() + 1
         };
         let mut bytes = good[..events_len_at].to_vec();
         bytes.extend_from_slice(&[0xff; 9]);
         bytes.push(0x01);
+        seal(&mut bytes);
         assert_eq!(Trace::from_bytes(&bytes), Err(TraceError::Truncated));
     }
 
@@ -662,6 +724,14 @@ mod tests {
         let t = arbitrary_trace(2, vec![1, 2, 3], "x".into());
         let mut bytes = t.to_bytes();
         bytes.push(0);
+        assert!(matches!(
+            Trace::from_bytes(&bytes),
+            Err(TraceError::ChecksumMismatch { .. })
+        ));
+        // Garbage inside the checksummed body is caught by the decoder.
+        bytes.truncate(bytes.len() - 1 - CHECKSUM_BYTES);
+        bytes.push(0);
+        seal(&mut bytes);
         assert!(matches!(
             Trace::from_bytes(&bytes),
             Err(TraceError::Corrupt(_))
@@ -691,6 +761,10 @@ mod tests {
             TraceError::BadMagic,
             TraceError::BadVersion(7),
             TraceError::Corrupt("x"),
+            TraceError::ChecksumMismatch {
+                stored: 1,
+                computed: 2,
+            },
             TraceError::ProgramMismatch {
                 trace: "a".into(),
                 program: "b".into(),

@@ -18,7 +18,7 @@ use watchdog_isa::crack_cache::CrackCache;
 use watchdog_isa::insn::Inst;
 use watchdog_isa::Program;
 use watchdog_mem::HierarchyConfig;
-use watchdog_pipeline::{CoreConfig, FeedStats, TelemetryConfig, TimingCore, UopBatch};
+use watchdog_pipeline::{CoreConfig, FeedStats, TimingCore, UopBatch};
 use watchdog_telemetry::MetricsRegistry;
 
 use crate::format::{program_fingerprint, Trace, TraceError};
@@ -123,8 +123,9 @@ pub fn verify_replay(program: &Program, sim: &SimConfig) -> Result<(), String> {
 ///
 /// # Errors
 ///
-/// [`TraceError::Config`] when `cfg.core` is invalid (see
-/// [`CoreConfig::validate`]); [`TraceError::ProgramMismatch`] when
+/// [`TraceError::Config`] when `cfg.core` or `cfg.hierarchy` is invalid
+/// (see [`CoreConfig::validate`] and [`HierarchyConfig::validate`]);
+/// [`TraceError::ProgramMismatch`] when
 /// `program` is not the program the trace was recorded from (name or
 /// fingerprint differ); other [`TraceError`]s when the event stream is
 /// corrupt or truncated.
@@ -147,12 +148,12 @@ pub fn replay_with_stats(
     trace: &Trace,
     cfg: &ReplayConfig,
 ) -> Result<(RunReport, ReplayStats), TraceError> {
-    replay_impl(program, trace, cfg, None).map(|(report, stats, _)| (report, stats))
+    replay_impl(program, trace, cfg, false).map(|(report, stats, _)| (report, stats))
 }
 
 /// [`replay()`] with the timing core's self-profiler attached: the core
 /// collects per-kind dispatch counters, occupancy/wheel histograms and
-/// sampled phase timers under `tele`, exported as a `profile.*`/`feed.*`
+/// sampled phase timers, exported as a `profile.*`/`feed.*`
 /// registry beside the report. The report itself is byte-identical to an
 /// uninstrumented [`replay()`] — telemetry is observation, never timing.
 ///
@@ -163,21 +164,21 @@ pub fn replay_instrumented(
     program: &Program,
     trace: &Trace,
     cfg: &ReplayConfig,
-    tele: TelemetryConfig,
 ) -> Result<(RunReport, MetricsRegistry), TraceError> {
-    replay_impl(program, trace, cfg, Some(tele)).map(|(report, _, reg)| (report, reg))
+    replay_impl(program, trace, cfg, true).map(|(report, _, reg)| (report, reg))
 }
 
-/// The replay loop. `tele`, when supplied, attaches the core's
+/// The replay loop. `telemetry` attaches the core's
 /// self-profiler and exports its registry as the third element (empty
 /// otherwise).
 fn replay_impl(
     program: &Program,
     trace: &Trace,
     cfg: &ReplayConfig,
-    tele: Option<TelemetryConfig>,
+    telemetry: bool,
 ) -> Result<(RunReport, ReplayStats, MetricsRegistry), TraceError> {
     cfg.core.validate()?;
+    cfg.hierarchy.validate()?;
     if trace.program != program.name() || trace.fingerprint != program_fingerprint(program) {
         return Err(TraceError::ProgramMismatch {
             trace: trace.program.clone(),
@@ -194,8 +195,8 @@ fn replay_impl(
         .crack_cache
         .then(|| CrackCache::new(crack_cfg, program.len()));
     let mut core = TimingCore::new(cfg.core, hier);
-    if let Some(tcfg) = tele {
-        core.enable_telemetry(tcfg);
+    if telemetry {
+        core.enable_telemetry();
     }
     let mut ubatch = UopBatch::with_capacity(UopBatch::TARGET_INSTS);
     let mut addrs: Vec<u64> = Vec::with_capacity(watchdog_isa::uop::MAX_UOPS + 1);
@@ -292,7 +293,7 @@ fn replay_impl(
         ll_memo_hits: core.hierarchy().ll_memo_hits(),
     };
     let mut reg = MetricsRegistry::new();
-    if tele.is_some() {
+    if telemetry {
         core.export_telemetry_into(&mut reg);
     }
     let report = RunReport {

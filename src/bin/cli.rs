@@ -294,9 +294,10 @@ fn git_rev(args: &[String]) -> String {
     }
 }
 
-/// `watchdog-cli perf` — measures the shared `timing_wheel` case list
-/// (the same feed loop the criterion benches run) and writes a `watchdog-bench-v1` snapshot to `BENCH_<rev>.json`,
-/// validated with the same parser CI uses before it is written.
+/// `watchdog-cli perf` — measures the perf case list (timing-core drain
+/// and functional machine) and writes a `watchdog-bench-v1` snapshot to
+/// `BENCH_<rev>.json`, validated with the same parser CI uses before it
+/// is written.
 fn cmd_perf(args: &[String]) {
     if args.first().map(String::as_str) == Some("compare") {
         cmd_perf_compare(&args[1..]);

@@ -34,7 +34,7 @@ use watchdog_core::machine::{Machine, MachineConfig, Step};
 use watchdog_core::sim::{Mode, SimConfig, Simulator};
 use watchdog_isa::crack::CrackedInst;
 use watchdog_mem::HierarchyConfig;
-use watchdog_pipeline::{CoreConfig, TelemetryConfig, TimingCore, UopBatch};
+use watchdog_pipeline::{CoreConfig, TimingCore, UopBatch};
 use watchdog_workloads::{benchmark, Scale};
 
 /// Counts every allocation (fresh or growing) routed through the global
@@ -123,7 +123,7 @@ fn batched_feed_allocates_nothing() {
     assert!(!stream.is_empty(), "mcf cell produced no committed insts");
 
     let mut core = TimingCore::new(CoreConfig::sandy_bridge(), HierarchyConfig::default());
-    core.enable_telemetry(TelemetryConfig::default());
+    core.enable_telemetry();
     let mut batch = UopBatch::with_capacity(UopBatch::TARGET_INSTS);
 
     // Measured region: the steady-state loop, exactly as the live path

@@ -116,7 +116,7 @@ fn replayed_feeds_reproduce_the_live_cpi_stack() {
             let trace = record(&program, mode, sim_cfg.max_insts).unwrap();
             let feed = format!("{label}, replay");
             let cfg = ReplayConfig::from_sim(&sim_cfg);
-            let (_, reg) = replay_instrumented(&program, &trace, &cfg, Default::default()).unwrap();
+            let (_, reg) = replay_instrumented(&program, &trace, &cfg).unwrap();
             check_zero_slack(&reg, &feed);
             for m in reg.iter().filter(|m| m.name.starts_with("cpi.")) {
                 assert_eq!(

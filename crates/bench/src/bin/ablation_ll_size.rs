@@ -17,7 +17,8 @@
 //! nearly free.
 
 use watchdog_bench::{
-    figure_order, geomean, mean, pct, run_sweep_traced, scale_from_args, SweepPoint,
+    figure_order, geomean, jobs_from_args, mean, pct, run_sweep_traced_with_jobs, scale_from_args,
+    SweepPoint,
 };
 use watchdog_core::prelude::*;
 use watchdog_mem::HierarchyStats;
@@ -26,7 +27,9 @@ const SIZES_KB: [u64; 5] = [1, 2, 4, 8, 16];
 const WAYS: [u64; 4] = [2, 4, 8, 16];
 
 fn main() {
-    let scale = scale_from_args();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let scale = scale_from_args(&args);
+    let jobs = jobs_from_args(&args, std::env::var("WATCHDOG_JOBS").ok());
     println!("\n== Ablation: lock-location cache size x associativity sweep (trace-driven) ==");
     println!(
         "{:<16} {:>12} {:>10} {:>22}",
@@ -35,7 +38,8 @@ fn main() {
 
     // Baselines: one functional pass + one replay per benchmark (the
     // baseline's cycles do not depend on the LL$, which it never touches).
-    let base = run_sweep_traced(Mode::Baseline, scale, &[SweepPoint::table2("table2")]);
+    let table2 = [SweepPoint::table2("table2")];
+    let base = run_sweep_traced_with_jobs(Mode::Baseline, scale, &table2, jobs, None);
     // Watchdog: one functional pass per benchmark, then every (size, ways)
     // geometry as a replay.
     let points: Vec<SweepPoint> = WAYS
@@ -46,7 +50,7 @@ fn main() {
                 .map(move |&kb| SweepPoint::ll_geometry(kb, ways))
         })
         .collect();
-    let wd = run_sweep_traced(Mode::watchdog(), scale, &points);
+    let wd = run_sweep_traced_with_jobs(Mode::watchdog(), scale, &points, jobs, None);
 
     for (pi, point) in points.iter().enumerate() {
         let mut overheads = Vec::new();

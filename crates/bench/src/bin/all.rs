@@ -1,14 +1,14 @@
 //! Regenerates every table and figure in sequence (EXPERIMENTS.md input).
+//! The suite figures share one timed and one functional suite run.
+use watchdog_bench::figs;
+
 fn main() {
-    let scale = watchdog_bench::scale_from_args();
-    watchdog_bench::figs::table2();
-    watchdog_bench::figs::table1();
-    watchdog_bench::figs::juliet();
-    watchdog_bench::figs::fig05(scale);
-    watchdog_bench::figs::fig07(scale);
-    watchdog_bench::figs::fig08(scale);
-    watchdog_bench::figs::fig09(scale);
-    watchdog_bench::figs::ablation_ideal_shadow(scale);
-    watchdog_bench::figs::fig10(scale);
-    watchdog_bench::figs::fig11(scale);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let scale = watchdog_bench::scale_from_args(&args);
+    let jobs = watchdog_bench::jobs_from_args(&args, std::env::var("WATCHDOG_JOBS").ok());
+    figs::table2();
+    figs::table1();
+    figs::juliet(jobs);
+    let names: Vec<&str> = figs::FIGURES.iter().map(|f| f.name).collect();
+    figs::regenerate(&names, scale, jobs);
 }

@@ -1,4 +1,7 @@
-//! Regenerates Figure 10 of the paper. Usage: `cargo run -p watchdog-bench --bin fig10 [--scale test|small|ref]`.
+//! Regenerates Figure 10 of the paper. Usage: `cargo run -p watchdog-bench --bin fig10 [--scale test|small|ref] [--jobs N]`.
 fn main() {
-    watchdog_bench::figs::fig10(watchdog_bench::scale_from_args());
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let scale = watchdog_bench::scale_from_args(&args);
+    let jobs = watchdog_bench::jobs_from_args(&args, std::env::var("WATCHDOG_JOBS").ok());
+    watchdog_bench::figs::regenerate(&["fig10"], scale, jobs);
 }

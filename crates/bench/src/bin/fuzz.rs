@@ -16,8 +16,8 @@
 //! with `watchdog-cli fuzz`.
 
 fn main() {
-    let argv: Vec<String> = std::env::args().collect();
-    let code = watchdog_bench::fuzz_main(&argv[1..]);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let code = watchdog_bench::fuzz_main(&args, std::env::var("WATCHDOG_JOBS").ok());
     if code != 0 {
         std::process::exit(code);
     }

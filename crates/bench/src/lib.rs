@@ -9,7 +9,9 @@
 //!
 //! Scale selection: pass `--scale test|small|ref` (default `small`).
 //! Parallelism: pass `--jobs N` or set `WATCHDOG_JOBS=N` (default: all
-//! available cores).
+//! available cores). A binary resolves both once in `main`
+//! ([`scale_from_args`], [`jobs_from_args`]) and hands them down; no
+//! library function reads the process arguments or environment.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -61,16 +63,19 @@ pub fn parse_scale(args: &[String]) -> Result<Scale, String> {
     }
 }
 
-/// Parses the `--scale` argument (default [`Scale::Small`]).
+/// Resolves a binary's `--scale` argument (default [`Scale::Small`]);
+/// `args` excludes the program name.
 ///
 /// On an invalid value this prints the error — including the list of valid
 /// values — to stderr and exits with status 2, rather than panicking.
-pub fn scale_from_args() -> Scale {
-    let args: Vec<String> = std::env::args().collect();
-    parse_scale(&args[1..]).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    })
+pub fn scale_from_args(args: &[String]) -> Scale {
+    parse_scale(args).unwrap_or_else(|e| exit_flag_error(&e))
+}
+
+/// Prints a flag error to stderr and exits with status 2.
+fn exit_flag_error(e: &str) -> ! {
+    eprintln!("error: {e}");
+    std::process::exit(2);
 }
 
 /// Parses a `--jobs` value from an argument list (flags after `--` are
@@ -100,24 +105,16 @@ pub fn parse_jobs(args: &[String], env: Option<&str>) -> Result<Option<usize>, S
     }
 }
 
-/// Resolves the worker-thread count for suite runs: `--jobs` beats
-/// `WATCHDOG_JOBS` beats the number of available cores.
+/// Resolves a binary's worker-thread count: `--jobs` in `args` beats the
+/// `WATCHDOG_JOBS` value `env` (as `std::env::var(..).ok()` reads it)
+/// beats the number of available cores.
 ///
-/// Unlike [`scale_from_args`] (a helper for a binary's `main`), this is
-/// called from library paths ([`run_suite`] et al.), so an invalid value
-/// must never abort the embedding process: it prints a warning to stderr
-/// and falls back to the core-count default instead.
-pub fn jobs_from_args() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    let env = std::env::var("WATCHDOG_JOBS").ok();
-    match parse_jobs(&args[1..], env.as_deref()) {
-        Ok(Some(n)) => n,
-        Ok(None) => default_jobs(),
-        Err(e) => {
-            let d = default_jobs();
-            eprintln!("warning: {e}; falling back to {d} worker thread(s)");
-            d
-        }
+/// Like [`scale_from_args`], an invalid value prints the [`parse_jobs`]
+/// error to stderr and exits with status 2.
+pub fn jobs_from_args(args: &[String], env: Option<String>) -> usize {
+    match parse_jobs(args, env.as_deref()) {
+        Ok(jobs) => jobs.unwrap_or_else(default_jobs),
+        Err(e) => exit_flag_error(&e),
     }
 }
 
@@ -132,19 +129,6 @@ fn default_jobs() -> usize {
 /// `results[benchmark][mode_label] -> RunReport`.
 pub type SuiteResults = BTreeMap<String, BTreeMap<String, RunReport>>;
 
-/// Runs all twenty benchmarks under each mode (timed), in parallel across
-/// [`jobs_from_args`] worker threads.
-pub fn run_suite(modes: &[Mode], scale: Scale) -> SuiteResults {
-    run_suite_with_jobs(modes, scale, true, jobs_from_args())
-}
-
-/// Runs all twenty benchmarks under each mode, functionally only (fast; no
-/// cycle numbers, but full footprint and classification statistics), in
-/// parallel across [`jobs_from_args`] worker threads.
-pub fn run_suite_functional(modes: &[Mode], scale: Scale) -> SuiteResults {
-    run_suite_with_jobs(modes, scale, false, jobs_from_args())
-}
-
 /// Runs one (benchmark, mode) cell of the suite grid. Failure messages
 /// carry no bench/mode label here — [`run_grid`] is the single labelling
 /// point for every cell failure.
@@ -154,18 +138,15 @@ fn run_cell(program: &watchdog_isa::Program, mode: Mode, timing: bool) -> RunRep
     } else {
         SimConfig::functional(mode)
     };
-    let report = Simulator::new(cfg)
+    Simulator::new(cfg)
         .run(program)
-        .unwrap_or_else(|e| panic!("{e}"));
-    assert!(
-        report.violation.is_none(),
-        "unexpected violation {:?}",
-        report.violation
-    );
-    report
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Runs the suite with an explicit worker-thread count.
+/// Runs all twenty benchmarks under each mode — timed, or functionally
+/// only when `timing` is false (fast; no cycle numbers, but full
+/// footprint and classification statistics) — across `jobs` worker
+/// threads.
 ///
 /// Each benchmark program is built once and shared read-only across the
 /// modes (and worker threads) that simulate it. The (benchmark × mode)
@@ -186,22 +167,23 @@ pub fn run_suite_with_jobs(
     timing: bool,
     jobs: usize,
 ) -> SuiteResults {
-    let specs = all_benchmarks();
-    let programs: Vec<watchdog_isa::Program> = specs.iter().map(|s| s.build(scale)).collect();
-    let cells = run_grid(&specs, modes, jobs, |si, mi| {
+    let (specs, programs) = suite_programs(scale, None);
+    let labels: Vec<String> = modes.iter().map(Mode::label).collect();
+    let cells = run_grid(&specs, &labels, jobs, |si, mi| {
         run_cell(&programs[si], modes[mi], timing)
     });
     let mut out = SuiteResults::new();
-    for (si, mi, report) in cells {
-        out.entry(specs[si].name.to_string())
+    for (k, report) in cells.into_iter().enumerate() {
+        out.entry(specs[k / modes.len()].name.to_string())
             .or_default()
-            .insert(modes[mi].label(), report);
+            .insert(labels[k % modes.len()].clone(), report);
     }
     out
 }
 
-/// Formats a caught panic payload (labels are added by the caller).
-fn payload_msg(payload: &(dyn std::any::Any + Send)) -> &str {
+/// Formats a caught panic payload (labels are added by the caller). Also
+/// the campaign worker's formatter for a panicking cell.
+pub fn payload_msg(payload: &(dyn std::any::Any + Send)) -> &str {
     payload
         .downcast_ref::<String>()
         .map(String::as_str)
@@ -249,56 +231,52 @@ where
         .collect()
 }
 
-/// Executes `run` for every `(spec index, mode index)` cell over
-/// [`parallel_map`], returning the `(spec index, mode index, report)`
-/// triples.
+/// Executes `run(spec index, column index)` for every cell of the
+/// (benchmark × column) grid over [`parallel_map`], returning the reports
+/// in grid order (benchmark-major). A column is a mode of the suite or a
+/// (mode, point) pair of a sweep; `columns` holds their labels.
 ///
-/// Cell panics are caught and re-raised on the caller's thread with the
-/// bench/mode label prepended, so a failure deep inside a simulation is
-/// attributable no matter which thread ran it. The first failure raises
-/// an abort flag so workers stop pulling new cells (in-flight cells still
-/// finish and may contribute their own labelled failures).
+/// Cell panics — and unexpected violations — are caught and re-raised on
+/// the caller's thread with the `[bench under column]` label prepended,
+/// so a failure deep inside a simulation is attributable no matter which
+/// thread ran it. The first failure raises an abort flag so workers stop
+/// pulling new cells (in-flight cells still finish and may contribute
+/// their own labelled failures).
 fn run_grid<F>(
     specs: &[watchdog_workloads::BenchSpec],
-    modes: &[Mode],
+    columns: &[String],
     jobs: usize,
     run: F,
-) -> Vec<(usize, usize, RunReport)>
+) -> Vec<RunReport>
 where
     F: Fn(usize, usize) -> RunReport + Sync,
 {
-    let grid: Vec<(usize, usize)> = (0..specs.len())
-        .flat_map(|s| (0..modes.len()).map(move |m| (s, m)))
-        .collect();
-
-    let label = |si: usize, mi: usize, payload: &(dyn std::any::Any + Send)| {
-        format!(
-            "[{} under {}] {}",
-            specs[si].name,
-            modes[mi].label(),
-            payload_msg(payload)
-        )
-    };
     let abort = AtomicBool::new(false);
-    let cells = parallel_map(grid.len(), jobs, |i| {
+    let cells = parallel_map(specs.len() * columns.len(), jobs, |k| {
         if abort.load(Ordering::Relaxed) {
             return None;
         }
-        let (si, mi) = grid[i];
-        match panic::catch_unwind(AssertUnwindSafe(|| run(si, mi))) {
-            Ok(report) => Some(Ok((si, mi, report))),
-            Err(payload) => {
+        let (si, ci) = (k / columns.len(), k % columns.len());
+        let checked = || {
+            let report = run(si, ci);
+            let v = report.violation.as_ref();
+            assert!(v.is_none(), "unexpected violation {v:?}");
+            report
+        };
+        Some(
+            panic::catch_unwind(AssertUnwindSafe(checked)).map_err(|payload| {
                 abort.store(true, Ordering::Relaxed);
-                Some(Err(label(si, mi, payload.as_ref())))
-            }
-        }
+                let msg = payload_msg(payload.as_ref());
+                format!("[{} under {}] {msg}", specs[si].name, columns[ci])
+            }),
+        )
     });
 
     let mut failures: Vec<String> = Vec::new();
-    let mut done = Vec::with_capacity(grid.len());
+    let mut done = Vec::with_capacity(cells.len());
     for cell in cells.into_iter().flatten() {
         match cell {
-            Ok(t) => done.push(t),
+            Ok(report) => done.push(report),
             Err(f) => failures.push(f),
         }
     }
@@ -356,13 +334,6 @@ impl SweepPoint {
 /// with points in the order they were passed.
 pub type SweepResults = BTreeMap<String, Vec<RunReport>>;
 
-/// Trace-driven configuration sweep with [`jobs_from_args`] workers: one
-/// functional recording pass per benchmark, then every ablation point
-/// replayed from the trace. See [`run_sweep_traced_with_jobs`].
-pub fn run_sweep_traced(mode: Mode, scale: Scale, points: &[SweepPoint]) -> SweepResults {
-    run_sweep_traced_with_jobs(mode, scale, points, jobs_from_args(), None)
-}
-
 /// Trace-driven configuration sweep: records each benchmark **once**
 /// (a functional pass via [`watchdog_trace::record()`]), then replays every
 /// [`SweepPoint`] from the trace through the timing model — turning
@@ -387,9 +358,7 @@ pub fn run_sweep_traced_with_jobs(
     jobs: usize,
     limit: Option<usize>,
 ) -> SweepResults {
-    let mut specs = all_benchmarks();
-    specs.truncate(limit.unwrap_or(usize::MAX));
-    let programs: Vec<watchdog_isa::Program> = specs.iter().map(|s| s.build(scale)).collect();
+    let (specs, programs) = suite_programs(scale, limit);
     let max_insts = SimConfig::timed(mode).max_insts;
     let traces = parallel_map(programs.len(), jobs, |i| {
         watchdog_trace::record(&programs[i], mode, max_insts).unwrap_or_else(|e| {
@@ -400,37 +369,16 @@ pub fn run_sweep_traced_with_jobs(
             )
         })
     });
-    let grid: Vec<(usize, usize)> = (0..specs.len())
-        .flat_map(|s| (0..points.len()).map(move |p| (s, p)))
-        .collect();
-    let cells = parallel_map(grid.len(), jobs, |k| {
-        let (si, pi) = grid[k];
-        let point = &points[pi];
+    sweep_grid(&specs, mode, points, jobs, |si, point| {
         // Start from the timing slice of the live configuration the resim
         // path uses, so the two sweeps can never drift apart on the core
         // parameters; the point only overrides what an ablation varies.
         let mut cfg = watchdog_trace::ReplayConfig::from_sim(&SimConfig::timed(mode));
         cfg.hierarchy = point.hierarchy;
         cfg.crack_cache = point.crack_cache;
-        let report = watchdog_trace::replay(&programs[si], &traces[si], &cfg).unwrap_or_else(|e| {
-            panic!(
-                "[{} under {} @ {}] trace replay failed: {e}",
-                specs[si].name,
-                mode.label(),
-                point.label
-            )
-        });
-        assert!(
-            report.violation.is_none(),
-            "[{} under {} @ {}] unexpected violation {:?}",
-            specs[si].name,
-            mode.label(),
-            point.label,
-            report.violation
-        );
-        report
-    });
-    collect_sweep(&specs, points, cells)
+        watchdog_trace::replay(&programs[si], &traces[si], &cfg)
+            .unwrap_or_else(|e| panic!("trace replay failed: {e}"))
+    })
 }
 
 /// The reference path [`run_sweep_traced_with_jobs`] is checked against: a
@@ -446,50 +394,53 @@ pub fn run_sweep_resim_with_jobs(
     jobs: usize,
     limit: Option<usize>,
 ) -> SweepResults {
-    let mut specs = all_benchmarks();
-    specs.truncate(limit.unwrap_or(usize::MAX));
-    let programs: Vec<watchdog_isa::Program> = specs.iter().map(|s| s.build(scale)).collect();
-    let grid: Vec<(usize, usize)> = (0..specs.len())
-        .flat_map(|s| (0..points.len()).map(move |p| (s, p)))
-        .collect();
-    let cells = parallel_map(grid.len(), jobs, |k| {
-        let (si, pi) = grid[k];
-        let point = &points[pi];
+    let (specs, programs) = suite_programs(scale, limit);
+    sweep_grid(&specs, mode, points, jobs, |si, point| {
         let mut cfg = SimConfig::timed(mode);
         cfg.hierarchy = point.hierarchy;
         cfg.crack_cache = point.crack_cache;
-        let report = Simulator::new(cfg).run(&programs[si]).unwrap_or_else(|e| {
-            panic!(
-                "[{} under {} @ {}] simulation failed: {e}",
-                specs[si].name,
-                mode.label(),
-                point.label
-            )
-        });
-        assert!(
-            report.violation.is_none(),
-            "[{} under {} @ {}] unexpected violation {:?}",
-            specs[si].name,
-            mode.label(),
-            point.label,
-            report.violation
-        );
-        report
-    });
-    collect_sweep(&specs, points, cells)
+        Simulator::new(cfg)
+            .run(&programs[si])
+            .unwrap_or_else(|e| panic!("simulation failed: {e}"))
+    })
 }
 
-/// Merges a flat (benchmark × point) cell vector — in grid order, as
-/// [`parallel_map`] returns it — into [`SweepResults`].
-fn collect_sweep(
+/// The first `limit` suite benchmarks (all twenty for `None`), each
+/// program built once at `scale`.
+fn suite_programs(
+    scale: Scale,
+    limit: Option<usize>,
+) -> (
+    Vec<watchdog_workloads::BenchSpec>,
+    Vec<watchdog_isa::Program>,
+) {
+    let mut specs = all_benchmarks();
+    specs.truncate(limit.unwrap_or(usize::MAX));
+    let programs = specs.iter().map(|s| s.build(scale)).collect();
+    (specs, programs)
+}
+
+/// Runs `run(benchmark index, point)` for every (benchmark × point) cell
+/// of a sweep on [`run_grid`] and merges the reports, in point order,
+/// into [`SweepResults`].
+fn sweep_grid<F>(
     specs: &[watchdog_workloads::BenchSpec],
+    mode: Mode,
     points: &[SweepPoint],
-    cells: Vec<RunReport>,
-) -> SweepResults {
+    jobs: usize,
+    run: F,
+) -> SweepResults
+where
+    F: Fn(usize, &SweepPoint) -> RunReport + Sync,
+{
+    let labels: Vec<String> = points
+        .iter()
+        .map(|p| format!("{} @ {}", mode.label(), p.label))
+        .collect();
+    let cells = run_grid(specs, &labels, jobs, |si, pi| run(si, &points[pi]));
     let mut out = SweepResults::new();
     for (k, report) in cells.into_iter().enumerate() {
-        let si = k / points.len();
-        out.entry(specs[si].name.to_string())
+        out.entry(specs[k / points.len()].name.to_string())
             .or_default()
             .push(report);
     }
@@ -747,13 +698,14 @@ pub fn print_fuzz_report(s: &FuzzSummary, jobs: usize, elapsed_secs: Option<f64>
 /// binary and `watchdog-cli fuzz` so flags, defaults and report formats
 /// cannot drift between the two entry points.
 ///
-/// `args` are the arguments after the command name. `--seed K` runs a
-/// verbose single-seed repro; otherwise `--seeds N` (default 1000) and
-/// `--seed-start K` (default 0) run a campaign across
-/// [`jobs_from_args`] workers. Returns the process exit code: 0 on
-/// success, 1 on oracle divergence, 2 on a flag error.
+/// `args` are the arguments after the command name and `jobs_env` the
+/// `WATCHDOG_JOBS` value. `--seed K` runs a verbose single-seed repro;
+/// otherwise `--seeds N` (default 1000) and `--seed-start K` (default 0)
+/// run a campaign across the [`parse_jobs`] worker count. Returns the
+/// process exit code: 0 on success, 1 on oracle divergence, 2 on a flag
+/// error.
 #[must_use]
-pub fn fuzz_main(args: &[String]) -> i32 {
+pub fn fuzz_main(args: &[String], jobs_env: Option<String>) -> i32 {
     let mut flag_err = false;
     let mut get = |flag: &str| match parse_u64_flag(args, flag) {
         Ok(v) => v,
@@ -764,6 +716,11 @@ pub fn fuzz_main(args: &[String]) -> i32 {
         }
     };
     let (seed, seeds, start) = (get("--seed"), get("--seeds"), get("--seed-start"));
+    let jobs = parse_jobs(args, jobs_env.as_deref()).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        flag_err = true;
+        None
+    });
     if flag_err {
         return 2;
     }
@@ -772,7 +729,7 @@ pub fn fuzz_main(args: &[String]) -> i32 {
     }
     let count = seeds.unwrap_or(1000) as usize;
     let start = start.unwrap_or(0);
-    let jobs = jobs_from_args();
+    let jobs = jobs.unwrap_or_else(default_jobs);
     let t0 = std::time::Instant::now();
     let s = run_fuzz_with_jobs(start, count, jobs);
     println!("== watchdog-gen differential fuzz ==");
@@ -873,7 +830,7 @@ mod tests {
 
     #[test]
     fn suite_functional_smoke() {
-        let r = run_suite_functional(&[Mode::Baseline], Scale::Test);
+        let r = run_suite_with_jobs(&[Mode::Baseline], Scale::Test, false, 2);
         assert_eq!(r.len(), 20);
         for (name, modes) in &r {
             assert!(modes.contains_key("baseline"), "{name} missing baseline");
@@ -1033,7 +990,7 @@ mod tests {
         let modes = [Mode::Baseline];
         let programs: Vec<_> = specs.iter().map(|s| s.build(Scale::Test)).collect();
         let got = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            run_grid(&specs, &modes, 4, |si, mi| {
+            run_grid(&specs, &["baseline".into()], 4, |si, mi| {
                 if specs[si].name == "mcf" {
                     panic!("synthetic cell failure");
                 }
@@ -1053,7 +1010,7 @@ mod tests {
 
         // The strictly serial path labels failures identically.
         let got = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            run_grid(&specs, &modes, 1, |si, _| {
+            run_grid(&specs, &["baseline".into()], 1, |si, _| {
                 panic!("early failure in {}", specs[si].name)
             })
         }))

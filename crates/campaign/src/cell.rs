@@ -17,7 +17,8 @@ use watchdog_trace::format::{get_mode, program_fingerprint, put_mode};
 use watchdog_trace::wire::{get_uvarint, put_uvarint};
 use watchdog_workloads::{all_benchmarks, benchmark, Scale};
 
-use crate::{fnv64, fnv64_more};
+use watchdog_bench::payload_msg;
+use watchdog_mem::hash::{fnv1a, FNV_OFFSET};
 
 /// Failure-kind code: the differential harness diverged on a benign
 /// program (no oracle violation to attribute it to).
@@ -249,9 +250,8 @@ fn execute_inner(spec: &CellSpec) -> CellOutcome {
             let g = generate(*seed, &GenConfig::default());
             match check_generated(&g) {
                 Ok(o) => {
-                    let mut digest = o.program_digest;
-                    fnv64_more(&mut digest, &o.report_digest.to_le_bytes());
-                    fnv64_more(&mut digest, &(o.runs as u64).to_le_bytes());
+                    let digest = fnv1a(o.program_digest, &o.report_digest.to_le_bytes());
+                    let digest = fnv1a(digest, &(o.runs as u64).to_le_bytes());
                     CellOutcome::Pass {
                         insts: o.insts,
                         digest,
@@ -277,7 +277,7 @@ fn execute_inner(spec: &CellSpec) -> CellOutcome {
                 Ok(report) => match report.violation {
                     None => CellOutcome::Pass {
                         insts: report.machine.insts,
-                        digest: fnv64(format!("{report:?}").as_bytes()),
+                        digest: fnv1a(FNV_OFFSET, format!("{report:?}").as_bytes()),
                     },
                     Some(v) => CellOutcome::Fail {
                         kind: kind_code(v.kind),
@@ -293,14 +293,6 @@ fn execute_inner(spec: &CellSpec) -> CellOutcome {
             }
         }
     }
-}
-
-fn payload_msg(payload: &(dyn std::any::Any + Send)) -> &str {
-    payload
-        .downcast_ref::<String>()
-        .map(String::as_str)
-        .or_else(|| payload.downcast_ref::<&str>().copied())
-        .unwrap_or("non-string panic payload")
 }
 
 /// A whole campaign: the ordered cell list. Cell ids are indices into
@@ -353,7 +345,7 @@ impl CampaignSpec {
         for c in &self.cells {
             c.put(&mut buf);
         }
-        fnv64(&buf)
+        fnv1a(FNV_OFFSET, &buf)
     }
 
     /// Fingerprint of the first cell's **built program** (the generator

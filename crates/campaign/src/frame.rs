@@ -18,7 +18,7 @@ use std::io::{self, Read, Write};
 use watchdog_trace::wire::{get_uvarint, put_uvarint};
 
 use crate::cell::{CellOutcome, CellSpec};
-use crate::fnv64;
+use watchdog_mem::hash::{fnv1a, FNV_OFFSET};
 
 /// Protocol version, exchanged in the worker's `Hello`. A coordinator
 /// refuses to feed cells to a worker speaking another version (mixed
@@ -62,7 +62,7 @@ impl std::error::Error for FrameError {}
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     w.write_all(&(payload.len() as u32).to_le_bytes())?;
     w.write_all(payload)?;
-    w.write_all(&fnv64(payload).to_le_bytes())?;
+    w.write_all(&fnv1a(FNV_OFFSET, payload).to_le_bytes())?;
     w.flush()
 }
 
@@ -93,7 +93,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, FrameError> {
     read_exact_or(r, &mut payload, "truncated payload")?;
     let mut sum8 = [0u8; 8];
     read_exact_or(r, &mut sum8, "truncated checksum")?;
-    if u64::from_le_bytes(sum8) != fnv64(&payload) {
+    if u64::from_le_bytes(sum8) != fnv1a(FNV_OFFSET, &payload) {
         return Err(FrameError::Corrupt("checksum mismatch"));
     }
     Ok(payload)

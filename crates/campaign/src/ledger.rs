@@ -37,7 +37,7 @@ use std::path::{Path, PathBuf};
 use watchdog_trace::wire::{get_uvarint, put_uvarint};
 
 use crate::cell::CellOutcome;
-use crate::fnv64;
+use watchdog_mem::hash::{fnv1a, FNV_OFFSET};
 
 /// File magic: first four bytes of every ledger.
 pub const LEDGER_MAGIC: [u8; 4] = *b"WDLG";
@@ -97,7 +97,7 @@ impl CellRecord {
         buf.push(RECORD_MARKER);
         put_uvarint(&mut buf, payload.len() as u64);
         buf.extend_from_slice(&payload);
-        put_uvarint(&mut buf, fnv64(&payload));
+        put_uvarint(&mut buf, fnv1a(FNV_OFFSET, &payload));
         buf
     }
 }
@@ -232,7 +232,7 @@ fn parse_record(bytes: &[u8], pos: &mut usize) -> Option<CellRecord> {
     let payload = bytes.get(p..end)?;
     p = end;
     let sum = get_uvarint(bytes, &mut p).ok()?;
-    if sum != fnv64(payload) {
+    if sum != fnv1a(FNV_OFFSET, payload) {
         return None;
     }
     let mut q = 0usize;

@@ -78,23 +78,3 @@ pub use fault::{FaultKind, FaultPlan, FAULT_ENV};
 pub use ledger::{read_canonical, CellRecord, LedgerError, LedgerHeader};
 pub use validate::{cross_check, validate_events, EventsSummary};
 pub use worker::worker_entry;
-
-/// FNV-1a over a byte slice (the checksum/fingerprint primitive shared by
-/// frames, ledger records and spec hashes — one implementation, so the
-/// reader and writer can never disagree).
-pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-/// FNV-1a accumulation of further bytes into an existing hash.
-pub(crate) fn fnv64_more(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-}

@@ -65,7 +65,7 @@ impl fmt::Display for DiffFailure {
     }
 }
 
-use crate::{fnv1a, FNV_OFFSET};
+use watchdog_mem::hash::{fnv1a, FNV_OFFSET};
 
 /// Checks a report against the oracle: same violation kind, raised at the
 /// exact expected instruction.
@@ -128,19 +128,17 @@ pub fn check_generated(g: &Generated) -> Result<DiffOutcome, DiffFailure> {
             detail: format!("{} of {} failed to simulate: {e}", mode.label(), p.name()),
         })?;
         runs += 1;
-        fnv1a(
-            &mut digest,
-            &format!(
-                "{}|{}|{:?}|{:?}|{:?}|{}|{}\n",
-                r.program,
-                r.mode,
-                r.machine,
-                r.heap,
-                r.violation,
-                r.cycles(),
-                r.uops()
-            ),
+        let line = format!(
+            "{}|{}|{:?}|{:?}|{:?}|{}|{}\n",
+            r.program,
+            r.mode,
+            r.machine,
+            r.heap,
+            r.violation,
+            r.cycles(),
+            r.uops()
         );
+        digest = fnv1a(digest, line.as_bytes());
         Ok(r)
     };
 

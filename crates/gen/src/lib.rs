@@ -50,16 +50,3 @@ pub use diff::{check_generated, check_seed, DiffFailure, DiffOutcome};
 pub use rng::Rng;
 pub use script::{generate, GenConfig, Generated, Oracle, Payload, Route};
 pub use watchdog_core::error::ViolationKind;
-
-/// FNV-1a accumulation, shared by the program and report digests — the
-/// determinism tests compare both across sharded runs, so there is
-/// exactly one implementation of the hash.
-pub(crate) fn fnv1a(h: &mut u64, s: &str) {
-    for b in s.bytes() {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-}
-
-/// FNV-1a offset basis (the initial accumulator value).
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

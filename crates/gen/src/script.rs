@@ -32,6 +32,7 @@ use std::collections::BTreeMap;
 use watchdog_core::error::ViolationKind;
 use watchdog_isa::layout::{GLOBAL_BASE, GLOBAL_SIZE};
 use watchdog_isa::{AluOp, Cond, Gpr, Label, Program, ProgramBuilder};
+use watchdog_mem::hash::{fnv1a, FNV_OFFSET};
 
 /// Number of register pointer slots the script plays with (`r0..r4`;
 /// `r0` always holds the protected victim allocation's base).
@@ -459,15 +460,13 @@ impl Generated {
     /// FNV-1a digest over both programs' disassembly and the oracle —
     /// a compact fingerprint for determinism assertions.
     pub fn digest(&self) -> u64 {
-        let mut h = crate::FNV_OFFSET;
-        for text in [
+        [
             self.program.disassemble(),
             self.twin.disassemble(),
             format!("{:?}", self.oracle),
-        ] {
-            crate::fnv1a(&mut h, &text);
-        }
-        h
+        ]
+        .iter()
+        .fold(FNV_OFFSET, |h, text| fnv1a(h, text.as_bytes()))
     }
 }
 

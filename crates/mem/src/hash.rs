@@ -1,4 +1,5 @@
-//! A multiplicative hasher for maps keyed by page, word or address.
+//! A multiplicative hasher for maps keyed by page, word or address, and
+//! the workspace's one FNV-1a implementation ([`fnv1a`]).
 //!
 //! The simulator's hot maps are keyed by small integers (page numbers,
 //! payload addresses) that no adversary chooses, so SipHash's flood
@@ -46,6 +47,25 @@ impl Hasher for MulHasher {
 /// A `HashMap` hashed with [`MulHasher`].
 pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<MulHasher>>;
 
+/// The FNV-1a 64-bit offset basis: the hash of no bytes.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the FNV-1a 64-bit hash state `h` (start from
+/// [`FNV_OFFSET`]). Each step is a bijection of the state, so any single
+/// changed byte changes the result.
+///
+/// The one implementation behind trace checksums and program
+/// fingerprints, campaign frame/ledger checksums and spec hashes, and the
+/// generator's program and report digests, so no writer and reader can
+/// disagree.
+pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -59,6 +79,18 @@ mod tests {
         low.sort_unstable();
         low.dedup();
         low.len()
+    }
+
+    #[test]
+    fn fnv1a_matches_the_reference_vectors() {
+        assert_eq!(fnv1a(FNV_OFFSET, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(FNV_OFFSET, b"foobar"), 0x8594_4171_f739_67e8);
+        // Folding in pieces equals folding the concatenation.
+        assert_eq!(
+            fnv1a(fnv1a(FNV_OFFSET, b"foo"), b"bar"),
+            0x8594_4171_f739_67e8
+        );
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! * [`words`] — sets of words as per-page bitmaps (footprints, the
 //!   location-based checker's allocation status).
 //! * [`hash`] — the multiplicative hasher behind every page- or
-//!   address-keyed map.
+//!   address-keyed map, and the one FNV-1a checksum/fingerprint hash.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

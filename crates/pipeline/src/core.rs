@@ -1210,11 +1210,7 @@ mod tests {
     #[test]
     fn mixed_stream_report_digest_is_pinned() {
         let report = run_mixed();
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &b in report.as_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        let h = watchdog_mem::hash::fnv1a(watchdog_mem::hash::FNV_OFFSET, report.as_bytes());
         assert_eq!(h, 0xf70a_46dd_2e62_d952, "report changed: {report}");
     }
 

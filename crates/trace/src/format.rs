@@ -31,6 +31,7 @@ use watchdog_core::prelude::*;
 use watchdog_core::runtime::HeapStats;
 use watchdog_isa::crack::BoundsUops;
 use watchdog_isa::Program;
+use watchdog_mem::hash::{fnv1a, FNV_OFFSET};
 use watchdog_mem::{ConfigError, Footprint};
 
 use crate::wire::{get_uvarint, put_uvarint};
@@ -505,19 +506,6 @@ fn kind_from_code(b: u8) -> Result<ViolationKind, TraceError> {
         5 => ViolationKind::OutOfBounds,
         _ => return Err(TraceError::Corrupt("unknown violation kind")),
     })
-}
-
-/// The FNV-1a 64-bit offset basis: the hash of no bytes.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Folds `bytes` into the FNV-1a 64-bit hash state `h`. Each step is a
-/// bijection of the state, so any single changed byte changes the result.
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// Appends the checksum of everything in `buf` so far.

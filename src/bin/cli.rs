@@ -593,6 +593,11 @@ fn scale_arg(args: &[String], default: Scale) -> Scale {
     })
 }
 
+/// `--jobs`, else `WATCHDOG_JOBS`, else every core; a bad value exits 2.
+fn jobs_arg(args: &[String]) -> usize {
+    jobs_from_args(args, std::env::var("WATCHDOG_JOBS").ok())
+}
+
 fn trace_file_arg(args: &[String]) -> Trace {
     let Some(path) = flag_value(args, "--trace") else {
         eprintln!("--trace FILE is required");
@@ -705,6 +710,7 @@ fn cmd_trace_selftest(args: &[String]) {
             std::process::exit(2);
         })
     });
+    let jobs = jobs_arg(args);
     // One shared recipe (`verify_replay`): live timed run vs.
     // record→serialize→deserialize→replay, compared field-for-field — the
     // same helper the workspace equivalence tests assert with, so the CI
@@ -721,7 +727,6 @@ fn cmd_trace_selftest(args: &[String]) {
             )
         }))
         .collect();
-    let jobs = jobs_from_args();
     let failures: Vec<String> = watchdog::bench::parallel_map(cases.len(), jobs, |i| {
         let (program, mode) = &cases[i];
         verify_replay(program, &SimConfig::timed(*mode)).err()
@@ -764,7 +769,7 @@ fn cmd_juliet(args: &[String]) {
     });
     // Cases are sharded across the worker pool (`--jobs`/`WATCHDOG_JOBS`);
     // results are merged in suite order, identical to a serial run.
-    let outcomes = run_juliet_with_jobs(mode, jobs_from_args(), None);
+    let outcomes = run_juliet_with_jobs(mode, jobs_arg(args), None);
     let s = summarize_juliet(&outcomes);
     println!("mode:            {}", mode.label());
     println!(
@@ -780,7 +785,7 @@ fn cmd_fuzz(args: &[String]) {
     // The whole fuzz command line (flags, defaults, repro and campaign
     // reports) is shared with the standalone `fuzz` binary, so the two
     // entry points cannot drift.
-    let code = fuzz_main(args);
+    let code = fuzz_main(args, std::env::var("WATCHDOG_JOBS").ok());
     if code != 0 {
         std::process::exit(code);
     }

@@ -400,6 +400,9 @@ fn campaign_flag_errors_list_the_valid_alternatives_and_exit_2() {
         (&["campaign", "--scale", "huge"], "test, small, ref"),
         (&["campaign", "--seeds", "many"], "unsigned integer"),
         (&["campaign", "--jobs", "0"], "positive"),
+        (&["fuzz", "--jobs", "0"], "positive"),
+        (&["juliet", "--jobs", "0"], "positive"),
+        (&["trace", "selftest", "--jobs", "0"], "positive"),
         (
             &["campaign", "--fault", "boom@1"],
             "panic, exit, hang, corrupt, truncate",

@@ -26,6 +26,7 @@ use std::fmt::Write as _;
 
 use watchdog::bench::parallel_map;
 use watchdog::gen::{generate, GenConfig};
+use watchdog::mem::hash::{fnv1a, FNV_OFFSET};
 use watchdog::prelude::*;
 use watchdog::trace::{record, replay, ReplayConfig};
 
@@ -45,18 +46,8 @@ fn modes() -> [(&'static str, Mode); 4] {
 const SEEDS: u64 = 100;
 const SEED_PREFIX: u64 = 25;
 
-/// FNV-1a, 64 bit.
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 fn debug_digest(v: &impl std::fmt::Debug) -> u64 {
-    fnv(format!("{v:?}").as_bytes())
+    fnv1a(FNV_OFFSET, format!("{v:?}").as_bytes())
 }
 
 /// Digest of a run's outcome: the report on success, the error otherwise
@@ -83,7 +74,7 @@ fn cpi(program: &Program, mode: Mode) -> u64 {
                     let _ = writeln!(text, "{}={:?}", m.name, m.counter);
                 }
             }
-            fnv(text.as_bytes())
+            fnv1a(FNV_OFFSET, text.as_bytes())
         }
         Err(e) => debug_digest(&e),
     }

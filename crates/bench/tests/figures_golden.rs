@@ -1,15 +1,20 @@
 //! The paper-figure regenerators must print exactly the committed golden
 //! output: `all --scale test` byte for byte against
-//! `tests/golden/all_test.txt`, and a single-figure binary (`fig08`)
-//! exactly its own section of that golden.
+//! `tests/golden/all_test.txt`, a single-figure binary (`fig08`) exactly
+//! its own section of that golden, and the trace-driven LL$ sweep
+//! (`ablation_ll_size --scale test`) byte for byte against
+//! `tests/golden/ablation_ll_size_test.txt`.
 //!
 //! An intentional change to a figure's numbers or layout means
 //! regenerating the golden with
-//! `cargo run --release -p watchdog-bench --bin all -- --scale test > tests/golden/all_test.txt`.
+//! `cargo run --release -p watchdog-bench --bin all -- --scale test > tests/golden/all_test.txt`
+//! (or `--bin ablation_ll_size -- --scale test --jobs 2 >
+//! tests/golden/ablation_ll_size_test.txt` for the sweep).
 
 use std::process::Command;
 
 const GOLDEN: &str = include_str!("../../../tests/golden/all_test.txt");
+const LL_SWEEP_GOLDEN: &str = include_str!("../../../tests/golden/ablation_ll_size_test.txt");
 
 /// Runs a bench binary at `--scale test --jobs 2` and returns its stdout.
 fn run(exe: &str) -> String {
@@ -78,5 +83,15 @@ fn fig08_prints_exactly_its_golden_section() {
         got == want,
         "`fig08 --scale test` differs from its section of the golden:\n{}",
         diff(want, &got)
+    );
+}
+
+#[test]
+fn ablation_ll_size_matches_its_golden_byte_for_byte() {
+    let got = run(env!("CARGO_BIN_EXE_ablation_ll_size"));
+    assert!(
+        got == LL_SWEEP_GOLDEN,
+        "`ablation_ll_size --scale test` differs from tests/golden/ablation_ll_size_test.txt:\n{}",
+        diff(LL_SWEEP_GOLDEN, &got)
     );
 }

@@ -10,11 +10,14 @@
 //! §4.2 "4KB captures the working set of lock locations" claim.
 //!
 //! The sweep is **trace-driven**: each benchmark's functional machine runs
-//! once (`watchdog_trace::record`), and every LL$ geometry is a cheap
-//! batched timing replay of that trace — identical to a full
-//! re-simulation (the equivalence tests assert byte-for-byte), at a
-//! fraction of the cost, which is what makes the extra associativity axis
-//! nearly free.
+//! once (`watchdog_trace::record`), and one `watchdog_trace::replay_many`
+//! pass over that trace decodes each event and fills each µop batch once,
+//! then drains it into one timing core per LL$ geometry. Every report is
+//! identical to a full re-simulation (the equivalence tests assert
+//! byte-for-byte), at a fraction of the cost, which is what makes the
+//! extra associativity axis nearly free. All twenty geometries'
+//! hierarchies are live at once in each worker. The `--scale test` table
+//! is pinned by `tests/golden/ablation_ll_size_test.txt`.
 
 use watchdog_bench::{
     figure_order, geomean, jobs_from_args, mean, pct, run_sweep_traced_with_jobs, scale_from_args,
@@ -40,8 +43,8 @@ fn main() {
     // baseline's cycles do not depend on the LL$, which it never touches).
     let table2 = [SweepPoint::table2("table2")];
     let base = run_sweep_traced_with_jobs(Mode::Baseline, scale, &table2, jobs, None);
-    // Watchdog: one functional pass per benchmark, then every (size, ways)
-    // geometry as a replay.
+    // Watchdog: one functional pass per benchmark, then one replay pass
+    // that drives a timing core per (size, ways) geometry.
     let points: Vec<SweepPoint> = WAYS
         .iter()
         .flat_map(|&ways| {

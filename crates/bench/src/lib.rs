@@ -17,6 +17,7 @@
 #![warn(missing_docs)]
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -169,8 +170,8 @@ pub fn run_suite_with_jobs(
 ) -> SuiteResults {
     let (specs, programs) = suite_programs(scale, None);
     let labels: Vec<String> = modes.iter().map(Mode::label).collect();
-    let cells = run_grid(&specs, &labels, jobs, |si, mi| {
-        run_cell(&programs[si], modes[mi], timing)
+    let cells = run_grid(&specs, &labels, None, jobs, |si, cols| {
+        vec![run_cell(&programs[si], modes[cols.start], timing)]
     });
     let mut out = SuiteResults::new();
     for (k, report) in cells.into_iter().enumerate() {
@@ -231,52 +232,74 @@ where
         .collect()
 }
 
-/// Executes `run(spec index, column index)` for every cell of the
-/// (benchmark × column) grid over [`parallel_map`], returning the reports
-/// in grid order (benchmark-major). A column is a mode of the suite or a
-/// (mode, point) pair of a sweep; `columns` holds their labels.
+/// Executes the (benchmark × column) grid over [`parallel_map`] and
+/// returns the reports in grid order (benchmark-major). A column is a
+/// mode of the suite or a (mode, point) pair of a sweep; `columns` holds
+/// their labels.
 ///
-/// Cell panics — and unexpected violations — are caught and re-raised on
-/// the caller's thread with the `[bench under column]` label prepended,
-/// so a failure deep inside a simulation is attributable no matter which
-/// thread ran it. The first failure raises an abort flag so workers stop
-/// pulling new cells (in-flight cells still finish and may contribute
-/// their own labelled failures).
+/// A unit of work is one cell, `run(si, ci..ci + 1)`, or — when `row`
+/// labels one — a benchmark's whole row, `run(si, 0..columns.len())`
+/// (a traced sweep records once and replays every point in one pass).
+/// `run` returns one report per column of its range.
+///
+/// Unit panics — and unexpected violations — are caught and re-raised on
+/// the caller's thread with a `[bench under label]` prefix: the unit's
+/// label for a panic, the report's own column for a violation. A failure
+/// deep inside a simulation is attributable no matter which thread ran
+/// it. The first failure raises an abort flag so workers stop pulling new
+/// units (in-flight units still finish and may contribute their own
+/// labelled failures).
 fn run_grid<F>(
     specs: &[watchdog_workloads::BenchSpec],
     columns: &[String],
+    row: Option<&str>,
     jobs: usize,
     run: F,
 ) -> Vec<RunReport>
 where
-    F: Fn(usize, usize) -> RunReport + Sync,
+    F: Fn(usize, Range<usize>) -> Vec<RunReport> + Sync,
 {
+    let width = if row.is_some() {
+        columns.len().max(1)
+    } else {
+        1
+    };
+    let per_bench = columns.len() / width;
     let abort = AtomicBool::new(false);
-    let cells = parallel_map(specs.len() * columns.len(), jobs, |k| {
+    let units = parallel_map(specs.len() * per_bench, jobs, |k| {
         if abort.load(Ordering::Relaxed) {
             return None;
         }
-        let (si, ci) = (k / columns.len(), k % columns.len());
-        let checked = || {
-            let report = run(si, ci);
-            let v = report.violation.as_ref();
-            assert!(v.is_none(), "unexpected violation {v:?}");
-            report
-        };
-        Some(
-            panic::catch_unwind(AssertUnwindSafe(checked)).map_err(|payload| {
-                abort.store(true, Ordering::Relaxed);
-                let msg = payload_msg(payload.as_ref());
-                format!("[{} under {}] {msg}", specs[si].name, columns[ci])
-            }),
-        )
+        let (si, first) = (k / per_bench, k % per_bench * width);
+        let cols = first..first + width;
+        let label = |column: &str, msg: &str| format!("[{} under {column}] {msg}", specs[si].name);
+        let unit = panic::catch_unwind(AssertUnwindSafe(|| run(si, cols.clone())))
+            .map_err(|payload| {
+                let unit_label = row.unwrap_or(&columns[first]);
+                label(unit_label, payload_msg(payload.as_ref()))
+            })
+            .and_then(|reports| {
+                let violation = cols
+                    .zip(&reports)
+                    .find_map(|(ci, r)| Some((ci, r.violation.as_ref()?)));
+                match violation {
+                    Some((ci, v)) => {
+                        Err(label(&columns[ci], &format!("unexpected violation {v:?}")))
+                    }
+                    None => Ok(reports),
+                }
+            });
+        if unit.is_err() {
+            abort.store(true, Ordering::Relaxed);
+        }
+        Some(unit)
     });
 
     let mut failures: Vec<String> = Vec::new();
-    let mut done = Vec::with_capacity(cells.len());
-    for cell in cells.into_iter().flatten() {
-        match cell {
-            Ok(report) => done.push(report),
+    let mut done = Vec::with_capacity(specs.len() * columns.len());
+    for unit in units.into_iter().flatten() {
+        match unit {
+            Ok(reports) => done.extend(reports),
             Err(f) => failures.push(f),
         }
     }
@@ -336,10 +359,15 @@ pub type SweepResults = BTreeMap<String, Vec<RunReport>>;
 
 /// Trace-driven configuration sweep: records each benchmark **once**
 /// (a functional pass via [`watchdog_trace::record()`]), then replays every
-/// [`SweepPoint`] from the trace through the timing model — turning
-/// O(points × full simulations) into O(1 functional pass + points cheap
-/// replays) per benchmark. Recording and the (benchmark × point) replay
-/// grid are both sharded across the [`parallel_map`] worker pool.
+/// [`SweepPoint`] from that trace in one [`watchdog_trace::replay_many`]
+/// pass — each event decoded and each µop batch filled once, then drained
+/// into one timing core per point. That turns O(points × full
+/// simulations) into O(1 functional pass + 1 decode + points timing
+/// cores) per benchmark. One [`parallel_map`] unit is one benchmark:
+/// record, then replay every point.
+///
+/// Every point's hierarchy is live for the whole pass, so a worker holds
+/// `points.len()` hierarchies at once.
 ///
 /// The output is byte-identical to [`run_sweep_resim_with_jobs`] — replay
 /// is oracle-exact — which the workspace equivalence tests assert.
@@ -349,8 +377,10 @@ pub type SweepResults = BTreeMap<String, Vec<RunReport>>;
 ///
 /// # Panics
 ///
-/// Panics with a benchmark/mode/point label if recording or replay fails,
-/// or if any benchmark raises an unexpected violation.
+/// Before recording anything, with the `mode @ point` label if a point's
+/// configuration is invalid. Otherwise with a benchmark/mode label if
+/// recording or replay fails, or a benchmark/mode/point label if any
+/// report carries an unexpected violation.
 pub fn run_sweep_traced_with_jobs(
     mode: Mode,
     scale: Scale,
@@ -358,25 +388,29 @@ pub fn run_sweep_traced_with_jobs(
     jobs: usize,
     limit: Option<usize>,
 ) -> SweepResults {
+    let labels = sweep_labels(mode, points);
+    // Start from the timing slice of the live configuration the resim
+    // path uses, so the two sweeps can never drift apart on the core
+    // parameters; the point only overrides what an ablation varies.
+    let cfgs: Vec<_> = points
+        .iter()
+        .zip(&labels)
+        .map(|(point, label)| {
+            let mut cfg = watchdog_trace::ReplayConfig::from_sim(&SimConfig::timed(mode));
+            cfg.hierarchy = point.hierarchy;
+            cfg.crack_cache = point.crack_cache;
+            if let Err(e) = cfg.validate() {
+                panic!("[{label}] {e}");
+            }
+            cfg
+        })
+        .collect();
     let (specs, programs) = suite_programs(scale, limit);
     let max_insts = SimConfig::timed(mode).max_insts;
-    let traces = parallel_map(programs.len(), jobs, |i| {
-        watchdog_trace::record(&programs[i], mode, max_insts).unwrap_or_else(|e| {
-            panic!(
-                "[{} under {}] trace recording failed: {e}",
-                specs[i].name,
-                mode.label()
-            )
-        })
-    });
-    sweep_grid(&specs, mode, points, jobs, |si, point| {
-        // Start from the timing slice of the live configuration the resim
-        // path uses, so the two sweeps can never drift apart on the core
-        // parameters; the point only overrides what an ablation varies.
-        let mut cfg = watchdog_trace::ReplayConfig::from_sim(&SimConfig::timed(mode));
-        cfg.hierarchy = point.hierarchy;
-        cfg.crack_cache = point.crack_cache;
-        watchdog_trace::replay(&programs[si], &traces[si], &cfg)
+    sweep_grid(&specs, &labels, Some(&mode.label()), jobs, |si, _| {
+        let trace = watchdog_trace::record(&programs[si], mode, max_insts)
+            .unwrap_or_else(|e| panic!("trace recording failed: {e}"));
+        watchdog_trace::replay_many(&programs[si], &trace, &cfgs)
             .unwrap_or_else(|e| panic!("trace replay failed: {e}"))
     })
 }
@@ -386,7 +420,8 @@ pub fn run_sweep_traced_with_jobs(
 ///
 /// # Panics
 ///
-/// As [`run_sweep_traced_with_jobs`].
+/// With a benchmark/mode/point label if a simulation fails or raises an
+/// unexpected violation.
 pub fn run_sweep_resim_with_jobs(
     mode: Mode,
     scale: Scale,
@@ -395,14 +430,24 @@ pub fn run_sweep_resim_with_jobs(
     limit: Option<usize>,
 ) -> SweepResults {
     let (specs, programs) = suite_programs(scale, limit);
-    sweep_grid(&specs, mode, points, jobs, |si, point| {
+    let labels = sweep_labels(mode, points);
+    sweep_grid(&specs, &labels, None, jobs, |si, pi| {
+        let point = &points[pi.start];
         let mut cfg = SimConfig::timed(mode);
         cfg.hierarchy = point.hierarchy;
         cfg.crack_cache = point.crack_cache;
-        Simulator::new(cfg)
+        vec![Simulator::new(cfg)
             .run(&programs[si])
-            .unwrap_or_else(|e| panic!("simulation failed: {e}"))
+            .unwrap_or_else(|e| panic!("simulation failed: {e}"))]
     })
+}
+
+/// The `mode @ point` column labels of a sweep.
+fn sweep_labels(mode: Mode, points: &[SweepPoint]) -> Vec<String> {
+    points
+        .iter()
+        .map(|p| format!("{} @ {}", mode.label(), p.label))
+        .collect()
 }
 
 /// The first `limit` suite benchmarks (all twenty for `None`), each
@@ -420,27 +465,25 @@ fn suite_programs(
     (specs, programs)
 }
 
-/// Runs `run(benchmark index, point)` for every (benchmark × point) cell
-/// of a sweep on [`run_grid`] and merges the reports, in point order,
-/// into [`SweepResults`].
+/// Runs a sweep's (benchmark × point) grid on [`run_grid`] (`row`
+/// and `run` as there; `labels` from [`sweep_labels`]) and merges the
+/// reports, in point order, into [`SweepResults`].
 fn sweep_grid<F>(
     specs: &[watchdog_workloads::BenchSpec],
-    mode: Mode,
-    points: &[SweepPoint],
+    labels: &[String],
+    row: Option<&str>,
     jobs: usize,
     run: F,
 ) -> SweepResults
 where
-    F: Fn(usize, &SweepPoint) -> RunReport + Sync,
+    F: Fn(usize, Range<usize>) -> Vec<RunReport> + Sync,
 {
-    let labels: Vec<String> = points
-        .iter()
-        .map(|p| format!("{} @ {}", mode.label(), p.label))
-        .collect();
-    let cells = run_grid(specs, &labels, jobs, |si, pi| run(si, &points[pi]));
     let mut out = SweepResults::new();
-    for (k, report) in cells.into_iter().enumerate() {
-        out.entry(specs[k / points.len()].name.to_string())
+    for (k, report) in run_grid(specs, labels, row, jobs, run)
+        .into_iter()
+        .enumerate()
+    {
+        out.entry(specs[k / labels.len()].name.to_string())
             .or_default()
             .push(report);
     }
@@ -990,11 +1033,11 @@ mod tests {
         let modes = [Mode::Baseline];
         let programs: Vec<_> = specs.iter().map(|s| s.build(Scale::Test)).collect();
         let got = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            run_grid(&specs, &["baseline".into()], 4, |si, mi| {
+            run_grid(&specs, &["baseline".into()], None, 4, |si, mi| {
                 if specs[si].name == "mcf" {
                     panic!("synthetic cell failure");
                 }
-                run_cell(&programs[si], modes[mi], false)
+                vec![run_cell(&programs[si], modes[mi.start], false)]
             })
         }))
         .expect_err("the grid must fail");
@@ -1010,7 +1053,7 @@ mod tests {
 
         // The strictly serial path labels failures identically.
         let got = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            run_grid(&specs, &["baseline".into()], 1, |si, _| {
+            run_grid(&specs, &["baseline".into()], None, 1, |si, _| {
                 panic!("early failure in {}", specs[si].name)
             })
         }))
@@ -1019,6 +1062,62 @@ mod tests {
         assert!(
             msg.contains("[lbm under baseline] early failure in lbm"),
             "serial label lost: {msg}"
+        );
+    }
+
+    #[test]
+    fn row_units_label_panics_by_row_and_violations_by_column() {
+        let specs = all_benchmarks();
+        let programs: Vec<_> = specs.iter().map(|s| s.build(Scale::Test)).collect();
+        let columns: Vec<String> = ["m @ a", "m @ b"].map(String::from).into();
+        let got = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            run_grid(&specs, &columns, Some("m"), 2, |si, cols| {
+                assert_eq!(cols, 0..2, "a row unit covers every column");
+                match specs[si].name {
+                    "mcf" => panic!("synthetic row failure"),
+                    "lbm" => {
+                        let mut reports: Vec<RunReport> = cols
+                            .map(|_| run_cell(&programs[si], Mode::Baseline, false))
+                            .collect();
+                        reports[1].violation = Some(Violation {
+                            kind: ViolationKind::UseAfterFree,
+                            pc_index: 0,
+                            addr: 0,
+                        });
+                        reports
+                    }
+                    _ => Vec::new(),
+                }
+            })
+        }))
+        .expect_err("the grid must fail");
+        let msg = got.downcast_ref::<String>().unwrap();
+        assert!(msg.contains("[mcf under m] synthetic row failure"), "{msg}");
+        assert!(
+            msg.contains("[lbm under m @ b] unexpected violation"),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "[watchdog/conservative @ 256B LL$] invalid configuration: config field `ll.size`"
+    )]
+    fn traced_sweep_rejects_a_bad_point_before_recording() {
+        let mut bad = SweepPoint::table2("256B LL$");
+        bad.hierarchy.ll = watchdog_mem::CacheConfig {
+            size: 256,
+            ways: 8,
+            block: 64,
+        };
+        let points = [SweepPoint::ll_size_kb(1), bad];
+        // No benchmark at all: only the up-front check can fail.
+        run_sweep_traced_with_jobs(
+            Mode::watchdog_conservative(),
+            Scale::Test,
+            &points,
+            2,
+            Some(0),
         );
     }
 }

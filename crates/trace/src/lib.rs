@@ -15,10 +15,15 @@
 //!   way: as the lock-location addresses those instructions touch.
 //! * [`replay()`] drives the out-of-order timing core from the trace under
 //!   any [`ReplayConfig`] — re-cracking statically through the per-PC
-//!   crack cache and assembling µops with the *same*
-//!   [`assemble_cracked`](watchdog_isa::crack::assemble_cracked) the live
-//!   machine uses — without re-executing a single architectural
-//!   instruction.
+//!   crack cache and filling µop batches with the *same*
+//!   [`UopBatch::push_expansion`](watchdog_pipeline::UopBatch::push_expansion)
+//!   the live machine's batched step uses — without re-executing a single
+//!   architectural instruction.
+//! * [`replay_many`] replays one trace under many configurations in a
+//!   single pass: it decodes each event and fills each batch once, then
+//!   drains the batch into one timing core per configuration. Its reports
+//!   are field-identical to one [`replay()`] per configuration; `replay()`
+//!   is the one-configuration call of the same loop.
 //!
 //! The correctness anchor is **exact equivalence**: a replayed
 //! [`RunReport`](watchdog_core::RunReport) matches the live timed
@@ -34,7 +39,7 @@
 //! use watchdog_core::prelude::*;
 //! use watchdog_isa::{Gpr, ProgramBuilder};
 //! use watchdog_mem::CacheConfig;
-//! use watchdog_trace::{record, replay, ReplayConfig};
+//! use watchdog_trace::{record, replay, replay_many, ReplayConfig};
 //!
 //! let mut b = ProgramBuilder::new("demo");
 //! let (p, sz) = (Gpr::new(0), Gpr::new(1));
@@ -47,12 +52,21 @@
 //!
 //! // One functional pass...
 //! let trace = record(&program, Mode::watchdog_conservative(), 1_000_000)?;
-//! // ...then N cheap timing replays under different LL$ sizes.
-//! for kb in [1u64, 4, 16] {
-//!     let mut cfg = ReplayConfig::default();
-//!     cfg.hierarchy.ll = CacheConfig::new(kb * 1024, 8, 64);
-//!     let report = replay(&program, &trace, &cfg)?;
+//! // ...then one timing replay that drives a core per LL$ size.
+//! let cfgs: Vec<ReplayConfig> = [1u64, 4, 16]
+//!     .iter()
+//!     .map(|kb| {
+//!         let mut cfg = ReplayConfig::default();
+//!         cfg.hierarchy.ll = CacheConfig::new(kb * 1024, 8, 64);
+//!         cfg
+//!     })
+//!     .collect();
+//! let reports = replay_many(&program, &trace, &cfgs)?;
+//! for (cfg, report) in cfgs.iter().zip(&reports) {
 //!     assert!(report.cycles() > 0);
+//!     // The same report a separate replay of that configuration gives.
+//!     let single = replay(&program, &trace, cfg)?;
+//!     assert_eq!(format!("{report:?}"), format!("{single:?}"));
 //! }
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -72,5 +86,6 @@ pub mod wire;
 pub use format::{program_fingerprint, Trace, TraceError, TraceInfo, TraceOutcome};
 pub use record::{record, TraceRecorder};
 pub use replay::{
-    replay, replay_instrumented, replay_with_stats, verify_replay, ReplayConfig, ReplayStats,
+    replay, replay_instrumented, replay_many, replay_with_stats, verify_replay, ReplayConfig,
+    ReplayStats,
 };

@@ -10,6 +10,11 @@
 //! the cache hierarchy (LL$ size/associativity, ideal shadow) and the
 //! crack cache toggle — which is what makes one-pass configuration sweeps
 //! possible.
+//!
+//! None of those knobs changes the µop stream itself, so [`replay_many`]
+//! decodes each event and fills each [`UopBatch`] once, then drains the
+//! batch into one [`TimingCore`] per configuration. [`replay()`] and its
+//! variants are one-configuration calls of that same loop.
 
 use watchdog_core::machine::CheckMode;
 use watchdog_core::prelude::*;
@@ -50,6 +55,17 @@ impl Default for ReplayConfig {
 }
 
 impl ReplayConfig {
+    /// Checks the core and hierarchy parameters (see
+    /// [`CoreConfig::validate`] and [`HierarchyConfig::validate`]).
+    ///
+    /// # Errors
+    ///
+    /// [`TraceError::Config`] naming the first invalid field.
+    pub fn validate(&self) -> Result<(), TraceError> {
+        self.core.validate()?;
+        Ok(self.hierarchy.validate()?)
+    }
+
     /// The timing-side slice of a full [`SimConfig`] (`mode`, `timing` and
     /// `max_insts` do not apply to replay).
     ///
@@ -124,7 +140,7 @@ pub fn verify_replay(program: &Program, sim: &SimConfig) -> Result<(), String> {
 /// # Errors
 ///
 /// [`TraceError::Config`] when `cfg.core` or `cfg.hierarchy` is invalid
-/// (see [`CoreConfig::validate`] and [`HierarchyConfig::validate`]);
+/// (see [`ReplayConfig::validate`]);
 /// [`TraceError::ProgramMismatch`] when
 /// `program` is not the program the trace was recorded from (name or
 /// fingerprint differ); other [`TraceError`]s when the event stream is
@@ -148,7 +164,8 @@ pub fn replay_with_stats(
     trace: &Trace,
     cfg: &ReplayConfig,
 ) -> Result<(RunReport, ReplayStats), TraceError> {
-    replay_impl(program, trace, cfg, false).map(|(report, stats, _)| (report, stats))
+    let (report, stats, _) = replay_one(program, trace, cfg, false)?;
+    Ok((report, stats))
 }
 
 /// [`replay()`] with the timing core's self-profiler attached: the core
@@ -165,39 +182,88 @@ pub fn replay_instrumented(
     trace: &Trace,
     cfg: &ReplayConfig,
 ) -> Result<(RunReport, MetricsRegistry), TraceError> {
-    replay_impl(program, trace, cfg, true).map(|(report, _, reg)| (report, reg))
+    let (report, _, reg) = replay_one(program, trace, cfg, true)?;
+    Ok((report, reg))
 }
 
-/// The replay loop. `telemetry` attaches the core's
-/// self-profiler and exports its registry as the third element (empty
-/// otherwise).
-fn replay_impl(
+/// Replays `trace` under every configuration of `cfgs` in one pass: each
+/// event is decoded and each [`UopBatch`] filled once, then drained into
+/// one [`TimingCore`] per configuration. Report `i` is field-identical to
+/// `replay(program, trace, &cfgs[i])`; an empty `cfgs` returns no reports
+/// and decodes nothing.
+///
+/// Every configuration's hierarchy is live for the whole pass, so memory
+/// grows with `cfgs.len()` (each hierarchy owns its own cache arrays).
+///
+/// # Errors
+///
+/// As [`replay()`]. Every configuration is validated before any event is
+/// decoded, so one invalid configuration fails the whole call with the
+/// [`TraceError::Config`] naming its field.
+pub fn replay_many(
+    program: &Program,
+    trace: &Trace,
+    cfgs: &[ReplayConfig],
+) -> Result<Vec<RunReport>, TraceError> {
+    let replays = replay_impl(program, trace, cfgs, false)?;
+    Ok(replays.into_iter().map(|(report, _, _)| report).collect())
+}
+
+/// One configuration through [`replay_impl`].
+fn replay_one(
     program: &Program,
     trace: &Trace,
     cfg: &ReplayConfig,
     telemetry: bool,
 ) -> Result<(RunReport, ReplayStats, MetricsRegistry), TraceError> {
-    cfg.core.validate()?;
-    cfg.hierarchy.validate()?;
+    let mut replays = replay_impl(program, trace, std::slice::from_ref(cfg), telemetry)?;
+    Ok(replays.pop().expect("one configuration, one replay"))
+}
+
+/// The replay loop, over every configuration of `cfgs` at once.
+/// `telemetry` attaches each core's self-profiler and exports its
+/// registry as the third element (empty otherwise).
+fn replay_impl(
+    program: &Program,
+    trace: &Trace,
+    cfgs: &[ReplayConfig],
+    telemetry: bool,
+) -> Result<Vec<(RunReport, ReplayStats, MetricsRegistry)>, TraceError> {
+    for cfg in cfgs {
+        cfg.validate()?;
+    }
     if trace.program != program.name() || trace.fingerprint != program_fingerprint(program) {
         return Err(TraceError::ProgramMismatch {
             trace: trace.program.clone(),
             program: program.name().to_string(),
         });
     }
+    if cfgs.is_empty() {
+        return Ok(Vec::new());
+    }
     let mode = trace.mode;
     let crack_cfg = mode.crack_config();
     let location = mode.check_mode() == CheckMode::Location;
-    let mut hier = cfg.hierarchy;
-    mode.apply_hierarchy(&mut hier);
 
-    let mut cache = cfg
-        .crack_cache
+    // One crack cache serves every point that asked for it: the cache is
+    // exact, so cached and uncached expansions fill identical batches,
+    // and its statistics are the same whichever point reads them.
+    let mut cache = cfgs
+        .iter()
+        .any(|cfg| cfg.crack_cache)
         .then(|| CrackCache::new(crack_cfg, program.len()));
-    let mut core = TimingCore::new(cfg.core, hier);
-    if telemetry {
-        core.enable_telemetry();
-    }
+    let mut cores: Vec<TimingCore> = cfgs
+        .iter()
+        .map(|cfg| {
+            let mut hier = cfg.hierarchy;
+            mode.apply_hierarchy(&mut hier);
+            let mut core = TimingCore::new(cfg.core, hier);
+            if telemetry {
+                core.enable_telemetry();
+            }
+            core
+        })
+        .collect();
     let mut ubatch = UopBatch::with_capacity(UopBatch::TARGET_INSTS);
     let mut addrs: Vec<u64> = Vec::with_capacity(watchdog_isa::uop::MAX_UOPS + 1);
 
@@ -279,32 +345,38 @@ fn replay_impl(
         // scratch `CrackedInst` and no architectural interleaving.
         ubatch.push_expansion(stat, &facts);
         if ubatch.len() >= UopBatch::TARGET_INSTS {
-            core.consume_batch(&ubatch);
+            for core in &mut cores {
+                core.consume_batch(&ubatch);
+            }
             ubatch.clear();
         }
     }
     if pos != events.len() {
         return Err(TraceError::Corrupt("trailing bytes in event stream"));
     }
-    core.consume_batch(&ubatch);
 
-    let stats = ReplayStats {
-        feed: core.feed_stats(),
-        ll_memo_hits: core.hierarchy().ll_memo_hits(),
-    };
-    let mut reg = MetricsRegistry::new();
-    if telemetry {
-        core.export_telemetry_into(&mut reg);
-    }
-    let report = RunReport {
-        program: trace.program.clone(),
-        mode: mode.label(),
-        machine: trace.machine,
-        heap: trace.heap,
-        footprint: trace.footprint,
-        violation: trace.outcome.violation(),
-        timing: Some(core.finish()),
-        crack_cache: cache.map(|c| c.stats()),
-    };
-    Ok((report, stats, reg))
+    let cache_stats = cache.map(|c| c.stats());
+    let replays = cfgs.iter().zip(cores).map(|(cfg, mut core)| {
+        core.consume_batch(&ubatch);
+        let stats = ReplayStats {
+            feed: core.feed_stats(),
+            ll_memo_hits: core.hierarchy().ll_memo_hits(),
+        };
+        let mut reg = MetricsRegistry::new();
+        if telemetry {
+            core.export_telemetry_into(&mut reg);
+        }
+        let report = RunReport {
+            program: trace.program.clone(),
+            mode: mode.label(),
+            machine: trace.machine,
+            heap: trace.heap,
+            footprint: trace.footprint,
+            violation: trace.outcome.violation(),
+            timing: Some(core.finish()),
+            crack_cache: cache_stats.filter(|_| cfg.crack_cache),
+        };
+        (report, stats, reg)
+    });
+    Ok(replays.collect())
 }

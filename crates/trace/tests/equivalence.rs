@@ -5,10 +5,12 @@
 //! violation, heap and footprint. (Suite- and fuzz-scale equivalence
 //! lives in the workspace-level `trace_equivalence` tests.)
 
+use proptest::prelude::*;
 use watchdog_core::prelude::*;
 use watchdog_isa::{Cond, Gpr, Program, ProgramBuilder};
 use watchdog_mem::CacheConfig;
-use watchdog_trace::{record, replay, ReplayConfig, Trace, TraceError, TraceOutcome};
+use watchdog_pipeline::CoreConfig;
+use watchdog_trace::{record, replay, replay_many, ReplayConfig, Trace, TraceError, TraceOutcome};
 
 fn g(n: u8) -> Gpr {
     Gpr::new(n)
@@ -209,4 +211,90 @@ fn corrupt_event_streams_fail_closed() {
         "{survived}/{} byte flips were silent no-ops",
         bytes.len()
     );
+}
+
+/// A mixed slice of replay configurations: several LL$ geometries, the
+/// crack cache on and off, a narrower core and an idealized shadow.
+fn mixed_configs() -> Vec<ReplayConfig> {
+    let ll = |kb: u64, ways: u64| {
+        let mut cfg = ReplayConfig::default();
+        cfg.hierarchy.ll = CacheConfig::new(kb * 1024, ways, 64);
+        cfg
+    };
+    let mut uncached = ll(2, 4);
+    uncached.crack_cache = false;
+    let narrow = ReplayConfig {
+        core: CoreConfig {
+            rob_entries: 48,
+            iq_entries: 20,
+            issue_width: 2,
+            commit_width: 2,
+            ..CoreConfig::sandy_bridge()
+        },
+        ..ReplayConfig::default()
+    };
+    let mut ideal = ll(1, 2);
+    ideal.hierarchy.ideal_shadow = true;
+    vec![
+        ReplayConfig::default(),
+        ll(1, 2),
+        ll(16, 16),
+        uncached,
+        narrow,
+        ideal,
+    ]
+}
+
+/// One `replay` per configuration, rendered through `Debug`.
+fn single_replays(p: &Program, trace: &Trace, cfgs: &[ReplayConfig]) -> Vec<String> {
+    cfgs.iter()
+        .map(|cfg| format!("{:?}", replay(p, trace, cfg).expect("replay")))
+        .collect()
+}
+
+#[test]
+fn replay_many_matches_one_replay_per_config() {
+    let cfgs = mixed_configs();
+    for (p, mode) in [
+        (list_program(60), Mode::LocationBased),
+        (list_program(60), Mode::watchdog_conservative()),
+        (list_program(60), Mode::watchdog()),
+        (uaf_program(), Mode::watchdog_conservative()),
+    ] {
+        let trace = record(&p, mode, 10_000_000).unwrap();
+        let many: Vec<String> = replay_many(&p, &trace, &cfgs)
+            .expect("replay_many")
+            .iter()
+            .map(|r| format!("{r:?}"))
+            .collect();
+        assert_eq!(many, single_replays(&p, &trace, &cfgs), "{}", mode.label());
+    }
+}
+
+#[test]
+fn replay_many_of_no_configs_is_empty() {
+    let p = list_program(10);
+    let trace = record(&p, Mode::watchdog_conservative(), 1_000_000).unwrap();
+    assert!(replay_many(&p, &trace, &[]).unwrap().is_empty());
+}
+
+proptest! {
+    /// Each point's report depends only on its own configuration: any
+    /// order, any duplicates, any subset of the pool give the reports
+    /// the single replays give.
+    #[test]
+    fn replay_many_is_independent_of_point_order_and_duplicates(
+        picks in proptest::collection::vec(0usize..6, 0..9)
+    ) {
+        let p = list_program(40);
+        let trace = record(&p, Mode::watchdog_conservative(), 10_000_000).unwrap();
+        let pool = mixed_configs();
+        let want = single_replays(&p, &trace, &pool);
+        let cfgs: Vec<ReplayConfig> = picks.iter().map(|&i| pool[i].clone()).collect();
+        let got = replay_many(&p, &trace, &cfgs).expect("replay_many");
+        prop_assert_eq!(got.len(), picks.len());
+        for (&i, r) in picks.iter().zip(&got) {
+            prop_assert_eq!(format!("{r:?}"), want[i].clone(), "point {}", i);
+        }
+    }
 }

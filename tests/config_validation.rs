@@ -1,12 +1,12 @@
 //! Invalid `CoreConfig`, `HierarchyConfig` and `Sampling` values are
-//! rejected with a typed error naming the field, on both the live and the
-//! trace-replay path — never a panic and never a report for a silently
-//! different machine.
+//! rejected with a typed error naming the field, on the live, the
+//! trace-replay and the multi-point replay path — never a panic and never
+//! a report for a silently different machine.
 
 use watchdog::mem::CacheConfig;
 use watchdog::pipeline::{wheel::POOL_PAD, CoreConfig};
 use watchdog::prelude::*;
-use watchdog::trace::{record, replay, ReplayConfig, TraceError};
+use watchdog::trace::{record, replay, replay_many, ReplayConfig, TraceError};
 
 /// A short counted loop: enough to build and drive a timing core.
 fn small_program() -> Program {
@@ -108,13 +108,33 @@ fn replays_reject_each_invalid_field() {
     let program = small_program();
     let mode = Mode::watchdog_conservative();
     let trace = record(&program, mode, 1_000_000).unwrap();
+    // A program the trace was not recorded from: any work on the trace
+    // would fail with `ProgramMismatch`, so a `Config` error proves the
+    // configurations were checked first.
+    let mut b = ProgramBuilder::new("stranger");
+    b.halt();
+    let stranger = b.build().unwrap();
+    let good = ReplayConfig::default();
     for (field, sim) in bad_configs().filter(|(_, c)| c.sampling.is_none()) {
         let cfg = ReplayConfig::from_sim(&sim);
         match replay(&program, &trace, &cfg) {
             Err(TraceError::Config(e)) => assert_eq!(e.field, field),
             other => panic!("{field}: expected a config error, got {other:?}"),
         }
+        // One bad point among good ones fails the whole multi-point
+        // replay, before the trace is touched.
+        let cfgs = [good.clone(), cfg, good.clone()];
+        for p in [&program, &stranger] {
+            match replay_many(p, &trace, &cfgs) {
+                Err(TraceError::Config(e)) => assert_eq!(e.field, field),
+                other => panic!("{field}: expected a config error, got {other:?}"),
+            }
+        }
     }
+    assert!(matches!(
+        replay_many(&stranger, &trace, &[good]),
+        Err(TraceError::ProgramMismatch { .. })
+    ));
 }
 
 #[test]

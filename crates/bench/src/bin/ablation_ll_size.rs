@@ -12,12 +12,15 @@
 //! The sweep is **trace-driven**: each benchmark's functional machine runs
 //! once (`watchdog_trace::record`), and one `watchdog_trace::replay_many`
 //! pass over that trace decodes each event and fills each µop batch once,
-//! then drains it into one timing core per LL$ geometry. Every report is
-//! identical to a full re-simulation (the equivalence tests assert
-//! byte-for-byte), at a fraction of the cost, which is what makes the
-//! extra associativity axis nearly free. All twenty geometries'
-//! hierarchies are live at once in each worker. The `--scale test` table
-//! is pinned by `tests/golden/ablation_ll_size_test.txt`.
+//! then drains it into one timing core per distinct LL$ behaviour:
+//! geometries that hit and miss identically on the benchmark's lock
+//! accesses share a core, so a benchmark whose lock working set fits in
+//! 1KB replays once for all twenty points. Every report is identical to a
+//! full re-simulation (the equivalence tests assert byte-for-byte), at a
+//! fraction of the cost, which is what makes the extra associativity axis
+//! nearly free. Each worker holds one hierarchy per distinct behaviour,
+//! at most twenty. The `--scale test` table is pinned by
+//! `tests/golden/ablation_ll_size_test.txt`.
 
 use watchdog_bench::{
     figure_order, geomean, jobs_from_args, mean, pct, run_sweep_traced_with_jobs, scale_from_args,

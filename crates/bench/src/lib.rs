@@ -361,13 +361,14 @@ pub type SweepResults = BTreeMap<String, Vec<RunReport>>;
 /// (a functional pass via [`watchdog_trace::record()`]), then replays every
 /// [`SweepPoint`] from that trace in one [`watchdog_trace::replay_many`]
 /// pass — each event decoded and each µop batch filled once, then drained
-/// into one timing core per point. That turns O(points × full
-/// simulations) into O(1 functional pass + 1 decode + points timing
-/// cores) per benchmark. One [`parallel_map`] unit is one benchmark:
-/// record, then replay every point.
+/// into one timing core per timing class (points whose LL$s hit and miss
+/// identically share one). That turns O(points × full simulations) into
+/// O(1 functional pass + 2 decodes + classes timing cores) per benchmark.
+/// One [`parallel_map`] unit is one benchmark: record, then replay every
+/// point.
 ///
-/// Every point's hierarchy is live for the whole pass, so a worker holds
-/// `points.len()` hierarchies at once.
+/// One hierarchy per timing class is live for the whole pass, so a worker
+/// holds at most `points.len()` hierarchies at once.
 ///
 /// The output is byte-identical to [`run_sweep_resim_with_jobs`] — replay
 /// is oracle-exact — which the workspace equivalence tests assert.

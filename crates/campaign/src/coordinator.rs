@@ -728,6 +728,8 @@ fn record(
 
 /// Fills the failure counters from the final outcome map.
 fn finish_stats(stats: &mut CampaignStats, done: &BTreeMap<u32, CellOutcome>) {
+    // Only the set's `len()` is read, never its iteration order, so the
+    // hasher cannot reach the stats, a report or the ledger.
     let mut unique = HashSet::new();
     let mut failures = 0u32;
     for outcome in done.values() {

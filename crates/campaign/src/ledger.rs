@@ -599,6 +599,7 @@ mod tests {
             },
             LedgerError::Io(io::Error::other("x")),
         ];
+        // Test-only, and only membership is asked: no order is observed.
         let mut seen = std::collections::HashSet::new();
         for e in errors {
             assert!(seen.insert(e.to_string()));

@@ -226,6 +226,83 @@ impl Cache {
     }
 }
 
+/// Groups cache geometries by their behaviour on one access stream: two
+/// geometries share a class exactly when they hit and miss identically on
+/// every access fed so far, in order.
+///
+/// One [`Cache`] per geometry runs over the stream (one pass, many
+/// configurations, as in Mattson et al.'s stack evaluation), and the
+/// partition is refined online after each access: O(geometries) state, no
+/// hashing. Once every geometry is alone in its class, further accesses
+/// are no-ops.
+#[derive(Debug)]
+pub struct GeometryClasses {
+    caches: Vec<Cache>,
+    // Class of each geometry. Ids are dense, but only `classes()` numbers
+    // them in order of first appearance.
+    class: Vec<usize>,
+    count: usize,
+    // Per-access scratch, indexed by class: the hit bit of the class's
+    // first geometry, and the class its disagreeing geometries move to.
+    first_hit: Vec<Option<bool>>,
+    split_to: Vec<Option<usize>>,
+}
+
+impl GeometryClasses {
+    /// All of `geometries` in one class, before any access.
+    pub fn new(geometries: &[CacheConfig]) -> Self {
+        GeometryClasses {
+            caches: geometries.iter().map(|&g| Cache::new(g)).collect(),
+            class: vec![0; geometries.len()],
+            count: usize::from(!geometries.is_empty()),
+            first_hit: Vec::new(),
+            split_to: Vec::new(),
+        }
+    }
+
+    /// Feeds one access to every geometry and splits each class whose
+    /// geometries disagree on hit or miss.
+    pub fn access(&mut self, addr: u64) {
+        if self.count == self.caches.len() {
+            return;
+        }
+        self.first_hit.clear();
+        self.first_hit.resize(self.count, None);
+        self.split_to.clear();
+        self.split_to.resize(self.count, None);
+        for (cache, class) in self.caches.iter_mut().zip(&mut self.class) {
+            let hit = cache.access(addr);
+            let c = *class;
+            match self.first_hit[c] {
+                None => self.first_hit[c] = Some(hit),
+                Some(first) if first == hit => {}
+                Some(_) => {
+                    *class = *self.split_to[c].get_or_insert_with(|| {
+                        self.count += 1;
+                        self.count - 1
+                    });
+                }
+            }
+        }
+    }
+
+    /// The class of each geometry, in the order given to
+    /// [`GeometryClasses::new`], numbered in order of first appearance.
+    pub fn classes(&self) -> Vec<usize> {
+        let mut renumber = vec![None; self.count];
+        let mut next = 0;
+        self.class
+            .iter()
+            .map(|&c| {
+                *renumber[c].get_or_insert_with(|| {
+                    next += 1;
+                    next - 1
+                })
+            })
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

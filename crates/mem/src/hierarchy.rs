@@ -37,6 +37,14 @@ pub enum AccessClass {
 }
 
 impl AccessClass {
+    /// Every class, in declaration order.
+    pub const ALL: [AccessClass; 4] = [
+        AccessClass::Data,
+        AccessClass::Shadow,
+        AccessClass::Lock,
+        AccessClass::Ifetch,
+    ];
+
     /// Compact index for per-class accounting tables.
     const fn idx(self) -> usize {
         match self {
@@ -45,6 +53,16 @@ impl AccessClass {
             AccessClass::Lock => 2,
             AccessClass::Ifetch => 3,
         }
+    }
+
+    /// Whether a [`Hierarchy`] built from `cfg` sends accesses of this
+    /// class to the dedicated lock-location cache. These are the only
+    /// accesses that reach `cfg.ll`: the LL TLB in front of it is sized by
+    /// `lltlb_entries` alone, so two hierarchies that differ only in the
+    /// LL$ geometry behave identically as long as their LL$s hit and miss
+    /// identically on these accesses, in order.
+    pub fn reaches_ll(self, cfg: &HierarchyConfig) -> bool {
+        Route::of(self, cfg) == Route::LockDedicated
     }
 }
 
@@ -97,6 +115,18 @@ enum Route {
     /// The L1 D-cache path: data, non-ideal shadow, and lock traffic on
     /// the Fig. 9 no-LL$ ablation.
     DataPath,
+}
+
+impl Route {
+    /// How `class` is routed under `cfg`.
+    fn of(class: AccessClass, cfg: &HierarchyConfig) -> Route {
+        match class {
+            AccessClass::Ifetch => Route::Ifetch,
+            AccessClass::Shadow if cfg.ideal_shadow => Route::IdealShadow,
+            AccessClass::Lock if cfg.lock_cache => Route::LockDedicated,
+            _ => Route::DataPath,
+        }
+    }
 }
 
 /// Outcome flags of one access — a pure side-channel beside the returned
@@ -315,20 +345,8 @@ impl Hierarchy {
     pub fn new(cfg: HierarchyConfig) -> Self {
         let ll_sets = cfg.ll.sets();
         let l1d_sets = cfg.l1d.sets();
-        let route = |class: AccessClass| match class {
-            AccessClass::Ifetch => Route::Ifetch,
-            AccessClass::Shadow if cfg.ideal_shadow => Route::IdealShadow,
-            AccessClass::Lock if cfg.lock_cache => Route::LockDedicated,
-            _ => Route::DataPath,
-        };
-        let routes = [
-            route(AccessClass::Data),
-            route(AccessClass::Shadow),
-            route(AccessClass::Lock),
-            route(AccessClass::Ifetch),
-        ];
         Hierarchy {
-            routes,
+            routes: AccessClass::ALL.map(|class| Route::of(class, &cfg)),
             ll_block_shift: cfg.ll.block.trailing_zeros(),
             ll_set_mask: ll_sets - 1,
             l1d_block_shift: cfg.l1d.block.trailing_zeros(),
@@ -395,15 +413,7 @@ impl Hierarchy {
         for r in reqs {
             counts[r.class.idx()] += 1;
         }
-        for (class, n) in [
-            AccessClass::Data,
-            AccessClass::Shadow,
-            AccessClass::Lock,
-            AccessClass::Ifetch,
-        ]
-        .into_iter()
-        .zip(counts)
-        {
+        for (class, n) in AccessClass::ALL.into_iter().zip(counts) {
             self.count_class(class, n);
         }
         for r in reqs {
@@ -660,6 +670,26 @@ mod tests {
         let s = hy.stats();
         assert_eq!(s.ll.accesses, 0);
         assert_eq!(s.l1d.accesses, 1);
+    }
+
+    #[test]
+    fn reaches_ll_names_exactly_the_accesses_the_ll_sees() {
+        for (lock_cache, ideal_shadow) in [(true, false), (false, false), (true, true)] {
+            let cfg = HierarchyConfig {
+                lock_cache,
+                ideal_shadow,
+                ..Default::default()
+            };
+            for class in AccessClass::ALL {
+                let mut hy = h(cfg);
+                hy.access(class, 0x5000_0000, false);
+                assert_eq!(
+                    class.reaches_ll(&cfg),
+                    hy.stats().ll.accesses == 1,
+                    "{class:?} with lock_cache={lock_cache}, ideal_shadow={ideal_shadow}"
+                );
+            }
+        }
     }
 
     #[test]

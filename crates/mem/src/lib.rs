@@ -7,7 +7,8 @@
 //!   or 256-bit (identifier + bounds) records per 8-byte data word (§3.3,
 //!   §8).
 //! * [`config`] — the typed error every configuration check returns.
-//! * [`cache`] — set-associative write-back caches with LRU replacement.
+//! * [`cache`] — set-associative write-back caches with LRU replacement,
+//!   and the grouping of cache geometries by identical hit/miss behaviour.
 //! * [`tlb`] — translation lookaside buffers.
 //! * [`prefetch`] — stream prefetchers (Table 2 lists per-level stream
 //!   prefetchers).
@@ -33,7 +34,7 @@ pub mod tlb;
 pub mod vm;
 pub mod words;
 
-pub use cache::{Cache, CacheConfig, CacheStats};
+pub use cache::{Cache, CacheConfig, CacheStats, GeometryClasses};
 pub use config::{ConfigError, Constraint};
 pub use hash::{FastMap, MulHasher};
 pub use hierarchy::{

@@ -21,9 +21,11 @@
 //!   architectural instruction.
 //! * [`replay_many`] replays one trace under many configurations in a
 //!   single pass: it decodes each event and fills each batch once, then
-//!   drains the batch into one timing core per configuration. Its reports
-//!   are field-identical to one [`replay()`] per configuration; `replay()`
-//!   is the one-configuration call of the same loop.
+//!   drains the batch into one timing core per *timing class*, the
+//!   configurations whose LL$s hit and miss identically on the trace and
+//!   that agree in everything else. Its reports are field-identical to
+//!   one [`replay()`] per configuration; `replay()` is the
+//!   one-configuration call of the same loop.
 //!
 //! The correctness anchor is **exact equivalence**: a replayed
 //! [`RunReport`](watchdog_core::RunReport) matches the live timed
@@ -52,7 +54,8 @@
 //!
 //! // One functional pass...
 //! let trace = record(&program, Mode::watchdog_conservative(), 1_000_000)?;
-//! // ...then one timing replay that drives a core per LL$ size.
+//! // ...then one timing replay that drives a core per distinct LL$
+//! // behaviour (sizes that hit and miss alike share one).
 //! let cfgs: Vec<ReplayConfig> = [1u64, 4, 16]
 //!     .iter()
 //!     .map(|kb| {

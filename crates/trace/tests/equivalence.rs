@@ -8,6 +8,7 @@
 use proptest::prelude::*;
 use watchdog_core::prelude::*;
 use watchdog_isa::{Cond, Gpr, Program, ProgramBuilder};
+use watchdog_mem::hash::{fnv1a, FNV_OFFSET};
 use watchdog_mem::CacheConfig;
 use watchdog_pipeline::CoreConfig;
 use watchdog_trace::{record, replay, replay_many, ReplayConfig, Trace, TraceError, TraceOutcome};
@@ -193,7 +194,9 @@ fn corrupt_event_streams_fail_closed() {
     // replay may fail, report different numbers, or (rarely) be a benign
     // flip in an unused flag-ish position — but it must never panic.
     let baseline = replay(&p, &trace, &ReplayConfig::default()).unwrap();
+    let sweep = [ReplayConfig::default(), ll_config(1, 2), ll_config(16, 16)];
     let mut survived = 0usize;
+    let mut resealed_errors = 0usize;
     for i in 0..bytes.len() {
         let mut mutated = bytes.clone();
         mutated[i] ^= 0x41;
@@ -204,7 +207,31 @@ fn corrupt_event_streams_fail_closed() {
                 }
             }
         }
+        // The same flip with the checksum re-sealed reaches the decoder.
+        // `replay_many` over several LL$ geometries decodes once to find
+        // its timing classes before it replays, and must fail exactly as
+        // `replay` does.
+        let body = mutated.len() - 8;
+        let sum = fnv1a(FNV_OFFSET, &mutated[..body]);
+        mutated[body..].copy_from_slice(&sum.to_le_bytes());
+        if let Ok(t) = Trace::from_bytes(&mutated) {
+            let single = replay(&p, &t, &ReplayConfig::default());
+            let many = replay_many(&p, &t, &sweep);
+            match (&single, &many) {
+                (Err(a), Err(b)) => assert_eq!(a, b, "byte {i}"),
+                (Ok(r), Ok(rs)) => assert_eq!(format!("{r:?}"), format!("{:?}", rs[0])),
+                _ => panic!("byte {i}: replay gave {single:?}, replay_many {many:?}"),
+            }
+            resealed_errors += usize::from(single.is_err());
+        }
     }
+    // Enough re-sealed flips reach a replay error to make the comparison
+    // above bite.
+    assert!(
+        resealed_errors * 10 > bytes.len(),
+        "only {resealed_errors}/{} re-sealed flips failed to replay",
+        bytes.len()
+    );
     // A flip that still yields the identical report should be rare.
     assert!(
         survived * 10 < bytes.len(),
@@ -213,14 +240,17 @@ fn corrupt_event_streams_fail_closed() {
     );
 }
 
+/// Table 2 with a `kb`-kilobyte, `ways`-way LL$.
+fn ll_config(kb: u64, ways: u64) -> ReplayConfig {
+    let mut cfg = ReplayConfig::default();
+    cfg.hierarchy.ll = CacheConfig::new(kb * 1024, ways, 64);
+    cfg
+}
+
 /// A mixed slice of replay configurations: several LL$ geometries, the
 /// crack cache on and off, a narrower core and an idealized shadow.
 fn mixed_configs() -> Vec<ReplayConfig> {
-    let ll = |kb: u64, ways: u64| {
-        let mut cfg = ReplayConfig::default();
-        cfg.hierarchy.ll = CacheConfig::new(kb * 1024, ways, 64);
-        cfg
-    };
+    let ll = ll_config;
     let mut uncached = ll(2, 4);
     uncached.crack_cache = false;
     let narrow = ReplayConfig {
@@ -269,6 +299,36 @@ fn replay_many_matches_one_replay_per_config() {
             .collect();
         assert_eq!(many, single_replays(&p, &trace, &cfgs), "{}", mode.label());
     }
+}
+
+#[test]
+fn replay_many_shares_a_core_only_between_identical_ll_behaviours() {
+    // 600 live nodes put 600 lock locations in play: they thrash a 1 KB
+    // LL$ on the walk and the frees, but fit in 16 KB. So the small
+    // geometries must replay to different reports, the large ones to one
+    // shared report — and every report must still be its own replay's.
+    let p = list_program(600);
+    let trace = record(&p, Mode::watchdog_conservative(), 10_000_000).unwrap();
+    let mut cfgs: Vec<ReplayConfig> = [(1, 2), (1, 16), (2, 4), (8, 8), (16, 8), (16, 16)]
+        .into_iter()
+        .map(|(kb, ways)| ll_config(kb, ways))
+        .collect();
+    cfgs[4].crack_cache = false;
+    let reports = replay_many(&p, &trace, &cfgs).expect("replay_many");
+    let many: Vec<String> = reports.iter().map(|r| format!("{r:?}")).collect();
+    assert_eq!(many, single_replays(&p, &trace, &cfgs));
+    // Timing only: point 4 reports no crack-cache statistics.
+    let timings: Vec<String> = reports.iter().map(|r| format!("{:?}", r.timing)).collect();
+    let mut distinct = timings.clone();
+    distinct.sort();
+    distinct.dedup();
+    assert!(distinct.len() >= 2, "every geometry behaved alike");
+    assert!(
+        distinct.len() < timings.len(),
+        "no two geometries shared a report"
+    );
+    assert_ne!(timings[0], timings[5], "1 KB must thrash where 16 KB fits");
+    assert_eq!(timings[4], timings[5], "16 KB at 8 and 16 ways both fit");
 }
 
 #[test]

@@ -25,7 +25,7 @@
 
 use watchdog::bench::{fuzz_main, jobs_from_args, run_juliet_with_jobs, summarize_juliet};
 use watchdog::prelude::*;
-use watchdog::trace::{record, replay, verify_replay, ReplayConfig, Trace};
+use watchdog::trace::{record, replay, replay_many, verify_replay, ReplayConfig, Trace};
 
 fn parse_mode(s: &str) -> Option<Mode> {
     Some(match s {
@@ -696,10 +696,44 @@ fn cmd_trace_info(args: &[String]) {
     println!("outcome:         {}", info.outcome);
 }
 
+/// LL$ geometries (KB, ways) the selftest sweeps with one `replay_many`.
+const SELFTEST_LL_SWEEP: [(u64, u64); 4] = [(1, 2), (2, 4), (4, 8), (16, 16)];
+
+/// `replay_many` over [`SELFTEST_LL_SWEEP`] against one `replay` per
+/// geometry, all from one recording of `program` under `mode`.
+fn verify_ll_sweep(program: &Program, mode: Mode) -> Result<(), String> {
+    let label = |what: &str| format!("{}/{} LL$ sweep: {what}", program.name(), mode.label());
+    let trace = record(program, mode, SimConfig::timed(mode).max_insts)
+        .map_err(|e| label(&format!("record failed: {e}")))?;
+    let cfgs: Vec<ReplayConfig> = SELFTEST_LL_SWEEP
+        .iter()
+        .map(|&(kb, ways)| {
+            let mut cfg = ReplayConfig::from_sim(&SimConfig::timed(mode));
+            cfg.hierarchy.ll = watchdog::mem::CacheConfig::new(kb * 1024, ways, 64);
+            cfg
+        })
+        .collect();
+    let many = replay_many(program, &trace, &cfgs)
+        .map_err(|e| label(&format!("replay_many failed: {e}")))?;
+    for ((cfg, got), (kb, ways)) in cfgs.iter().zip(&many).zip(SELFTEST_LL_SWEEP) {
+        let want =
+            replay(program, &trace, cfg).map_err(|e| label(&format!("replay failed: {e}")))?;
+        let (a, b) = (format!("{want:?}"), format!("{got:?}"));
+        if a != b {
+            return Err(label(&format!(
+                "{kb}KB/{ways}-way point diverges from its own replay\nreplay:      {a}\nreplay_many: {b}"
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// Record→replay→equivalence smoke: one benchmark plus a band of
 /// fuzz-generated programs, each replayed (through a serialization round
-/// trip) and compared field-for-field against the live timed simulation. Cases are sharded
-/// across `--jobs`/`WATCHDOG_JOBS` workers. Exit code 0 = every
+/// trip) and compared field-for-field against the live timed simulation.
+/// The benchmark is also swept over [`SELFTEST_LL_SWEEP`] with one
+/// `replay_many`, each point compared against its own `replay`. Cases are
+/// sharded across `--jobs`/`WATCHDOG_JOBS` workers. Exit code 0 = every
 /// comparison identical.
 fn cmd_trace_selftest(args: &[String]) {
     let bench_name = flag_value(args, "--bench").unwrap_or_else(|| "mcf".into());
@@ -727,27 +761,35 @@ fn cmd_trace_selftest(args: &[String]) {
             )
         }))
         .collect();
+    // The benchmark's cases (the first two) also run the LL$ sweep check.
+    let sweeps = 2;
     let failures: Vec<String> = watchdog::bench::parallel_map(cases.len(), jobs, |i| {
         let (program, mode) = &cases[i];
-        verify_replay(program, &SimConfig::timed(*mode)).err()
+        let sweep = (i < sweeps).then(|| verify_ll_sweep(program, *mode));
+        [
+            verify_replay(program, &SimConfig::timed(*mode)),
+            sweep.unwrap_or(Ok(())),
+        ]
     })
     .into_iter()
     .flatten()
+    .filter_map(Result::err)
     .collect();
+    let comparisons = cases.len() + sweeps * SELFTEST_LL_SWEEP.len();
     if failures.is_empty() {
         println!(
-            "trace selftest: PASS — {} record→replay comparisons identical ({bench_name} under \
-             cons+isa at {scale:?}, {seeds} fuzz seeds under cons, {jobs} worker thread(s))",
-            cases.len()
+            "trace selftest: PASS — {comparisons} record→replay comparisons identical \
+             ({bench_name} under cons+isa at {scale:?}, also swept over {} LL$ geometries in \
+             one replay_many pass; {seeds} fuzz seeds under cons; {jobs} worker thread(s))",
+            SELFTEST_LL_SWEEP.len()
         );
     } else {
         for f in &failures {
             eprintln!("{f}");
         }
         println!(
-            "trace selftest: FAIL — {}/{} comparisons diverged",
-            failures.len(),
-            cases.len()
+            "trace selftest: FAIL — {} of {comparisons} comparisons diverged",
+            failures.len()
         );
         std::process::exit(1);
     }

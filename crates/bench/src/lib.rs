@@ -246,9 +246,10 @@ where
 /// the caller's thread with a `[bench under label]` prefix: the unit's
 /// label for a panic, the report's own column for a violation. A failure
 /// deep inside a simulation is attributable no matter which thread ran
-/// it. The first failure raises an abort flag so workers stop pulling new
-/// units (in-flight units still finish and may contribute their own
-/// labelled failures).
+/// it. The first failure raises an abort flag: a unit claimed after that
+/// is dropped without running, while units already running finish and
+/// may add their own labelled failures. Which further failures appear
+/// therefore depends on scheduling.
 fn run_grid<F>(
     specs: &[watchdog_workloads::BenchSpec],
     columns: &[String],
@@ -1068,32 +1069,44 @@ mod tests {
 
     #[test]
     fn row_units_label_panics_by_row_and_violations_by_column() {
+        // One failing row per grid: the first failure drops every unit
+        // not yet started, so a second failing row could go unreported.
         let specs = all_benchmarks();
         let programs: Vec<_> = specs.iter().map(|s| s.build(Scale::Test)).collect();
         let columns: Vec<String> = ["m @ a", "m @ b"].map(String::from).into();
-        let got = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            run_grid(&specs, &columns, Some("m"), 2, |si, cols| {
-                assert_eq!(cols, 0..2, "a row unit covers every column");
-                match specs[si].name {
-                    "mcf" => panic!("synthetic row failure"),
-                    "lbm" => {
-                        let mut reports: Vec<RunReport> = cols
-                            .map(|_| run_cell(&programs[si], Mode::Baseline, false))
-                            .collect();
-                        reports[1].violation = Some(Violation {
-                            kind: ViolationKind::UseAfterFree,
-                            pc_index: 0,
-                            addr: 0,
-                        });
-                        reports
-                    }
-                    _ => Vec::new(),
-                }
-            })
-        }))
-        .expect_err("the grid must fail");
-        let msg = got.downcast_ref::<String>().unwrap();
+        let grid_failure = |run: &(dyn Fn(usize, Range<usize>) -> Vec<RunReport> + Sync)| {
+            let got = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                run_grid(&specs, &columns, Some("m"), 2, |si, cols| {
+                    assert_eq!(cols, 0..2, "a row unit covers every column");
+                    run(si, cols)
+                })
+            }))
+            .expect_err("the grid must fail");
+            got.downcast_ref::<String>().unwrap().clone()
+        };
+
+        let msg = grid_failure(&|si, _| match specs[si].name {
+            "mcf" => panic!("synthetic row failure"),
+            _ => Vec::new(),
+        });
+        assert!(msg.contains("1 suite cell(s) failed"), "{msg}");
         assert!(msg.contains("[mcf under m] synthetic row failure"), "{msg}");
+
+        let msg = grid_failure(&|si, cols| match specs[si].name {
+            "lbm" => {
+                let mut reports: Vec<RunReport> = cols
+                    .map(|_| run_cell(&programs[si], Mode::Baseline, false))
+                    .collect();
+                reports[1].violation = Some(Violation {
+                    kind: ViolationKind::UseAfterFree,
+                    pc_index: 0,
+                    addr: 0,
+                });
+                reports
+            }
+            _ => Vec::new(),
+        });
+        assert!(msg.contains("1 suite cell(s) failed"), "{msg}");
         assert!(
             msg.contains("[lbm under m @ b] unexpected violation"),
             "{msg}"

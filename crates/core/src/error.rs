@@ -82,8 +82,8 @@ pub enum SimError {
     },
     /// The guest stack overflowed its region.
     StackOverflow,
-    /// The core, hierarchy or sampling configuration describes a machine
-    /// the simulator cannot build; rejected before the run starts.
+    /// The core or hierarchy configuration describes a machine the
+    /// simulator cannot build; rejected before the run starts.
     Config(ConfigError),
 }
 

@@ -67,7 +67,7 @@ pub use machine::{CheckMode, CommitHook, CommitRecord, Machine, MachineConfig};
 pub use pointer_id::{PointerId, PointerPolicy, Profile};
 pub use report::RunReport;
 pub use runtime::HeapAllocator;
-pub use sim::{Mode, Sampling, SimConfig, Simulator};
+pub use sim::{Mode, SimConfig, Simulator};
 pub use telemetry::{export_metrics, run_json, RunTelemetry, RUN_SCHEMA};
 
 /// Convenient glob-import surface.
@@ -75,6 +75,6 @@ pub mod prelude {
     pub use crate::error::{SimError, Violation, ViolationKind};
     pub use crate::pointer_id::PointerId;
     pub use crate::report::RunReport;
-    pub use crate::sim::{Mode, Sampling, SimConfig, Simulator};
+    pub use crate::sim::{Mode, SimConfig, Simulator};
     pub use watchdog_isa::crack::BoundsUops;
 }

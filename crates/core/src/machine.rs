@@ -164,7 +164,12 @@ pub enum Step<'m> {
 /// Architectural + metadata execution statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MachineStats {
-    /// Macro-instructions executed.
+    /// Macro-instructions executed, including the final `halt` or the
+    /// instruction that raised a violation. That last one cracks to no
+    /// µops, so a timed run's [`TimingReport::insts`] is this count minus
+    /// one.
+    ///
+    /// [`TimingReport::insts`]: watchdog_pipeline::TimingReport::insts
     pub insts: u64,
     /// Program memory accesses (macro loads/stores, all widths, int + FP).
     pub mem_accesses: u64,
@@ -323,20 +328,6 @@ impl<'p> Machine<'p> {
     /// The profile collected so far (meaningful when `profiling` is set).
     pub fn profile(&self) -> &Profile {
         &self.profile
-    }
-
-    /// Enables or disables µop emission mid-run (used by the sampling
-    /// driver to fast-forward between measurement windows, §9.1).
-    ///
-    /// A machine constructed functional-only (`emit_uops: false`)
-    /// allocates no crack cache up front; switching emission on here
-    /// creates it on demand so `crack_cache: true` is honoured no matter
-    /// when cracking starts.
-    pub fn set_emit_uops(&mut self, on: bool) {
-        self.cfg.emit_uops = on;
-        if on && self.cfg.crack_cache && self.crack_cache.is_none() {
-            self.crack_cache = Some(CrackCache::new(self.crack_cfg, self.prog.len()));
-        }
     }
 
     /// Hit/miss statistics of the per-PC crack cache (`None` when the
@@ -1517,20 +1508,6 @@ mod tests {
         assert!(stats.hits > 0, "loop revisits must hit: {stats:?}");
         assert!(stats.misses > 0, "first visits must miss: {stats:?}");
         assert!(stats.hit_rate() > 0.5, "loopy code is hit-dominated");
-    }
-
-    #[test]
-    fn emit_uops_toggle_creates_the_cache_on_demand() {
-        let prog = uaf_program();
-        let mut cfg = MachineConfig::watchdog();
-        cfg.emit_uops = false;
-        let mut m = Machine::new(&prog, cfg);
-        assert!(m.crack_cache_stats().is_none(), "functional-only: no cache");
-        assert!(matches!(m.step().unwrap(), Step::Executed(None)));
-        m.set_emit_uops(true);
-        assert!(matches!(m.step().unwrap(), Step::Executed(Some(_))));
-        let stats = m.crack_cache_stats().expect("cache created on demand");
-        assert_eq!(stats.misses, 1);
     }
 
     #[test]

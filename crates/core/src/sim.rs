@@ -18,8 +18,7 @@ use std::time::Instant;
 
 use watchdog_isa::crack::BoundsUops;
 use watchdog_isa::program::Program;
-use watchdog_mem::{ConfigError, HierarchyConfig};
-use watchdog_pipeline::core::Snapshot;
+use watchdog_mem::HierarchyConfig;
 use watchdog_pipeline::{CoreConfig, TimingCore, UopBatch};
 
 use crate::error::SimError;
@@ -166,63 +165,6 @@ impl Mode {
     }
 }
 
-/// Periodic-sampling configuration, reproducing the paper's methodology
-/// (§9.1): "We used 2% periodic sampling with each sample of 10 million
-/// instructions proceeded by a fast forward and a warmup of 480 and 10
-/// million instructions per period, respectively." Between samples the
-/// machine fast-forwards functionally (no timing); each sample window is
-/// preceded by a warmup window that primes caches and predictors but is
-/// excluded from the measured counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Sampling {
-    /// Instructions per period (fast-forward + warmup + sample).
-    pub period: u64,
-    /// Warmup instructions per period (timed, not measured).
-    pub warmup: u64,
-    /// Measured instructions per period.
-    pub sample: u64,
-}
-
-impl Sampling {
-    /// The paper's 2% regime, scaled down 1000× to suit the synthetic
-    /// kernels: 10k-instruction samples, 10k warmup, 480k fast-forward.
-    pub const fn paper_scaled() -> Self {
-        Sampling {
-            period: 500_000,
-            warmup: 10_000,
-            sample: 10_000,
-        }
-    }
-
-    /// A denser regime for small programs: 2% measured, 10% warmed.
-    pub const fn dense() -> Self {
-        Sampling {
-            period: 50_000,
-            warmup: 5_000,
-            sample: 1_000,
-        }
-    }
-
-    /// Checks that a period holds at least one measured instruction and
-    /// fits its warmup and sample windows.
-    ///
-    /// # Errors
-    ///
-    /// A [`ConfigError`] naming `sampling.sample` or `sampling.period`.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        ConfigError::check_min("sampling.sample", self.sample, 1)?;
-        ConfigError::check_min(
-            "sampling.period",
-            self.period,
-            self.warmup.saturating_add(self.sample),
-        )
-    }
-
-    fn fast_forward(&self) -> u64 {
-        self.period - self.warmup - self.sample
-    }
-}
-
 /// Simulation configuration.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
@@ -238,9 +180,6 @@ pub struct SimConfig {
     /// Memory-hierarchy parameters (Table 2 by default; the mode's
     /// lock-cache / ideal-shadow knobs are applied on top).
     pub hierarchy: HierarchyConfig,
-    /// Periodic sampling (§9.1). `None` = measure every instruction.
-    /// Requires `timing`.
-    pub sampling: Option<Sampling>,
     /// Memoize crack expansions per PC in the functional machine (see
     /// [`watchdog_isa::crack_cache::CrackCache`]). On by default; only
     /// µop-emitting (timed) runs crack at all, so functional-only runs
@@ -258,16 +197,7 @@ impl SimConfig {
             max_insts: 200_000_000,
             core: CoreConfig::sandy_bridge(),
             hierarchy: HierarchyConfig::default(),
-            sampling: None,
             crack_cache: true,
-        }
-    }
-
-    /// Timed simulation with the paper's (scaled) §9.1 sampling regime.
-    pub fn sampled(mode: Mode, sampling: Sampling) -> Self {
-        SimConfig {
-            sampling: Some(sampling),
-            ..Self::timed(mode)
         }
     }
 
@@ -353,10 +283,9 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Config`] when the core, hierarchy or sampling
-    /// configuration is invalid (see [`CoreConfig::validate`],
-    /// [`HierarchyConfig::validate`] and [`Sampling::validate`]; sampling
-    /// also requires `timing`), and [`SimError`] for other
+    /// Returns [`SimError::Config`] when the core or hierarchy
+    /// configuration is invalid (see [`CoreConfig::validate`] and
+    /// [`HierarchyConfig::validate`]), and [`SimError`] for other
     /// simulator-level failures. Detected memory-safety violations are
     /// *not* errors — they are reported in [`RunReport::violation`].
     pub fn run(&self, program: &Program) -> Result<RunReport, SimError> {
@@ -392,11 +321,6 @@ impl Simulator {
     ) -> Result<RunReport, SimError> {
         self.cfg.core.validate()?;
         self.cfg.hierarchy.validate()?;
-        let sampling = self.cfg.sampling;
-        if let Some(s) = sampling {
-            ConfigError::check_range("timing", u64::from(self.cfg.timing), 1, 1)?;
-            s.validate()?;
-        }
         let mcfg = self.machine_config(program)?;
         let mut hier = self.cfg.hierarchy;
         self.cfg.mode.apply_hierarchy(&mut hier);
@@ -424,8 +348,7 @@ impl Simulator {
         // no scratch `CrackedInst`) and `consume_batch` drains it. A
         // functional run emits no µops, so its window stays empty.
         // Draining an empty or partial window is always safe (batching is
-        // timing-transparent), so the flush points below only have to
-        // precede snapshots.
+        // timing-transparent).
         let mut batch = UopBatch::with_capacity(UopBatch::TARGET_INSTS);
         let mut flush = |core: &mut TimingCore, batch: &mut UopBatch| {
             let t0 = tele_on.then(Instant::now);
@@ -436,19 +359,7 @@ impl Simulator {
                 consume_hits += 1;
             }
         };
-        // Sampling state: accumulated measured counters and the snapshot at
-        // the start of the current sample window (if inside one).
-        let mut measured = Snapshot::default();
-        let mut window_start: Option<Snapshot> = None;
         loop {
-            if let (Some(s), Some(core)) = (sampling, core.as_mut()) {
-                let pos = executed % s.period;
-                if pos == s.fast_forward() + s.warmup && window_start.is_none() {
-                    flush(core, &mut batch);
-                    window_start = Some(core.snapshot());
-                }
-                machine.set_emit_uops(pos >= s.fast_forward());
-            }
             if tele_on && batch.is_empty() {
                 fills += 1;
                 fill_sampled = fills % 32 == 1;
@@ -470,15 +381,6 @@ impl Simulator {
                         }
                     }
                     executed += 1;
-                    if let (Some(s), Some(core)) = (sampling, core.as_mut()) {
-                        // Close the sample window at the period boundary.
-                        if executed.is_multiple_of(s.period) {
-                            if let Some(start) = window_start.take() {
-                                flush(core, &mut batch);
-                                measured.accumulate(&core.snapshot().delta(&start));
-                            }
-                        }
-                    }
                     if executed > self.cfg.max_insts {
                         return Err(SimError::InstLimit {
                             limit: self.cfg.max_insts,
@@ -495,10 +397,6 @@ impl Simulator {
         if let Some(core) = core.as_mut() {
             flush(core, &mut batch);
         }
-        // Close a partially-complete final window.
-        if let (Some(start), Some(core)) = (window_start.take(), core.as_ref()) {
-            measured.accumulate(&core.snapshot().delta(&start));
-        }
         // Capture host-side observations before `finish` consumes the core.
         if let Some(t) = tele {
             if let Some(core) = core.as_ref() {
@@ -513,18 +411,7 @@ impl Simulator {
             let cons = t.sections.id("run/consume");
             t.sections.add_batch(cons, consume_ns, consume_hits);
         }
-        let timing = core.map(|c| {
-            let mut t = c.finish();
-            if sampling.is_some() {
-                // Report the *measured* windows only; hierarchy/predictor
-                // statistics remain cumulative over all timed windows.
-                t.cycles = measured.cycles;
-                t.uops = measured.uops;
-                t.insts = measured.insts;
-                t.uops_by_tag = measured.uops_by_tag;
-            }
-            t
-        });
+        let timing = core.map(TimingCore::finish);
         Ok(RunReport {
             program: program.name().to_string(),
             mode: self.cfg.mode.label(),
@@ -735,60 +622,6 @@ mod tests {
     }
 
     #[test]
-    fn sampled_runs_measure_a_subset() {
-        let p = list_program(400);
-        let full = Simulator::new(SimConfig::timed(Mode::watchdog_conservative()))
-            .run(&p)
-            .unwrap();
-        let sampled = Simulator::new(SimConfig::sampled(
-            Mode::watchdog_conservative(),
-            Sampling {
-                period: 2_000,
-                warmup: 200,
-                sample: 200,
-            },
-        ))
-        .run(&p)
-        .unwrap();
-        let (tf, ts) = (
-            full.timing.as_ref().unwrap(),
-            sampled.timing.as_ref().unwrap(),
-        );
-        assert!(ts.insts > 0, "some instructions were measured");
-        assert!(ts.insts < tf.insts, "sampling measures a strict subset");
-        assert!(ts.cycles < tf.cycles);
-        // The sampled per-instruction cost is in the same ballpark as the
-        // full-run cost (warmup removes cold-start bias).
-        let cpi_full = tf.cycles as f64 / tf.insts as f64;
-        let cpi_sampled = ts.cycles as f64 / ts.insts as f64;
-        assert!(
-            (cpi_sampled / cpi_full - 1.0).abs() < 0.6,
-            "sampled CPI {cpi_sampled:.2} too far from full CPI {cpi_full:.2}"
-        );
-    }
-
-    #[test]
-    fn sampled_runs_are_deterministic() {
-        let p = list_program(300);
-        let cfg = SimConfig::sampled(Mode::watchdog(), Sampling::dense());
-        let a = Simulator::new(cfg.clone()).run(&p).unwrap();
-        let b = Simulator::new(cfg).run(&p).unwrap();
-        assert_eq!(a.cycles(), b.cycles());
-        assert_eq!(a.uops(), b.uops());
-    }
-
-    #[test]
-    fn sampling_without_timing_is_rejected() {
-        let p = list_program(10);
-        let mut cfg = SimConfig::sampled(Mode::Baseline, Sampling::dense());
-        cfg.timing = false;
-        match Simulator::new(cfg).run(&p) {
-            Err(SimError::Config(e)) => assert_eq!(e.field, "timing"),
-            other => panic!("expected a config error, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn crack_cache_does_not_change_timed_results() {
         let p = list_program(200);
         let cached = Simulator::new(SimConfig::timed(Mode::watchdog_conservative()))
@@ -810,7 +643,6 @@ mod tests {
         // The live loop's batched feed is timing-transparent: stepping the
         // machine one instruction at a time and draining each expansion as
         // a one-instruction batch yields a field-identical timing report.
-        // (The golden corpus pins the sampled regime's flush points.)
         let p = list_program(300);
         for mode in [
             Mode::Baseline,

@@ -282,7 +282,7 @@ mod tests {
         let reg = export_metrics(&r, Some(&tele));
         let t = r.timing.as_ref().unwrap();
         // The self-profiler's independent accounting agrees with the
-        // report (no sampling, so the counts are the full run).
+        // report.
         assert_eq!(reg.counter_value("profile.insts"), Some(t.insts));
         assert_eq!(reg.counter_value("profile.uops"), Some(t.uops));
         assert!(reg.counter_value("feed.batches").unwrap() > 0);

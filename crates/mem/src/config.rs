@@ -1,5 +1,5 @@
 //! The typed error every simulator configuration check returns: the
-//! memory hierarchy's, the core's and the sampling regime's.
+//! memory hierarchy's and the core's.
 
 use std::fmt;
 
@@ -23,7 +23,7 @@ pub enum Constraint {
 pub struct ConfigError {
     /// Name of the offending field (`l1d.ways`, `rob_entries`, ...).
     pub field: &'static str,
-    /// The value it held (`0`/`1` for a flag).
+    /// The value it held.
     pub value: u64,
     /// What it had to satisfy.
     pub constraint: Constraint,

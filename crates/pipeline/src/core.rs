@@ -161,7 +161,11 @@ pub struct StallCycles {
 pub struct TimingReport {
     /// Total execution cycles (commit time of the last µop).
     pub cycles: u64,
-    /// Macro-instructions processed.
+    /// Macro-instructions whose µops reached the core. A run ends at a
+    /// `halt` or at the instruction that raised a violation. The
+    /// functional machine's `MachineStats::insts` counts that last
+    /// instruction, but it cracks to no µops and never reaches the core,
+    /// so a run report's `machine.insts` is this count plus one.
     pub insts: u64,
     /// Total µops executed.
     pub uops: u64,
@@ -205,43 +209,6 @@ impl TimingReport {
             0.0
         } else {
             (self.uops - base) as f64 / base as f64
-        }
-    }
-}
-
-/// A point-in-time counter snapshot, used by the sampling driver (§9.1)
-/// to measure deltas over sample windows.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Snapshot {
-    /// Commit timestamp of the last committed µop.
-    pub cycles: u64,
-    /// µops consumed so far.
-    pub uops: u64,
-    /// Macro-instructions consumed so far.
-    pub insts: u64,
-    /// µops by accounting tag.
-    pub uops_by_tag: [u64; NUM_TAGS],
-}
-
-impl Snapshot {
-    /// Component-wise difference `self - earlier`.
-    pub fn delta(&self, earlier: &Snapshot) -> Snapshot {
-        let tags = std::array::from_fn(|i| self.uops_by_tag[i] - earlier.uops_by_tag[i]);
-        Snapshot {
-            cycles: self.cycles - earlier.cycles,
-            uops: self.uops - earlier.uops,
-            insts: self.insts - earlier.insts,
-            uops_by_tag: tags,
-        }
-    }
-
-    /// Component-wise accumulation.
-    pub fn accumulate(&mut self, d: &Snapshot) {
-        self.cycles += d.cycles;
-        self.uops += d.uops;
-        self.insts += d.insts;
-        for i in 0..NUM_TAGS {
-            self.uops_by_tag[i] += d.uops_by_tag[i];
         }
     }
 }
@@ -407,16 +374,6 @@ impl TimingCore {
     /// deliberately outside [`TimingReport`]).
     pub fn feed_stats(&self) -> FeedStats {
         self.feed
-    }
-
-    /// Current counter snapshot (for sampled measurement windows).
-    pub fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            cycles: self.last_commit,
-            uops: self.uops,
-            insts: self.insts,
-            uops_by_tag: self.uops_by_tag,
-        }
     }
 
     fn fe_next_cycle(&mut self) {
@@ -1108,41 +1065,6 @@ mod tests {
             far.cycles,
             near.cycles
         );
-    }
-
-    #[test]
-    fn snapshots_measure_deltas() {
-        let mut core = TimingCore::new(CoreConfig::sandy_bridge(), HierarchyConfig::default());
-        let mk = |i: u64| {
-            cracked(
-                &Inst::AluImm {
-                    op: AluOp::Add,
-                    dst: g(1),
-                    a: g(1),
-                    imm: 1,
-                },
-                false,
-                &CrackConfig::baseline(),
-                0x40_0000 + i * 5,
-                &[],
-            )
-        };
-        for i in 0..100 {
-            feed(&mut core, &mk(i));
-        }
-        let s1 = core.snapshot();
-        for i in 100..300 {
-            feed(&mut core, &mk(i));
-        }
-        let s2 = core.snapshot();
-        let d = s2.delta(&s1);
-        assert_eq!(d.insts, 200);
-        assert_eq!(d.uops, 200);
-        assert!(d.cycles > 150, "a dependent chain takes ~1 cycle per µop");
-        let mut acc = Snapshot::default();
-        acc.accumulate(&d);
-        acc.accumulate(&d);
-        assert_eq!(acc.insts, 400);
     }
 
     #[test]

@@ -73,17 +73,7 @@ impl ReplayConfig {
 
     /// The timing-side slice of a full [`SimConfig`] (`mode`, `timing` and
     /// `max_insts` do not apply to replay).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `cfg.sampling` is set: replay measures every recorded
-    /// instruction, so it cannot reproduce a sampled run's report — fail
-    /// fast instead of returning a guaranteed "divergence".
     pub fn from_sim(cfg: &SimConfig) -> Self {
-        assert!(
-            cfg.sampling.is_none(),
-            "trace replay does not support sampled measurement windows"
-        );
         ReplayConfig {
             core: cfg.core,
             hierarchy: cfg.hierarchy,

@@ -4,7 +4,7 @@
 //! watchdog-cli list                         # registered benchmarks
 //! watchdog-cli modes                        # available modes
 //! watchdog-cli run mcf --mode isa           # simulate one benchmark
-//! watchdog-cli run perl --mode cons --scale ref --sampled
+//! watchdog-cli run perl --mode cons --scale ref
 //! watchdog-cli run mcf --json               # machine-readable metrics (watchdog-run-v1)
 //! watchdog-cli run mcf --telemetry          # human report + registry + self-profile
 //! watchdog-cli run mcf --cpi                # Fig. 8-style CPI stack across all four modes
@@ -67,7 +67,7 @@ fn parse_scale(s: &str) -> Option<Scale> {
 fn usage() -> ! {
     eprintln!(
         "usage:\n  watchdog-cli list\n  watchdog-cli modes\n  watchdog-cli run <bench> \
-         [--mode <mode>] [--scale test|small|ref] [--functional] [--sampled] [--json] [--telemetry] [--cpi]\n  \
+         [--mode <mode>] [--scale test|small|ref] [--functional] [--json] [--telemetry] [--cpi]\n  \
          watchdog-cli perf [--samples N] [--filter F] [--out-dir DIR] [-o FILE] [--rev R]\n  \
          watchdog-cli perf compare <baseline.json> <candidate.json> [--threshold PCT] [-o FILE]\n  \
          watchdog-cli events validate <events.jsonl> [--ledger FILE]\n  watchdog-cli juliet [--mode <mode>]\n  \
@@ -109,40 +109,53 @@ fn cmd_modes() {
 }
 
 fn cmd_run(args: &[String]) {
-    let Some(name) = args.first() else { usage() };
+    let Some((name, flags)) = args.split_first() else {
+        usage()
+    };
     let Some(spec) = benchmark(name) else {
         eprintln!("unknown benchmark {name:?}; see `watchdog-cli list`");
         std::process::exit(2);
     };
-    let mode = flag_value(args, "--mode").map_or(Mode::watchdog(), |m| {
-        parse_mode(&m).unwrap_or_else(|| {
-            eprintln!("unknown mode {m:?}; see `watchdog-cli modes`");
-            std::process::exit(2);
-        })
-    });
-    let scale = flag_value(args, "--scale").map_or(Scale::Small, |s| {
-        parse_scale(&s).unwrap_or_else(|| {
-            eprintln!("unknown scale {s:?}");
-            std::process::exit(2);
-        })
-    });
-    let functional = args.iter().any(|a| a == "--functional");
-    let sampled = args.iter().any(|a| a == "--sampled");
-    let cfg = if functional {
-        SimConfig::functional(mode)
-    } else if sampled {
-        SimConfig::sampled(mode, Sampling::dense())
-    } else {
-        SimConfig::timed(mode)
-    };
+    let (mut mode, mut scale) = (Mode::watchdog(), Scale::Small);
+    let (mut functional, mut json, mut telemetry, mut cpi) = (false, false, false, false);
+    let mut flags = flags.iter();
+    while let Some(flag) = flags.next() {
+        match flag.as_str() {
+            "--mode" => {
+                let m = flags.next().unwrap_or_else(|| usage());
+                mode = parse_mode(m).unwrap_or_else(|| {
+                    eprintln!("unknown mode {m:?}; see `watchdog-cli modes`");
+                    std::process::exit(2);
+                });
+            }
+            "--scale" => {
+                let s = flags.next().unwrap_or_else(|| usage());
+                scale = parse_scale(s).unwrap_or_else(|| {
+                    eprintln!("unknown scale {s:?}");
+                    std::process::exit(2);
+                });
+            }
+            "--functional" => functional = true,
+            "--json" => json = true,
+            "--telemetry" => telemetry = true,
+            "--cpi" => cpi = true,
+            other => {
+                eprintln!("unknown argument {other:?} to `run`");
+                usage();
+            }
+        }
+    }
 
-    if args.iter().any(|a| a == "--cpi") {
+    if cpi {
         cmd_run_cpi(spec.name, scale);
         return;
     }
 
-    let json = args.iter().any(|a| a == "--json");
-    let telemetry = args.iter().any(|a| a == "--telemetry");
+    let cfg = if functional {
+        SimConfig::functional(mode)
+    } else {
+        SimConfig::timed(mode)
+    };
 
     let program = spec.build(scale);
     let sim = Simulator::new(cfg);

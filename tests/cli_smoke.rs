@@ -86,6 +86,29 @@ fn run_rejects_unknown_mode_and_benchmark() {
 }
 
 #[test]
+fn run_rejects_unknown_flags_and_missing_values() {
+    // Each of these must stop with the usage text before simulating,
+    // never fall back to a default report.
+    for args in [
+        &["run", "mcf", "--scale", "test", "--sampled"][..],
+        &["run", "mcf", "--scale", "test", "--sampeld"],
+        &["run", "mcf", "--scale", "test", "--mode"],
+        &["run", "mcf", "--scale"],
+    ] {
+        let out = cli(args);
+        assert_eq!(out.status.code(), Some(2), "watchdog-cli {args:?}");
+        assert!(
+            out.stdout.is_empty(),
+            "watchdog-cli {args:?} printed a report"
+        );
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("usage:"),
+            "watchdog-cli {args:?} must print usage"
+        );
+    }
+}
+
+#[test]
 fn timed_run_reports_cycles() {
     let out = stdout_of(&["run", "comp", "--scale", "test", "--mode", "cons"]);
     assert!(

@@ -1,4 +1,4 @@
-//! Invalid `CoreConfig`, `HierarchyConfig` and `Sampling` values are
+//! Invalid `CoreConfig` and `HierarchyConfig` values are
 //! rejected with a typed error naming the field, on the live, the
 //! trace-replay and the multi-point replay path — never a panic and never
 //! a report for a silently different machine.
@@ -29,9 +29,8 @@ const fn geometry(size: u64, ways: u64, block: u64) -> CacheConfig {
     CacheConfig { size, ways, block }
 }
 
-/// One bad value per row: the field and the edit that breaks it. Rows
-/// that set `sampling` apply to live runs only (replay has no sampling).
-const BAD: [(&str, Edit); 27] = [
+/// One bad value per row: the field and the edit that breaks it.
+const BAD: [(&str, Edit); 23] = [
     ("rob_entries", |c| c.core.rob_entries = 0),
     ("iq_entries", |c| c.core.iq_entries = 0),
     ("lq_entries", |c| c.core.lq_entries = 0),
@@ -59,29 +58,6 @@ const BAD: [(&str, Edit); 27] = [
     ("lltlb_entries", |c| c.hierarchy.lltlb_entries = 0),
     ("l1_prefetch.streams", |c| c.hierarchy.l1_prefetch = (0, 2)),
     ("l2_prefetch.streams", |c| c.hierarchy.l2_prefetch = (0, 16)),
-    ("sampling.period", |c| {
-        c.sampling = Some(Sampling {
-            period: 1000,
-            warmup: 800,
-            sample: 500,
-        })
-    }),
-    ("sampling.sample", |c| {
-        c.sampling = Some(Sampling {
-            sample: 0,
-            ..Sampling::dense()
-        })
-    }),
-    ("sampling.period", |c| {
-        c.sampling = Some(Sampling {
-            period: 0,
-            ..Sampling::dense()
-        })
-    }),
-    ("timing", |c| {
-        c.timing = false;
-        c.sampling = Some(Sampling::dense());
-    }),
 ];
 
 fn bad_configs() -> impl Iterator<Item = (&'static str, SimConfig)> {
@@ -115,7 +91,7 @@ fn replays_reject_each_invalid_field() {
     b.halt();
     let stranger = b.build().unwrap();
     let good = ReplayConfig::default();
-    for (field, sim) in bad_configs().filter(|(_, c)| c.sampling.is_none()) {
+    for (field, sim) in bad_configs() {
         let cfg = ReplayConfig::from_sim(&sim);
         match replay(&program, &trace, &cfg) {
             Err(TraceError::Config(e)) => assert_eq!(e.field, field),

@@ -11,7 +11,6 @@
 //!   `Scale::Test`: the live `RunReport`, plus a separate digest of the
 //!   `cpi.*` counters an instrumented run exports;
 //! * trace replay of the same cells in the three non-location modes;
-//! * the `Sampling::dense` mcf cell under cons;
 //! * 100 fuzz seeds: program and benign twin under cons, plus the
 //!   program under isa and its cons replay on seeds below 25.
 //!
@@ -111,14 +110,6 @@ fn grid() -> Vec<Cell> {
             }
         }
     }
-    cells.push((
-        "sampled/mcf/cons/dense".into(),
-        Box::new(|| {
-            let program = benchmark("mcf").expect("registered").build(Scale::Test);
-            let cfg = SimConfig::sampled(Mode::watchdog_conservative(), Sampling::dense());
-            outcome_digest(&Simulator::new(cfg).run(&program))
-        }),
-    ));
     for seed in 0..SEEDS {
         let key = format!("fuzz/{seed:03}");
         let g = move || generate(seed, &GenConfig::default());

@@ -41,6 +41,13 @@ fn crosscheck_cell(cell: &str, report: &RunReport, tele: &RunTelemetry) {
     let t = report.timing.as_ref().expect("suite cells are timed");
     assert_eq!(c(&reg, cell, "timing.cycles"), t.cycles, "{cell}");
     assert_eq!(c(&reg, cell, "timing.insts"), t.insts, "{cell}");
+    // The final `halt` (or faulting instruction) executes but cracks to
+    // no µops, so it never reaches the timing core.
+    assert_eq!(
+        c(&reg, cell, "run.insts"),
+        t.insts + 1,
+        "{cell}: run.insts counts the final instruction, timing.insts does not"
+    );
     assert_eq!(c(&reg, cell, "timing.uops"), t.uops, "{cell}");
     let tag_sum: u64 = watchdog::core::telemetry::TAG_NAMES
         .iter()

@@ -61,8 +61,10 @@ fn main() {
         // this host (guest instructions retired per host second) and how
         // many guest cycles each host nanosecond buys.
         let insts_per_sec = c(&reg, "timing.insts") as f64 / secs.max(1e-9);
+        let run_share =
+            |name: &str| c(&reg, name) as f64 * 100.0 / c(&reg, "host.run.ns").max(1) as f64;
         println!(
-            "{:<28} cycles={:<8} uops={:<8} ipc={:.2} stalls rob={} iq={} lq={} sq={} ic={} br={} | l1d m={} ({:.2}%) ll acc={} m={} ({:.2}%, {:.2}/1k insts) shadow={} memo={} | crack$ {} | feed occ={:.1} | host {:.2} Minsts/s cycles_per_ns={:.3} [{}]",
+            "{:<28} cycles={:<8} uops={:<8} ipc={:.2} stalls rob={} iq={} lq={} sq={} ic={} br={} | l1d m={} ({:.2}%) ll acc={} m={} ({:.2}%, {:.2}/1k insts) shadow={} memo={} | crack$ {} | feed occ={:.1} | host {:.2} Minsts/s cycles_per_ns={:.3} [{}] fill={:.0}% consume={:.0}%",
             mode.label(),
             c(&reg, "timing.cycles"),
             c(&reg, "timing.uops"),
@@ -80,6 +82,8 @@ fn main() {
             insts_per_sec / 1e6,
             g(&reg, "host.cycles_per_ns"),
             unit(&reg, "host.cycles_per_ns"),
+            run_share("host.fill.ns"),
+            run_share("host.consume.ns"),
         );
         live.push((mode, r, secs));
     }

@@ -294,11 +294,11 @@ impl Simulator {
 
     /// [`Simulator::run`] with the self-profiler attached: the timing
     /// core collects its [`CoreTelemetry`](watchdog_pipeline::CoreTelemetry)
-    /// (per-kind dispatch counters, occupancy histograms, sampled phase
-    /// timers) and the driver loop charges wall-clock section timers,
-    /// all returned beside — never inside — the report. The report is
-    /// byte-identical to an uninstrumented [`Simulator::run`] of the
-    /// same configuration.
+    /// (per-kind dispatch counters, occupancy histograms, the CPI stack)
+    /// and the driver loop times the whole run, the batch fills and the
+    /// batch consumes, all returned beside — never inside — the report.
+    /// The report is byte-identical to an uninstrumented
+    /// [`Simulator::run`] of the same configuration.
     ///
     /// # Errors
     ///
@@ -307,7 +307,7 @@ impl Simulator {
         &self,
         program: &Program,
     ) -> Result<(RunReport, RunTelemetry), SimError> {
-        let mut tele = RunTelemetry::new();
+        let mut tele = RunTelemetry::default();
         let report = self.run_impl(program, Some(&mut tele))?;
         Ok((report, tele))
     }
@@ -334,13 +334,10 @@ impl Simulator {
         if let (true, Some(core)) = (tele_on, core.as_mut()) {
             core.enable_telemetry();
         }
-        // Section-timer accumulators, folded into `tele` once at the end.
-        // Consume laps time every batch flush; fetch/crack laps sample the
-        // steps of one batch-fill in 32 so the per-instruction `Instant`
-        // cost stays off the common path.
-        let (mut consume_ns, mut consume_hits) = (0u64, 0u64);
-        let (mut fetch_crack_ns, mut fetch_crack_hits) = (0u64, 0u64);
-        let (mut fills, mut fill_sampled) = (0u64, false);
+        // Host timers, read twice per batch flush: the lap up to the
+        // flush is fill time, the flush itself consume time.
+        let (mut fill_ns, mut consume_ns) = (0u64, 0u64);
+        let mut lap = t_run;
         let mut violation = None;
         let mut executed = 0u64;
         // The batched µop-event feed: the machine appends committed
@@ -351,29 +348,20 @@ impl Simulator {
         // timing-transparent).
         let mut batch = UopBatch::with_capacity(UopBatch::TARGET_INSTS);
         let mut flush = |core: &mut TimingCore, batch: &mut UopBatch| {
-            let t0 = tele_on.then(Instant::now);
-            core.consume_batch(batch);
-            batch.clear();
-            if let Some(t0) = t0 {
-                consume_ns += t0.elapsed().as_nanos() as u64;
-                consume_hits += 1;
+            if let Some(t0) = lap {
+                let t1 = Instant::now();
+                core.consume_batch(batch);
+                let t2 = Instant::now();
+                fill_ns += (t1 - t0).as_nanos() as u64;
+                consume_ns += (t2 - t1).as_nanos() as u64;
+                lap = Some(t2);
+            } else {
+                core.consume_batch(batch);
             }
+            batch.clear();
         };
         loop {
-            if tele_on && batch.is_empty() {
-                fills += 1;
-                fill_sampled = fills % 32 == 1;
-            }
-            let step = if fill_sampled {
-                let t0 = Instant::now();
-                let step = machine.step_batched(&mut batch);
-                fetch_crack_ns += t0.elapsed().as_nanos() as u64;
-                fetch_crack_hits += 1;
-                step?
-            } else {
-                machine.step_batched(&mut batch)?
-            };
-            match step {
+            match machine.step_batched(&mut batch)? {
                 Step::Executed(_) => {
                     if let Some(core) = core.as_mut() {
                         if batch.len() >= UopBatch::TARGET_INSTS {
@@ -404,12 +392,8 @@ impl Simulator {
                 t.ll_memo_hits = core.hierarchy().ll_memo_hits();
             }
             t.host_ns = t_run.expect("run timer started").elapsed().as_nanos() as u64;
-            let run = t.sections.id("run");
-            t.sections.add_batch(run, t.host_ns, 1);
-            let fc = t.sections.id("run/fetch_crack");
-            t.sections.add_batch(fc, fetch_crack_ns, fetch_crack_hits);
-            let cons = t.sections.id("run/consume");
-            t.sections.add_batch(cons, consume_ns, consume_hits);
+            t.fill_ns = fill_ns;
+            t.consume_ns = consume_ns;
         }
         let timing = core.map(TimingCore::finish);
         Ok(RunReport {

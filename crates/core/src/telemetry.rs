@@ -5,10 +5,10 @@
 //!
 //! * the [`RunReport`] — everything the simulation *decided* (counters
 //!   that are identical across equivalent feeds and replays);
-//! * an optional [`RunTelemetry`] — everything the instrumented driver
-//!   *observed* on the side (host timings, profile samples, feed shape),
-//!   which legitimately differs run to run and therefore lives outside
-//!   the report.
+//! * an optional [`RunTelemetry`] — what the instrumented driver
+//!   collected on the side: the timing core's self-profile (simulated
+//!   counts, identical run to run) and the host timers (`host.*`, which
+//!   differ run to run). Neither lives in the report.
 //!
 //! Every consumer — `watchdog-cli run` human diagnostics, `run --json`,
 //! the diagnostics binary, the telemetry cross-check suite — renders
@@ -16,51 +16,40 @@
 //! everywhere at once and cannot drift between the human and the
 //! machine-readable output.
 
-use watchdog_telemetry::{JsonValue, MetricsRegistry, SectionTimers, Unit};
+use watchdog_telemetry::{JsonValue, MetricsRegistry, Unit};
 
 use crate::report::RunReport;
 
 /// Schema tag carried by every `watchdog-cli run --json` document.
-pub const RUN_SCHEMA: &str = "watchdog-run-v1";
+pub const RUN_SCHEMA: &str = "watchdog-run-v2";
 
 pub use watchdog_pipeline::TAG_NAMES;
 
-/// Declared section paths of the instrumented run loop (see
-/// [`RunTelemetry::new`]): whole run, the functional fetch/crack side
-/// (sampled one batch-fill in 32), and the timing-core consume side
-/// (every batch flush).
-pub const RUN_SECTIONS: [&str; 3] = ["run", "run/fetch_crack", "run/consume"];
-
-/// Host-side observations from one instrumented run
-/// ([`Simulator::run_instrumented`](crate::sim::Simulator::run_instrumented)).
+/// What one instrumented run
+/// ([`Simulator::run_instrumented`](crate::sim::Simulator::run_instrumented))
+/// collected beside its report.
 ///
 /// Deliberately *not* part of [`RunReport`]: the equivalence suites
-/// compare reports byte for byte, and none of this is equivalent across
-/// feeds.
-#[derive(Debug, Clone)]
+/// compare reports byte for byte, and the host timers differ run to run.
+#[derive(Debug, Clone, Default)]
 pub struct RunTelemetry {
-    /// Core-side metrics (`profile.*`, `feed.*`) exported from the
-    /// timing core just before `finish()` consumed it.
+    /// Core-side metrics (`profile.*`, `cpi.*`, `feed.*`) exported from
+    /// the timing core just before `finish()` consumed it.
     pub core_metrics: MetricsRegistry,
-    /// Wall-clock section timers over the driver loop ([`RUN_SECTIONS`]).
-    pub sections: SectionTimers,
     /// Lock-probe memo short circuits taken by the hierarchy.
     pub ll_memo_hits: u64,
-    /// Host nanoseconds the whole run took (the `run` section total).
+    /// Host nanoseconds the whole run took.
     pub host_ns: u64,
+    /// Host nanoseconds spent filling µop batches: the functional step,
+    /// cracking and the batch writes, read at every batch flush. A
+    /// functional run flushes no batch, so this and `consume_ns` stay 0.
+    pub fill_ns: u64,
+    /// Host nanoseconds the timing core spent consuming batches, read at
+    /// every batch flush.
+    pub consume_ns: u64,
 }
 
 impl RunTelemetry {
-    /// Empty observation block with the standard section table.
-    pub fn new() -> Self {
-        RunTelemetry {
-            core_metrics: MetricsRegistry::new(),
-            sections: SectionTimers::new(&RUN_SECTIONS),
-            ll_memo_hits: 0,
-            host_ns: 0,
-        }
-    }
-
     /// Simulated cycles per host nanosecond — the throughput figure the
     /// diagnostics binary tracks (0.0 when untimed or unmeasured).
     pub fn cycles_per_host_ns(&self, report: &RunReport) -> f64 {
@@ -72,17 +61,13 @@ impl RunTelemetry {
     }
 }
 
-impl Default for RunTelemetry {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// Builds the full metrics registry for one run: architectural counters
 /// (`run.*`), heap and footprint statistics, timing-model results
 /// (`timing.*`, `bpred.*`, `rename.*`, `stall.*`, `mem.*`, `crack.*`)
-/// and — when an instrumented run supplied one — the host-side
-/// [`RunTelemetry`] (`profile.*`, `feed.*`, `section.*`, `host.*`).
+/// and — when an instrumented run supplied one — the [`RunTelemetry`]
+/// (`profile.*`, `cpi.*`, `feed.*`, `host.*`). Only `host.*` metrics
+/// depend on the host; every other metric is a deterministic function of
+/// the program and configuration.
 ///
 /// Registration order is fixed by this function, which makes the JSON
 /// export key order stable across runs and revisions.
@@ -177,8 +162,9 @@ pub fn export_metrics(report: &RunReport, tele: Option<&RunTelemetry>) -> Metric
     if let Some(tele) = tele {
         reg.absorb(&tele.core_metrics);
         reg.counter_at("mem.ll.memo_hits", Unit::Count, tele.ll_memo_hits);
-        tele.sections.export_into(&mut reg);
         reg.counter_at("host.run.ns", Unit::Nanos, tele.host_ns);
+        reg.counter_at("host.fill.ns", Unit::Nanos, tele.fill_ns);
+        reg.counter_at("host.consume.ns", Unit::Nanos, tele.consume_ns);
         reg.gauge_at(
             "host.cycles_per_ns",
             Unit::PerNano,
@@ -191,10 +177,12 @@ pub fn export_metrics(report: &RunReport, tele: Option<&RunTelemetry>) -> Metric
 
 /// Renders one run as the stable machine-readable document behind
 /// `watchdog-cli run --json`: a [`RUN_SCHEMA`] tag, the run identity
-/// (benchmark, mode, scale, violation), the full metric registry from
-/// [`export_metrics`] under `metrics` and each metric's unit label under
-/// `units`. Key order inside both objects is registration order, so
-/// diffs between revisions stay readable.
+/// (benchmark, mode, scale, violation), then the metric registry from
+/// [`export_metrics`] split in two. `sim` holds every deterministic
+/// metric, so two runs of the same cell have equal `sim` objects; `host`
+/// holds the `host.*` timings. `units` labels the metrics of both. Key
+/// order inside each object is registration order, so diffs between
+/// revisions stay readable.
 pub fn run_json(
     benchmark: &str,
     scale: &str,
@@ -206,13 +194,20 @@ pub fn run_json(
         None => JsonValue::Null,
     };
     let reg = export_metrics(report, tele);
+    let JsonValue::Obj(metrics) = reg.to_json() else {
+        unreachable!("a registry renders as one object")
+    };
+    let (host, sim) = metrics
+        .into_iter()
+        .partition(|(name, _)| name.starts_with("host."));
     JsonValue::Obj(vec![
         ("schema".into(), JsonValue::str(RUN_SCHEMA)),
         ("benchmark".into(), JsonValue::str(benchmark)),
         ("mode".into(), JsonValue::str(report.mode.clone())),
         ("scale".into(), JsonValue::str(scale)),
         ("violation".into(), violation),
-        ("metrics".into(), reg.to_json()),
+        ("sim".into(), JsonValue::Obj(sim)),
+        ("host".into(), JsonValue::Obj(host)),
         ("units".into(), reg.units_json()),
     ])
     .render_pretty()
@@ -274,6 +269,8 @@ mod tests {
         assert_eq!(reg.counter_value("crack.hits"), None);
     }
 
+    /// An instrumented export adds the core's profile, the feed counters
+    /// and the run's host-timed sections: the whole run, fill and consume.
     #[test]
     fn instrumented_export_adds_profile_feed_and_sections() {
         let sim = Simulator::new(SimConfig::timed(Mode::watchdog_conservative()));
@@ -286,8 +283,12 @@ mod tests {
         assert_eq!(reg.counter_value("profile.insts"), Some(t.insts));
         assert_eq!(reg.counter_value("profile.uops"), Some(t.uops));
         assert!(reg.counter_value("feed.batches").unwrap() > 0);
-        assert!(reg.counter_value("section.run.ns").unwrap() > 0);
-        assert!(reg.counter_value("host.run.ns").unwrap() > 0);
+        // One fill and one consume lap per batch flush, both inside the
+        // whole-run timer.
+        let fill = reg.counter_value("host.fill.ns").unwrap();
+        let consume = reg.counter_value("host.consume.ns").unwrap();
+        assert!(fill > 0 && consume > 0, "fill {fill}, consume {consume}");
+        assert!(fill + consume <= reg.counter_value("host.run.ns").unwrap());
         assert!(tele.cycles_per_host_ns(&r) > 0.0);
         // Simulated cycles per host nanosecond, exported under the
         // matching per-nanosecond unit.
@@ -336,12 +337,32 @@ mod tests {
         );
         // The dangling store in the loop body trips the checker.
         assert!(parsed.get("violation").is_some());
-        let metrics = parsed.get("metrics").expect("metrics object");
+        let sim = parsed.get("sim").expect("sim object");
         assert_eq!(
-            metrics.get("run.insts").and_then(JsonValue::as_u64),
+            sim.get("run.insts").and_then(JsonValue::as_u64),
             Some(r.machine.insts)
         );
-        assert!(metrics.get("host.run.ns").is_some());
-        assert!(metrics.get("profile.insts").is_some());
+        assert!(sim.get("profile.insts").is_some());
+        assert!(
+            sim.get("host.run.ns").is_none(),
+            "host timings stay out of sim"
+        );
+        let host = parsed.get("host").expect("host object");
+        for key in ["host.run.ns", "host.fill.ns", "host.consume.ns"] {
+            assert!(host.get(key).is_some(), "{key} missing from host");
+        }
+        let JsonValue::Obj(host) = host else {
+            panic!("host is an object")
+        };
+        assert!(
+            host.iter().all(|(k, _)| k.starts_with("host.")),
+            "host holds only host.* timings"
+        );
+        let units = parsed.get("units").expect("units object");
+        assert_eq!(
+            units.get("host.fill.ns").and_then(JsonValue::as_str),
+            Some("ns")
+        );
+        assert!(units.get("run.insts").is_some());
     }
 }

@@ -24,8 +24,6 @@ use watchdog_isa::reg::{LReg, NUM_LREGS};
 use watchdog_isa::uop::{UopKind, UopTag};
 use watchdog_mem::{AccessClass, Hierarchy, HierarchyConfig, HierarchyStats};
 
-use std::time::Instant;
-
 use watchdog_telemetry::{MetricsRegistry, Unit};
 
 use crate::batch::{FeedStats, MemOp, UopBatch};
@@ -33,7 +31,7 @@ use crate::batch::{FeedStats, MemOp, UopBatch};
 use crate::bpred::{BpredStats, Predictor};
 use crate::config::CoreConfig;
 use crate::rename::{Rename, RenameConfig, RenameStats};
-use crate::tele::{timed, CoreTelemetry, NUM_STALL_CAUSES, STALL_CAUSE_NAMES};
+use crate::tele::{CoreTelemetry, NUM_STALL_CAUSES, STALL_CAUSE_NAMES};
 use crate::wheel::{CalendarWheel, CursorPools, ReleaseRing};
 
 /// Number of µop accounting tags.
@@ -308,12 +306,7 @@ impl TimingCore {
     /// one-time `Box` here is the profiler's only allocation, keeping
     /// the consume loop allocation-free with recording on.
     pub fn enable_telemetry(&mut self) {
-        self.tele = Some(Box::new(CoreTelemetry::new()));
-    }
-
-    /// The collected profile, if telemetry was enabled.
-    pub fn telemetry(&self) -> Option<&CoreTelemetry> {
-        self.tele.as_deref()
+        self.tele = Some(Box::default());
     }
 
     /// Detaches and returns the collected profile (used by drivers that
@@ -463,23 +456,14 @@ impl TimingCore {
         let addrs = batch.addrs();
 
         // Self-profiler prologue: sample window occupancy at the batch
-        // boundary and decide whether this batch is phase-timed. One
-        // predictable branch when telemetry is off.
+        // boundary. One predictable branch when telemetry is off.
         let tele_on = self.tele.is_some();
-        let sampled = if tele_on {
-            let (rob, iq) = (self.rob.len() as u64, self.iq.len() as u64);
-            let (lq, sq) = (self.lq.len() as u64, self.sq.len() as u64);
-            let t = self.tele.as_deref_mut().expect("telemetry enabled");
-            t.rob_occupancy.observe(rob);
-            t.iq_occupancy.observe(iq);
-            t.lq_occupancy.observe(lq);
-            t.sq_occupancy.observe(sq);
-            t.begin_batch()
-        } else {
-            false
-        };
-        let t_batch = sampled.then(Instant::now);
-        let (mut wheel_ns, mut hier_ns, mut commit_ns) = (0u64, 0u64, 0u64);
+        if let Some(t) = self.tele.as_deref_mut() {
+            t.rob_occupancy.observe(self.rob.len() as u64);
+            t.iq_occupancy.observe(self.iq.len() as u64);
+            t.lq_occupancy.observe(self.lq.len() as u64);
+            t.sq_occupancy.observe(self.sq.len() as u64);
+        }
 
         // CPI-stack accumulators, flushed into the profiler once per batch
         // (plain locals, so the hot loop never re-borrows `self.tele`).
@@ -506,9 +490,7 @@ impl TimingCore {
             let block = ev.pc / 64;
             if block != self.last_fetch_block {
                 self.last_fetch_block = block;
-                let lat = timed(sampled, &mut hier_ns, || {
-                    self.hier.access(AccessClass::Ifetch, ev.pc, false)
-                });
+                let lat = self.hier.access(AccessClass::Ifetch, ev.pc, false);
                 let l1 = 3;
                 if lat > l1 {
                     // An I-cache miss starves the frontend for the extra
@@ -557,9 +539,6 @@ impl TimingCore {
                 }
                 self.fe_slots += 1;
                 let mut disp = self.fe_cycle;
-
-                // Wheel-drain phase: every window-occupancy check below.
-                let t_wd = sampled.then(Instant::now);
 
                 // Which window (if any) last raised this µop's dispatch
                 // time — the CPI stack's window-full attribution.
@@ -629,9 +608,6 @@ impl TimingCore {
                         }
                     }
                 }
-                if let Some(t0) = t_wd {
-                    wheel_ns += t0.elapsed().as_nanos() as u64;
-                }
 
                 // Source readiness.
                 let mut ready = 0u64;
@@ -678,9 +654,7 @@ impl TimingCore {
                         let MemOp::Read(class) = mem else {
                             unreachable!("load µops are classified as reads")
                         };
-                        let lat = timed(sampled, &mut hier_ns, || {
-                            self.hier.access(class, addr, false)
-                        });
+                        let lat = self.hier.access(class, addr, false);
                         (st, st + self.cfg.lat_agu + lat)
                     }
                     UopKind::Store | UopKind::ShadowStore => {
@@ -688,9 +662,7 @@ impl TimingCore {
                         let MemOp::Write(class) = mem else {
                             unreachable!("store µops are classified as writes")
                         };
-                        let _ = timed(sampled, &mut hier_ns, || {
-                            self.hier.access(class, addr, true)
-                        });
+                        self.hier.access(class, addr, true);
                         // Stores complete once address+data are staged;
                         // the write drains from the SQ after commit.
                         (st, st + 1)
@@ -702,9 +674,7 @@ impl TimingCore {
                             Fu::LoadPort
                         };
                         let st = self.reserve_issue(port, earliest, 1);
-                        let lat = timed(sampled, &mut hier_ns, || {
-                            self.hier.access(AccessClass::Lock, addr, false)
-                        });
+                        let lat = self.hier.access(AccessClass::Lock, addr, false);
                         (st, st + self.cfg.lat_agu + lat)
                     }
                     UopKind::LockStore => {
@@ -714,17 +684,10 @@ impl TimingCore {
                             Fu::StorePort
                         };
                         let st = self.reserve_issue(port, earliest, 1);
-                        let _ = timed(sampled, &mut hier_ns, || {
-                            self.hier.access(AccessClass::Lock, addr, true)
-                        });
+                        self.hier.access(AccessClass::Lock, addr, true);
                         (st, st + 1)
                     }
                 };
-
-                if sampled {
-                    let t = self.tele.as_deref_mut().expect("telemetry enabled");
-                    t.wheel_lead.observe(issue - disp);
-                }
 
                 if let Some(d) = u.dst {
                     self.reg_ready[d.index()] = complete;
@@ -777,8 +740,7 @@ impl TimingCore {
                     cpi_commit[tag_index(u.tag)] += 1;
                 }
 
-                // Commit phase: slot assignment + window pushes.
-                let t_c = sampled.then(Instant::now);
+                // Commit: slot assignment + window pushes.
                 let commit = self.commit_time(complete);
                 self.rob.push(commit);
                 self.iq.push(issue);
@@ -786,9 +748,6 @@ impl TimingCore {
                     self.lq.push(commit);
                 } else if is_store_like {
                     self.sq.push(commit);
-                }
-                if let Some(t0) = t_c {
-                    commit_ns += t0.elapsed().as_nanos() as u64;
                 }
             }
 
@@ -810,11 +769,8 @@ impl TimingCore {
         }
 
         // Self-profiler epilogue: per-kind dispatch counters as one
-        // cache-hot pass over the batch's µop descriptors, plus the phase
-        // totals when this batch was timed.
-        if tele_on {
-            let total = t_batch.map(|t0| t0.elapsed().as_nanos() as u64);
-            let t = self.tele.as_deref_mut().expect("telemetry enabled");
+        // cache-hot pass over the batch's µop descriptors.
+        if let Some(t) = self.tele.as_deref_mut() {
             t.insts += n as u64;
             t.uops += uops.len() as u64;
             for u in uops {
@@ -825,13 +781,6 @@ impl TimingCore {
             }
             for (acc, add) in t.stall_slots.iter_mut().zip(cpi_stall) {
                 *acc += add;
-            }
-            if let Some(total_ns) = total {
-                t.phases.batches_sampled += 1;
-                t.phases.total_ns += total_ns;
-                t.phases.wheel_drain_ns += wheel_ns;
-                t.phases.hierarchy_ns += hier_ns;
-                t.phases.commit_ns += commit_ns;
             }
         }
     }
@@ -893,6 +842,13 @@ mod tests {
 
     fn run_alu_stream(dependent: bool, n: u64) -> TimingReport {
         let mut core = TimingCore::new(CoreConfig::sandy_bridge(), HierarchyConfig::default());
+        feed_alu_stream(&mut core, dependent, n);
+        core.finish()
+    }
+
+    /// Feeds `n` one-µop ALU instructions: one serial chain through `r1`
+    /// when `dependent`, else eight independent destinations.
+    fn feed_alu_stream(core: &mut TimingCore, dependent: bool, n: u64) {
         for i in 0..n {
             let (dst, a) = if dependent {
                 (g(1), g(1))
@@ -912,9 +868,8 @@ mod tests {
                 0x40_0000 + i * 5,
                 &[],
             );
-            feed(&mut core, &ci);
+            feed(core, &ci);
         }
-        core.finish()
     }
 
     #[test]
@@ -1194,6 +1149,39 @@ mod tests {
                 "{name} slots drift from the report's tag totals"
             );
         }
+    }
+
+    /// The CPI stack charges each commit gap to one cause, first match
+    /// wins: miss > FU > dep > window > frontend. A serial ALU chain
+    /// fills the IQ (up to 6 µops rename per cycle, 1 issues), so from
+    /// then on every µop's dispatch waits for an IQ entry *and* its
+    /// source waits on the chain. The dependency claims every such gap:
+    /// the report counts IQ-full cycles, yet `iq_full` takes no slot. The
+    /// only other gaps follow the straight-line stream's cold I-cache
+    /// misses, which starve the frontend until the IQ has drained.
+    #[test]
+    fn dependency_waits_outrank_a_full_iq() {
+        let mut core = TimingCore::new(CoreConfig::sandy_bridge(), HierarchyConfig::default());
+        core.enable_telemetry();
+        feed_alu_stream(&mut core, true, 3000);
+        let mut reg = MetricsRegistry::new();
+        core.export_telemetry_into(&mut reg);
+        let get = |name: &str| reg.counter_value(name).unwrap_or_else(|| panic!("{name}"));
+        let r = core.finish();
+        assert!(
+            r.stalls.iq > r.cycles / 2,
+            "the IQ is full most of the run ({} of {} cycles)",
+            r.stalls.iq,
+            r.cycles
+        );
+        assert_eq!(get("cpi.stall.iq_full"), 0, "a dep wait outranks the IQ");
+        let gaps: u64 = STALL_CAUSE_NAMES
+            .iter()
+            .map(|n| get(&format!("cpi.stall.{n}")))
+            .sum();
+        let (dep, icache) = (get("cpi.stall.dep"), get("cpi.stall.icache"));
+        assert!(dep > 10 * icache, "dep {dep}, icache {icache}");
+        assert_eq!(gaps, dep + icache, "no other cause claims a slot");
     }
 
     /// Satellite: the rotating cursor makes port choice deterministic and

@@ -25,9 +25,10 @@
 //!   FU pools, one structure per role, each property-tested against a
 //!   small executable spec.
 //! * [`tele`] — the core's optional self-profiler: per-kind dispatch
-//!   counters, window-occupancy and wheel-lead histograms, and sampled
-//!   phase timers, recorded out-of-band so no report field ever depends
-//!   on whether telemetry is attached.
+//!   counters, window-occupancy histograms and the CPI stack, all
+//!   simulated counts recorded out-of-band, so no report field ever
+//!   depends on whether telemetry is attached. The crate reads no host
+//!   clock.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,6 +46,4 @@ pub use batch::{FeedStats, MemOp, UopBatch};
 pub use bpred::Predictor;
 pub use config::CoreConfig;
 pub use rename::{Rename, RenameConfig, RenameStats};
-pub use tele::{
-    CoreTelemetry, PhaseProfile, NUM_STALL_CAUSES, NUM_UOP_KINDS, STALL_CAUSE_NAMES, UOP_KIND_NAMES,
-};
+pub use tele::{CoreTelemetry, NUM_STALL_CAUSES, NUM_UOP_KINDS, STALL_CAUSE_NAMES, UOP_KIND_NAMES};

@@ -12,16 +12,12 @@
 //!   cross-check tests can catch drift between them);
 //! * **window-occupancy histograms** — ROB/IQ/LQ/SQ depth sampled at
 //!   every batch boundary;
-//! * **wheel-slot lead histogram** — how far ahead of dispatch each
-//!   µop's issue slot lands in the calendar wheel;
-//! * **phase timers** — host-nanosecond attribution of the consume loop
-//!   to *dispatch*, *wheel drain* (window-occupancy checks), *hierarchy
-//!   walk* (cache accesses) and *commit*, measured on one batch in
-//!   [`PROFILE_EVERY`] so the `Instant` cost never shows up in
-//!   throughput (the ≤2%-overhead acceptance bound).
+//! * **the CPI stack** — every commit slot attributed to one cause.
 //!
-//! Everything here is host-side observation: enabling telemetry never
-//! changes a timestamp, so every equivalence suite holds with it on.
+//! Everything here is a simulated count: the block reads no host clock,
+//! so equal µop streams give equal telemetry, whatever feeds them. It is
+//! also pure observation: enabling it never changes a timestamp, so every
+//! equivalence suite holds with it on.
 
 use crate::core::NUM_TAGS;
 use watchdog_isa::uop::UopKind;
@@ -68,47 +64,12 @@ pub const UOP_KIND_NAMES: [&str; NUM_UOP_KINDS] = [
     "nop",
 ];
 
-/// The self-profiler phase-times one batch in every `PROFILE_EVERY`;
-/// counters and occupancy histograms run on every batch. 256 keeps the
-/// `Instant` calls off ~99.6% of batches, holding whole-profiler
-/// overhead under the 2% budget the `timing_wheel/*_wheel_telemetry`
-/// perf case tracks.
-pub const PROFILE_EVERY: u64 = 256;
-
-/// Host-nanosecond attribution of the consume loop's phases, summed over
-/// the sampled batches.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PhaseProfile {
-    /// Batches that were phase-timed.
-    pub batches_sampled: u64,
-    /// Wall-clock nanoseconds those batches took end to end.
-    pub total_ns: u64,
-    /// Time in the window-occupancy checks (ROB/IQ/LQ/SQ drains).
-    pub wheel_drain_ns: u64,
-    /// Time inside [`Hierarchy::access`](watchdog_mem::Hierarchy)
-    /// (I-fetch, data, shadow and lock classes alike).
-    pub hierarchy_ns: u64,
-    /// Time assigning commit slots and pushing window entries.
-    pub commit_ns: u64,
-}
-
-impl PhaseProfile {
-    /// Everything not attributed to a finer phase: fetch bandwidth,
-    /// rename bookkeeping, source readiness, FU reservation — the
-    /// dispatch path the ROADMAP's open item is chasing.
-    pub fn dispatch_ns(&self) -> u64 {
-        self.total_ns
-            .saturating_sub(self.wheel_drain_ns + self.hierarchy_ns + self.commit_ns)
-    }
-}
-
-/// The preallocated instrumentation block. Constructing it allocates
-/// (two boxed histogram-bearing fields inside one `Box`); recording into
-/// it never does — the batch-feed allocation-discipline test runs with
-/// one of these attached.
-#[derive(Debug, Clone)]
+/// The preallocated instrumentation block: flat counter arrays and
+/// inline histograms, boxed once when attached. Recording into it never
+/// allocates — the batch-feed allocation-discipline test runs with one
+/// of these attached.
+#[derive(Debug, Clone, Default)]
 pub struct CoreTelemetry {
-    batches: u64,
     /// Macro-instructions seen by the instrumented consume loop — a
     /// second accounting path for the cross-check suite.
     pub insts: u64,
@@ -124,11 +85,6 @@ pub struct CoreTelemetry {
     pub lq_occupancy: Histogram,
     /// SQ depth at batch boundaries.
     pub sq_occupancy: Histogram,
-    /// `issue - dispatch` distance per µop (sampled batches only): how
-    /// far ahead of its dispatch cycle each µop lands in the wheel.
-    pub wheel_lead: Histogram,
-    /// Phase-time attribution over the sampled batches.
-    pub phases: PhaseProfile,
     /// CPI-stack commit slots by µop tag: one slot per committed µop,
     /// indexed like [`TAG_NAMES`](crate::core::TAG_NAMES). Deliberately
     /// accumulated in the consume loop, independently of
@@ -142,32 +98,6 @@ pub struct CoreTelemetry {
 }
 
 impl CoreTelemetry {
-    /// Fresh, empty instrumentation block.
-    pub(crate) fn new() -> Self {
-        CoreTelemetry {
-            batches: 0,
-            insts: 0,
-            uops: 0,
-            dispatch_by_kind: [0; NUM_UOP_KINDS],
-            rob_occupancy: Histogram::new(),
-            iq_occupancy: Histogram::new(),
-            lq_occupancy: Histogram::new(),
-            sq_occupancy: Histogram::new(),
-            wheel_lead: Histogram::new(),
-            phases: PhaseProfile::default(),
-            commit_slots_by_tag: [0; NUM_TAGS],
-            stall_slots: [0; NUM_STALL_CAUSES],
-        }
-    }
-
-    /// Marks the start of a batch; returns whether this batch is
-    /// phase-timed.
-    #[inline]
-    pub(crate) fn begin_batch(&mut self) -> bool {
-        self.batches += 1;
-        self.batches.is_multiple_of(PROFILE_EVERY)
-    }
-
     /// Exports every collected quantity under the stable `profile.*`
     /// namespace.
     pub fn export_into(&self, reg: &mut MetricsRegistry) {
@@ -180,37 +110,6 @@ impl CoreTelemetry {
         reg.histogram_at("profile.occupancy.iq", Unit::Count, &self.iq_occupancy);
         reg.histogram_at("profile.occupancy.lq", Unit::Count, &self.lq_occupancy);
         reg.histogram_at("profile.occupancy.sq", Unit::Count, &self.sq_occupancy);
-        reg.histogram_at("profile.wheel.lead", Unit::Cycles, &self.wheel_lead);
-        let p = &self.phases;
-        reg.counter_at(
-            "profile.phase.batches_sampled",
-            Unit::Count,
-            p.batches_sampled,
-        );
-        reg.counter_at("profile.phase.total.ns", Unit::Nanos, p.total_ns);
-        reg.counter_at("profile.phase.dispatch.ns", Unit::Nanos, p.dispatch_ns());
-        reg.counter_at(
-            "profile.phase.wheel_drain.ns",
-            Unit::Nanos,
-            p.wheel_drain_ns,
-        );
-        reg.counter_at("profile.phase.hierarchy.ns", Unit::Nanos, p.hierarchy_ns);
-        reg.counter_at("profile.phase.commit.ns", Unit::Nanos, p.commit_ns);
-    }
-}
-
-/// Runs `f`, charging its wall-clock time to `acc` when `sampled` —
-/// the phase-timing wrapper the consume loop places around its
-/// hierarchy calls.
-#[inline]
-pub(crate) fn timed<T>(sampled: bool, acc: &mut u64, f: impl FnOnce() -> T) -> T {
-    if sampled {
-        let t0 = std::time::Instant::now();
-        let r = f();
-        *acc += t0.elapsed().as_nanos() as u64;
-        r
-    } else {
-        f()
     }
 }
 
@@ -275,34 +174,8 @@ mod tests {
     }
 
     #[test]
-    fn phase_sampling_cadence() {
-        let mut t = CoreTelemetry::new();
-        let sampled: Vec<u64> = (1..=512).filter(|_| t.begin_batch()).collect();
-        assert_eq!(sampled, [256, 512]);
-    }
-
-    #[test]
-    fn dispatch_ns_is_the_unattributed_remainder() {
-        let p = PhaseProfile {
-            batches_sampled: 1,
-            total_ns: 100,
-            wheel_drain_ns: 20,
-            hierarchy_ns: 30,
-            commit_ns: 10,
-        };
-        assert_eq!(p.dispatch_ns(), 40);
-        // Timer skew can push the parts past the whole; never underflow.
-        let skewed = PhaseProfile {
-            total_ns: 10,
-            wheel_drain_ns: 20,
-            ..p
-        };
-        assert_eq!(skewed.dispatch_ns(), 0);
-    }
-
-    #[test]
     fn export_produces_the_stable_namespace() {
-        let mut t = CoreTelemetry::new();
+        let mut t = CoreTelemetry::default();
         t.insts = 10;
         t.uops = 25;
         t.dispatch_by_kind[UopKind::Check as usize] = 5;
@@ -312,6 +185,5 @@ mod tests {
         assert_eq!(reg.counter_value("profile.insts"), Some(10));
         assert_eq!(reg.counter_value("profile.dispatch.check"), Some(5));
         assert_eq!(reg.hist_value("profile.occupancy.rob").unwrap().max(), 100);
-        assert_eq!(reg.counter_value("profile.phase.dispatch.ns"), Some(0));
     }
 }

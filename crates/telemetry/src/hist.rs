@@ -5,7 +5,7 @@
 //! all: observing is a shift, an increment and three scalar updates.
 //! That makes it safe to record from inside the allocation-disciplined
 //! timing hot loop, and cheap enough to keep one per profiled quantity
-//! (window occupancies, wheel-slot leads, FU utilization).
+//! (the ROB/IQ/LQ/SQ occupancies).
 
 use crate::json::JsonValue;
 
@@ -76,22 +76,6 @@ impl Histogram {
         self.sum = self.sum.wrapping_add(v);
         self.min = self.min.min(v);
         self.max = self.max.max(v);
-    }
-
-    /// Folds another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum = self.sum.wrapping_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Clears all buckets and sidecars.
-    pub fn reset(&mut self) {
-        *self = Histogram::new();
     }
 
     /// Number of recorded samples.
@@ -225,29 +209,6 @@ mod tests {
         assert!((90..=100).contains(&p90), "p90={p90}");
         assert!((99..=100).contains(&p99), "p99={p99}");
         assert_eq!(h.percentile(1.0), 1);
-    }
-
-    #[test]
-    fn merge_equals_interleaved_observation() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        let mut both = Histogram::new();
-        for v in 0..50u64 {
-            a.observe(v * 3);
-            both.observe(v * 3);
-        }
-        for v in 0..70u64 {
-            b.observe(v * 7 + 1);
-            both.observe(v * 7 + 1);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), both.count());
-        assert_eq!(a.sum(), both.sum());
-        assert_eq!(a.max(), both.max());
-        assert_eq!(
-            a.nonzero_buckets().collect::<Vec<_>>(),
-            both.nonzero_buckets().collect::<Vec<_>>()
-        );
     }
 
     #[test]

@@ -445,7 +445,7 @@ mod tests {
     #[test]
     fn round_trips_a_nested_document() {
         let doc = JsonValue::Obj(vec![
-            ("schema".into(), JsonValue::str("watchdog-run-v1")),
+            ("schema".into(), JsonValue::str("watchdog-run-v2")),
             ("count".into(), JsonValue::Int(18_446_744_073_709_551_615)),
             ("rate".into(), JsonValue::Num(2.25)),
             ("ok".into(), JsonValue::Bool(true)),

@@ -1,22 +1,19 @@
-//! Structured telemetry for the Watchdog reproduction: a preallocated
-//! metrics registry, power-of-two histograms, hierarchical section
-//! timers and a dependency-free JSON layer.
+//! Structured telemetry for the Watchdog reproduction: a metrics
+//! registry, power-of-two histograms and a dependency-free JSON layer.
 //!
 //! The design follows two hard rules the rest of the workspace imposes:
 //!
 //! 1. **Out-of-band from [`RunReport`]** — every equivalence suite
 //!    (`trace_equivalence`, the golden corpus)
-//!    compares `RunReport`s byte-for-byte across live / replayed /
-//!    sampled feeds, and telemetry legitimately *differs* between feeds
-//!    (batch counts, host timings, profile samples). Metrics therefore
-//!    live in a separate [`MetricsRegistry`] carried next to — never
-//!    inside — the report.
+//!    compares `RunReport`s byte-for-byte across live and replayed
+//!    feeds, and host timings legitimately *differ* between runs.
+//!    Metrics therefore live in a separate [`MetricsRegistry`] carried
+//!    next to — never inside — the report.
 //! 2. **No steady-state allocation** — `tests/alloc_discipline.rs` pins
 //!    the timed hot loop to zero allocations *with recording enabled*.
-//!    A registry allocates only while metrics are being **registered**
-//!    (returning dense [`MetricId`] handles); recording through a handle
-//!    is an array write. [`Histogram`] is a fixed inline array, and the
-//!    pipeline's self-profiler preallocates everything at construction.
+//!    Producers record into their own fixed fields ([`Histogram`] is a
+//!    fixed inline array) and export into a registry once, after the
+//!    run, so the registry itself is never touched by the hot loop.
 //!
 //! [`RunReport`]: https://docs.rs/watchdog-core
 
@@ -26,20 +23,12 @@
 pub mod bench;
 pub mod hist;
 pub mod json;
-pub mod sections;
 
 pub use bench::{BenchRecord, BenchSnapshot, BENCH_SCHEMA};
 pub use hist::Histogram;
 pub use json::JsonValue;
-pub use sections::SectionTimers;
 
 use std::fmt::Write as _;
-
-/// Dense handle to one registered metric. Obtained from the registration
-/// calls on [`MetricsRegistry`]; recording through it is a bounds-checked
-/// array write with no lookup and no allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MetricId(u32);
 
 /// Unit tag rendered alongside a metric in human output and kept in the
 /// JSON export so downstream tooling does not have to guess.
@@ -101,11 +90,9 @@ pub struct MetricView<'a> {
     pub hist: Option<&'a Histogram>,
 }
 
-/// Preallocated registry of named counters, gauges and histograms.
-///
-/// Registration (`counter` / `gauge` / `histogram`) allocates and
-/// returns a [`MetricId`]; recording (`add` / `set` / `observe`) never
-/// allocates. Names are dotted paths (`timing.cycles`,
+/// Registry of named counters, gauges and histograms, each registered
+/// once with its final value (`counter_at` / `gauge_at` /
+/// `histogram_at`). Names are dotted paths (`timing.cycles`,
 /// `profile.occupancy.rob`) and must be unique — re-registering a name
 /// panics, because it is always a plumbing bug.
 #[derive(Debug, Default, Clone)]
@@ -121,84 +108,30 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    fn register(&mut self, name: &str, unit: Unit, slot: Slot) -> MetricId {
+    fn register(&mut self, name: &str, unit: Unit, slot: Slot) {
         assert!(
             !self.names.iter().any(|n| n == name),
             "metric {name:?} registered twice"
         );
-        let id = MetricId(u32::try_from(self.names.len()).expect("metric count fits u32"));
         self.names.push(name.to_string());
         self.units.push(unit);
         self.slots.push(slot);
-        id
     }
 
-    /// Registers a `u64` counter starting at zero.
-    pub fn counter(&mut self, name: &str, unit: Unit) -> MetricId {
-        self.register(name, unit, Slot::Counter(0))
+    /// Registers a counter with its value — the registry is built once,
+    /// after a run, from already-final statistics.
+    pub fn counter_at(&mut self, name: &str, unit: Unit, value: u64) {
+        self.register(name, unit, Slot::Counter(value));
     }
 
-    /// Registers a counter with an initial value — the common shape when
-    /// the registry is built once, after a run, from already-final
-    /// statistics.
-    pub fn counter_at(&mut self, name: &str, unit: Unit, value: u64) -> MetricId {
-        self.register(name, unit, Slot::Counter(value))
-    }
-
-    /// Registers an `f64` gauge starting at zero.
-    pub fn gauge(&mut self, name: &str, unit: Unit) -> MetricId {
-        self.register(name, unit, Slot::Gauge(0.0))
-    }
-
-    /// Registers a gauge with an initial value.
-    pub fn gauge_at(&mut self, name: &str, unit: Unit, value: f64) -> MetricId {
-        self.register(name, unit, Slot::Gauge(value))
-    }
-
-    /// Registers an empty power-of-two [`Histogram`].
-    pub fn histogram(&mut self, name: &str, unit: Unit) -> MetricId {
-        self.register(name, unit, Slot::Hist(Box::default()))
+    /// Registers a gauge with its value.
+    pub fn gauge_at(&mut self, name: &str, unit: Unit, value: f64) {
+        self.register(name, unit, Slot::Gauge(value));
     }
 
     /// Registers a histogram with already-accumulated contents (cloned).
-    pub fn histogram_at(&mut self, name: &str, unit: Unit, hist: &Histogram) -> MetricId {
-        self.register(name, unit, Slot::Hist(Box::new(hist.clone())))
-    }
-
-    /// Adds `n` to a counter. Allocation-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` does not refer to a counter.
-    pub fn add(&mut self, id: MetricId, n: u64) {
-        match &mut self.slots[id.0 as usize] {
-            Slot::Counter(c) => *c += n,
-            _ => panic!("metric {:?} is not a counter", self.names[id.0 as usize]),
-        }
-    }
-
-    /// Sets a gauge. Allocation-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` does not refer to a gauge.
-    pub fn set(&mut self, id: MetricId, v: f64) {
-        match &mut self.slots[id.0 as usize] {
-            Slot::Gauge(g) => *g = v,
-            _ => panic!("metric {:?} is not a gauge", self.names[id.0 as usize]),
-        }
-    }
-
-    /// Records one sample into a histogram. Allocation-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` does not refer to a histogram.
-    pub fn observe(&mut self, id: MetricId, v: u64) {
-        match &mut self.slots[id.0 as usize] {
-            Slot::Hist(h) => h.observe(v),
-            _ => panic!("metric {:?} is not a histogram", self.names[id.0 as usize]),
-        }
+    pub fn histogram_at(&mut self, name: &str, unit: Unit, hist: &Histogram) {
+        self.register(name, unit, Slot::Hist(Box::new(hist.clone())));
     }
 
     /// Number of registered metrics.
@@ -340,15 +273,13 @@ mod tests {
     #[test]
     fn counters_gauges_and_histograms_round_trip_by_name() {
         let mut reg = MetricsRegistry::new();
-        let c = reg.counter("a.count", Unit::Count);
-        let g = reg.gauge("a.rate", Unit::PerNano);
-        let h = reg.histogram("a.occ", Unit::Count);
-        reg.add(c, 41);
-        reg.add(c, 1);
-        reg.set(g, 2.5);
+        let mut h = Histogram::new();
         for v in [1, 2, 3, 4] {
-            reg.observe(h, v);
+            h.observe(v);
         }
+        reg.counter_at("a.count", Unit::Count, 42);
+        reg.gauge_at("a.rate", Unit::PerNano, 2.5);
+        reg.histogram_at("a.occ", Unit::Count, &h);
         assert_eq!(reg.counter_value("a.count"), Some(42));
         assert_eq!(reg.gauge_value("a.rate"), Some(2.5));
         assert_eq!(reg.hist_value("a.occ").unwrap().count(), 4);
@@ -360,24 +291,8 @@ mod tests {
     #[should_panic(expected = "registered twice")]
     fn duplicate_registration_panics() {
         let mut reg = MetricsRegistry::new();
-        reg.counter("x", Unit::Count);
-        reg.counter("x", Unit::Count);
-    }
-
-    #[test]
-    fn recording_does_not_allocate_storage() {
-        // The structural guarantee behind tests/alloc_discipline.rs:
-        // after registration the vectors never grow.
-        let mut reg = MetricsRegistry::new();
-        let c = reg.counter("c", Unit::Count);
-        let h = reg.histogram("h", Unit::Cycles);
-        let before = reg.slots.capacity();
-        for i in 0..10_000 {
-            reg.add(c, 1);
-            reg.observe(h, i);
-        }
-        assert_eq!(reg.slots.capacity(), before);
-        assert_eq!(reg.counter_value("c"), Some(10_000));
+        reg.counter_at("x", Unit::Count, 0);
+        reg.counter_at("x", Unit::Count, 1);
     }
 
     #[test]

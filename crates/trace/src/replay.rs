@@ -164,9 +164,10 @@ pub fn replay_with_stats(
 }
 
 /// [`replay()`] with the timing core's self-profiler attached: the core
-/// collects per-kind dispatch counters, occupancy/wheel histograms and
-/// sampled phase timers, exported as a `profile.*`/`feed.*`
-/// registry beside the report. The report itself is byte-identical to an
+/// collects per-kind dispatch counters, occupancy histograms and the CPI
+/// stack, exported as a `profile.*`/`cpi.*`/`feed.*` registry beside the
+/// report. The registry equals the `core_metrics` of a live
+/// instrumented run of the same cell. The report itself is byte-identical to an
 /// uninstrumented [`replay()`] — telemetry is observation, never timing.
 ///
 /// # Errors

@@ -5,7 +5,7 @@
 //! watchdog-cli modes                        # available modes
 //! watchdog-cli run mcf --mode isa           # simulate one benchmark
 //! watchdog-cli run perl --mode cons --scale ref
-//! watchdog-cli run mcf --json               # machine-readable metrics (watchdog-run-v1)
+//! watchdog-cli run mcf --json               # machine-readable metrics (watchdog-run-v2)
 //! watchdog-cli run mcf --telemetry          # human report + registry + self-profile
 //! watchdog-cli run mcf --cpi                # Fig. 8-style CPI stack across all four modes
 //! watchdog-cli perf                         # perf snapshot -> bench-history/BENCH_<rev>.json

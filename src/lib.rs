@@ -23,9 +23,9 @@
 //! parallel suite/fuzz/sweep runners (the `bench` re-export), the
 //! crash-isolated multi-process campaign service with its resumable,
 //! crash-safe results ledger ([`campaign`]), and the structured
-//! telemetry layer — preallocated metrics registry, sampling
-//! self-profiler, section timers and the dependency-free JSON behind
-//! `run --json` / `perf` snapshots ([`telemetry`]).
+//! telemetry layer — metrics registry, histograms and the
+//! dependency-free JSON behind `run --json` / `perf` snapshots
+//! ([`telemetry`]).
 //!
 //! # Quickstart
 //!

@@ -128,21 +128,27 @@ fn run_json_emits_the_stable_schema() {
     );
     assert_eq!(doc.get("benchmark").and_then(|v| v.as_str()), Some("mcf"));
     assert_eq!(doc.get("scale").and_then(|v| v.as_str()), Some("test"));
-    let metrics = doc.get("metrics").expect("metrics object");
+    // Deterministic metrics under `sim`, host timings under `host`, one
+    // `units` object labelling both.
+    let sim = doc.get("sim").expect("sim object");
     for key in [
         "run.insts",
         "timing.cycles",
         "timing.ipc",
         "mem.ll.accesses",
         "profile.insts",
+        "cpi.slots",
         "feed.batches",
-        "section.run.ns",
-        "host.run.ns",
     ] {
-        assert!(metrics.get(key).is_some(), "{key} missing from:\n{out}");
+        assert!(sim.get(key).is_some(), "{key} missing from sim:\n{out}");
+    }
+    let host = doc.get("host").expect("host object");
+    for key in ["host.run.ns", "host.fill.ns", "host.consume.ns"] {
+        assert!(host.get(key).is_some(), "{key} missing from host:\n{out}");
+        assert!(sim.get(key).is_none(), "{key} leaked into sim:\n{out}");
     }
     // Simulated cycles per host nanosecond, under the matching unit.
-    assert!(metrics
+    assert!(host
         .get("host.cycles_per_ns")
         .and_then(|v| v.as_f64())
         .is_some_and(|r| r > 0.0));
@@ -151,6 +157,14 @@ fn run_json_emits_the_stable_schema() {
         units.get("host.cycles_per_ns").and_then(|v| v.as_str()),
         Some("per_ns")
     );
+    assert_eq!(
+        units.get("timing.cycles").and_then(|v| v.as_str()),
+        Some("cycles")
+    );
+    // A second run of the same cell has an identical `sim` object.
+    let again = stdout_of(&["run", "mcf", "--scale", "test", "--mode", "cons", "--json"]);
+    let again = watchdog::telemetry::JsonValue::parse(&again).expect("run --json parses");
+    assert_eq!(again.get("sim"), Some(sim), "sim differs between two runs");
     // The human-readable telemetry view renders the same registry.
     let out = stdout_of(&[
         "run",
@@ -162,7 +176,9 @@ fn run_json_emits_the_stable_schema() {
         "--telemetry",
     ]);
     assert!(out.contains("telemetry:"), "{out}");
-    assert!(out.contains("profile.insts"), "{out}");
+    for row in ["profile.insts", "host.fill.ns", "host.consume.ns"] {
+        assert!(out.contains(row), "{row} missing:\n{out}");
+    }
 }
 
 #[test]

@@ -9,7 +9,7 @@
 use watchdog::bench::parallel_map;
 use watchdog::pipeline::{STALL_CAUSE_NAMES, TAG_NAMES};
 use watchdog::prelude::*;
-use watchdog::telemetry::MetricsRegistry;
+use watchdog::telemetry::{MetricView, MetricsRegistry};
 use watchdog::trace::{record, replay_instrumented, ReplayConfig};
 
 /// The four modes of the paper's headline figures.
@@ -95,11 +95,26 @@ fn cpi_stacks_are_zero_slack_on_every_suite_cell() {
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
 
+/// Asserts that two registries export the same metrics: the same names
+/// in the same order, with equal units and values.
+fn assert_same_metrics(got: &MetricsRegistry, want: &MetricsRegistry, label: &str) {
+    let names = |r: &MetricsRegistry| r.iter().map(|m| m.name.to_string()).collect::<Vec<_>>();
+    assert_eq!(names(got), names(want), "[{label}] metric set differs");
+    let value = |m: &MetricView| {
+        let hist = m.hist.map(|h| h.to_json());
+        (m.unit, m.counter, m.gauge.map(f64::to_bits), hist)
+    };
+    for (g, w) in got.iter().zip(want.iter()) {
+        assert_eq!(value(&g), value(&w), "[{label}] {} differs", g.name);
+    }
+}
+
 /// Replayed feed: the trace replayer drives the same timing core from a
 /// recorded event stream. It must hold the zero-slack identity and
-/// reproduce the live run's `cpi.*` numbers exactly — accounting is part
-/// of the timestamp state the equivalence suites already pin, not a side
-/// effect of how µops arrive.
+/// reproduce every metric the live run's core exports (`cpi.*`,
+/// `profile.*`, `feed.*`) exactly. A second live run must reproduce the
+/// first one's too: the core's telemetry is a deterministic function of
+/// the µop stream, not of the host or of how the µops arrive.
 #[test]
 fn replayed_feeds_reproduce_the_live_cpi_stack() {
     for bench in ["mcf", "perl"] {
@@ -107,25 +122,20 @@ fn replayed_feeds_reproduce_the_live_cpi_stack() {
             let label = format!("{bench} under {}", mode.label());
             let program = benchmark(bench).unwrap().build(Scale::Test);
             let sim_cfg = SimConfig::timed(mode);
-            let (_, tele) = Simulator::new(sim_cfg.clone())
-                .run_instrumented(&program)
-                .unwrap();
-            let live = &tele.core_metrics;
-            check_zero_slack(live, &format!("{label}, live"));
+            let live_run = || {
+                let sim = Simulator::new(sim_cfg.clone());
+                sim.run_instrumented(&program).unwrap().1.core_metrics
+            };
+            let live = live_run();
+            check_zero_slack(&live, &format!("{label}, live"));
+            assert_same_metrics(&live_run(), &live, &format!("{label}, live rerun"));
 
             let trace = record(&program, mode, sim_cfg.max_insts).unwrap();
             let feed = format!("{label}, replay");
             let cfg = ReplayConfig::from_sim(&sim_cfg);
             let (_, reg) = replay_instrumented(&program, &trace, &cfg).unwrap();
             check_zero_slack(&reg, &feed);
-            for m in reg.iter().filter(|m| m.name.starts_with("cpi.")) {
-                assert_eq!(
-                    m.counter,
-                    Some(live.counter_value(m.name).unwrap()),
-                    "[{feed}] {} diverges from the live feed",
-                    m.name
-                );
-            }
+            assert_same_metrics(&reg, &live, &feed);
         }
     }
 }

@@ -104,9 +104,18 @@ fn crosscheck_cell(cell: &str, report: &RunReport, tele: &RunTelemetry) {
     assert_eq!(c(&reg, cell, "feed.uops"), t.uops, "{cell}");
     assert!(c(&reg, cell, "feed.batches") > 0, "{cell}");
 
-    // Host-side observations exist and are self-consistent.
-    assert_eq!(c(&reg, cell, "host.run.ns"), tele.host_ns, "{cell}");
-    assert!(c(&reg, cell, "section.run.ns") > 0, "{cell}");
+    // Host timers exist and are self-consistent: the fill and consume
+    // laps are disjoint and both fall inside the whole-run timer.
+    let run_ns = c(&reg, cell, "host.run.ns");
+    let fill_ns = c(&reg, cell, "host.fill.ns");
+    let consume_ns = c(&reg, cell, "host.consume.ns");
+    assert_eq!(run_ns, tele.host_ns, "{cell}");
+    assert!(fill_ns > 0, "{cell}: no fill time");
+    assert!(consume_ns > 0, "{cell}: no consume time");
+    assert!(
+        fill_ns + consume_ns <= run_ns,
+        "{cell}: fill {fill_ns} + consume {consume_ns} ns exceed the run's {run_ns} ns"
+    );
     assert_eq!(
         c(&reg, cell, "mem.ll.memo_hits"),
         tele.ll_memo_hits,

@@ -23,8 +23,7 @@
 //! `tests/golden/ablation_ll_size_test.txt`.
 
 use watchdog_bench::{
-    figure_order, geomean, jobs_from_args, mean, pct, run_sweep_traced_with_jobs, scale_from_args,
-    SweepPoint,
+    args::suite_flags, figure_order, geomean, mean, pct, run_sweep_traced_with_jobs, SweepPoint,
 };
 use watchdog_core::prelude::*;
 use watchdog_mem::HierarchyStats;
@@ -34,8 +33,8 @@ const WAYS: [u64; 4] = [2, 4, 8, 16];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = scale_from_args(&args);
-    let jobs = jobs_from_args(&args, std::env::var("WATCHDOG_JOBS").ok());
+    let jobs_env = std::env::var_os("WATCHDOG_JOBS");
+    let (scale, jobs) = suite_flags("ablation_ll_size", &args, jobs_env.as_deref());
     println!("\n== Ablation: lock-location cache size x associativity sweep (trace-driven) ==");
     println!(
         "{:<16} {:>12} {:>10} {:>22}",

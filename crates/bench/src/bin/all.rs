@@ -4,8 +4,8 @@ use watchdog_bench::figs;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = watchdog_bench::scale_from_args(&args);
-    let jobs = watchdog_bench::jobs_from_args(&args, std::env::var("WATCHDOG_JOBS").ok());
+    let jobs_env = std::env::var_os("WATCHDOG_JOBS");
+    let (scale, jobs) = watchdog_bench::args::suite_flags("all", &args, jobs_env.as_deref());
     figs::table2();
     figs::table1();
     figs::juliet(jobs);

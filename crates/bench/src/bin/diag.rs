@@ -9,6 +9,7 @@
 //! --json` serializes — so the human diagnostics and the machine
 //! export cannot drift apart.
 use std::time::Instant;
+use watchdog_bench::args::{or_exit, parse};
 use watchdog_core::{export_metrics, prelude::*};
 use watchdog_telemetry::MetricsRegistry;
 use watchdog_trace::{record, replay, replay_with_stats, ReplayConfig};
@@ -33,9 +34,13 @@ fn unit(reg: &MetricsRegistry, name: &str) -> &'static str {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let name = args.get(1).map(String::as_str).unwrap_or("milc");
-    let p = benchmark(name).expect("known benchmark").build(Scale::Test);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = or_exit(parse("diag", 1, &[], &args));
+    let name = args.positional(0).unwrap_or("milc");
+    let spec = or_exit(benchmark(name).ok_or(format!(
+        "unknown benchmark {name:?}; see `watchdog-cli list`"
+    )));
+    let p = spec.build(Scale::Test);
     let mut live: Vec<(Mode, RunReport, f64)> = Vec::new();
     for mode in [
         Mode::Baseline,

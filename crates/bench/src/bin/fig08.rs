@@ -1,7 +1,7 @@
 //! Regenerates Figure 08 of the paper. Usage: `cargo run -p watchdog-bench --bin fig08 [--scale test|small|ref] [--jobs N]`.
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = watchdog_bench::scale_from_args(&args);
-    let jobs = watchdog_bench::jobs_from_args(&args, std::env::var("WATCHDOG_JOBS").ok());
+    let jobs_env = std::env::var_os("WATCHDOG_JOBS");
+    let (scale, jobs) = watchdog_bench::args::suite_flags("fig08", &args, jobs_env.as_deref());
     watchdog_bench::figs::regenerate(&["fig08"], scale, jobs);
 }

@@ -17,7 +17,8 @@
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = watchdog_bench::fuzz_main(&args, std::env::var("WATCHDOG_JOBS").ok());
+    let jobs_env = std::env::var_os("WATCHDOG_JOBS");
+    let code = watchdog_bench::fuzz_main(&args, jobs_env.as_deref());
     if code != 0 {
         std::process::exit(code);
     }

@@ -10,7 +10,6 @@ use std::collections::BTreeMap;
 
 use crate::{figure_order, geomean, mean, pct, print_table, run_suite_with_jobs, SuiteResults};
 use watchdog_core::prelude::*;
-use watchdog_core::PointerId;
 use watchdog_workloads::Scale;
 
 /// One suite figure: the (benchmark × mode) cells it reads and how it
@@ -29,24 +28,10 @@ pub struct Figure {
 const BASE: Mode = Mode::Baseline;
 const CONS: Mode = Mode::watchdog_conservative();
 const ISA: Mode = Mode::watchdog();
-const NO_LL: Mode = Mode::Watchdog {
-    ptr: PointerId::IsaAssisted,
-    lock_cache: false,
-    ideal_shadow: false,
-};
-const IDEAL_SHADOW: Mode = Mode::Watchdog {
-    ptr: PointerId::IsaAssisted,
-    lock_cache: true,
-    ideal_shadow: true,
-};
-const BOUNDS_1UOP: Mode = Mode::WatchdogBounds {
-    ptr: PointerId::IsaAssisted,
-    uops: BoundsUops::Fused,
-};
-const BOUNDS_2UOP: Mode = Mode::WatchdogBounds {
-    ptr: PointerId::IsaAssisted,
-    uops: BoundsUops::Split,
-};
+const NO_LL: Mode = Mode::no_lock_cache();
+const IDEAL_SHADOW: Mode = Mode::ideal_shadow();
+const BOUNDS_1UOP: Mode = Mode::bounds(BoundsUops::Fused);
+const BOUNDS_2UOP: Mode = Mode::bounds(BoundsUops::Split);
 
 /// Every suite figure, in paper order (the order [`regenerate`] prints
 /// them in).

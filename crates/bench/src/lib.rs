@@ -9,9 +9,9 @@
 //!
 //! Scale selection: pass `--scale test|small|ref` (default `small`).
 //! Parallelism: pass `--jobs N` or set `WATCHDOG_JOBS=N` (default: all
-//! available cores). A binary resolves both once in `main`
-//! ([`scale_from_args`], [`jobs_from_args`]) and hands them down; no
-//! library function reads the process arguments or environment.
+//! available cores). A binary resolves both once in `main` through
+//! [`args`], the strict flag scanner every front end shares, and hands
+//! them down; no library function reads process arguments or environment.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,106 +25,6 @@ use watchdog_core::prelude::*;
 use watchdog_gen::{DiffFailure, DiffOutcome, GenConfig};
 use watchdog_workloads::juliet::SUITE_SIZE;
 use watchdog_workloads::{all_benchmarks, benign_suite_prefix, juliet_suite_prefix, Cwe, Scale};
-
-/// Scans for `flag` among the arguments before the first `--` separator
-/// (everything after `--` belongs to someone else, e.g. a test harness).
-///
-/// Returns `None` when the flag is absent, `Some(None)` when it is the
-/// last argument (no value), and `Some(Some(value))` otherwise.
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<Option<&'a str>> {
-    let flags = args.split(|a| a == "--").next().unwrap_or(args);
-    let mut it = flags.iter();
-    while let Some(a) = it.next() {
-        if a == flag {
-            return Some(it.next().map(String::as_str));
-        }
-    }
-    None
-}
-
-/// Parses a `--scale` value from an argument list, considering only the
-/// arguments before the first `--` separator.
-///
-/// # Errors
-///
-/// Returns a message listing the valid values when the flag's value is
-/// unknown or missing.
-pub fn parse_scale(args: &[String]) -> Result<Scale, String> {
-    match flag_value(args, "--scale") {
-        None => Ok(Scale::Small),
-        Some(Some("test")) => Ok(Scale::Test),
-        Some(Some("small")) => Ok(Scale::Small),
-        Some(Some("ref")) | Some(Some("reference")) => Ok(Scale::Reference),
-        Some(Some(other)) => Err(format!(
-            "unknown scale {other:?}: valid values are test, small, ref (or reference)"
-        )),
-        Some(None) => {
-            Err("--scale requires a value: valid values are test, small, ref (or reference)".into())
-        }
-    }
-}
-
-/// Resolves a binary's `--scale` argument (default [`Scale::Small`]);
-/// `args` excludes the program name.
-///
-/// On an invalid value this prints the error — including the list of valid
-/// values — to stderr and exits with status 2, rather than panicking.
-pub fn scale_from_args(args: &[String]) -> Scale {
-    parse_scale(args).unwrap_or_else(|e| exit_flag_error(&e))
-}
-
-/// Prints a flag error to stderr and exits with status 2.
-fn exit_flag_error(e: &str) -> ! {
-    eprintln!("error: {e}");
-    std::process::exit(2);
-}
-
-/// Parses a `--jobs` value from an argument list (flags after `--` are
-/// ignored), falling back to the `WATCHDOG_JOBS` value when the flag is
-/// absent. Returns `None` when neither is present.
-///
-/// # Errors
-///
-/// Returns a message when either source is present but not a positive
-/// integer.
-pub fn parse_jobs(args: &[String], env: Option<&str>) -> Result<Option<usize>, String> {
-    match flag_value(args, "--jobs") {
-        Some(Some(v)) => match v.parse::<usize>() {
-            Ok(n) if n > 0 => Ok(Some(n)),
-            _ => Err("--jobs requires a positive integer".into()),
-        },
-        Some(None) => Err("--jobs requires a value (a positive integer)".into()),
-        None => match env {
-            Some(v) => match v.parse::<usize>() {
-                Ok(n) if n > 0 => Ok(Some(n)),
-                _ => Err(format!(
-                    "WATCHDOG_JOBS must be a positive integer, got {v:?}"
-                )),
-            },
-            None => Ok(None),
-        },
-    }
-}
-
-/// Resolves a binary's worker-thread count: `--jobs` in `args` beats the
-/// `WATCHDOG_JOBS` value `env` (as `std::env::var(..).ok()` reads it)
-/// beats the number of available cores.
-///
-/// Like [`scale_from_args`], an invalid value prints the [`parse_jobs`]
-/// error to stderr and exits with status 2.
-pub fn jobs_from_args(args: &[String], env: Option<String>) -> usize {
-    match parse_jobs(args, env.as_deref()) {
-        Ok(jobs) => jobs.unwrap_or_else(default_jobs),
-        Err(e) => exit_flag_error(&e),
-    }
-}
-
-/// The default worker-thread count: all available cores.
-fn default_jobs() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
 
 /// Results of running the full suite under several modes:
 /// `results[benchmark][mode_label] -> RunReport`.
@@ -659,9 +559,8 @@ pub fn run_fuzz_with_jobs(seed_start: u64, count: usize, jobs: usize) -> FuzzSum
 
 /// Prints the generated case for `seed` — payload, oracle, disassembly —
 /// then re-runs the differential matrix and prints the verdict. Returns
-/// whether the seed passed. Shared by the `fuzz` binary and
-/// `watchdog-cli fuzz --seed` so the repro format cannot drift.
-pub fn print_seed_repro(seed: u64) -> bool {
+/// whether the seed passed ([`fuzz_main`]'s `--seed`).
+fn print_seed_repro(seed: u64) -> bool {
     let g = watchdog_gen::generate(seed, &GenConfig::default());
     println!("seed:       {seed}");
     println!("payload:    {:?}", g.oracle.payload);
@@ -691,9 +590,8 @@ pub fn print_seed_repro(seed: u64) -> bool {
 }
 
 /// Prints a fuzzing-campaign report (seed band, simulation counts, oracle
-/// split, per-failure repro lines). Returns [`FuzzSummary::ok`]. Shared by
-/// the `fuzz` binary and `watchdog-cli fuzz`.
-pub fn print_fuzz_report(s: &FuzzSummary, jobs: usize, elapsed_secs: Option<f64>) -> bool {
+/// split, per-failure repro lines). Returns [`FuzzSummary::ok`].
+fn print_fuzz_report(s: &FuzzSummary, jobs: usize, elapsed_secs: Option<f64>) -> bool {
     println!(
         "seeds:       {}..{} ({} programs + {} benign twins, {jobs} worker thread(s))",
         s.seed_start,
@@ -746,35 +644,36 @@ pub fn print_fuzz_report(s: &FuzzSummary, jobs: usize, elapsed_secs: Option<f64>
 /// `args` are the arguments after the command name and `jobs_env` the
 /// `WATCHDOG_JOBS` value. `--seed K` runs a verbose single-seed repro;
 /// otherwise `--seeds N` (default 1000) and `--seed-start K` (default 0)
-/// run a campaign across the [`parse_jobs`] worker count. Returns the
-/// process exit code: 0 on success, 1 on oracle divergence, 2 on a flag
-/// error.
+/// run a campaign across the [`args::Args::jobs`] worker count. Returns
+/// the process exit code: 0 on success, 1 on oracle divergence, 2 on a
+/// flag error.
 #[must_use]
-pub fn fuzz_main(args: &[String], jobs_env: Option<String>) -> i32 {
-    let mut flag_err = false;
-    let mut get = |flag: &str| match parse_u64_flag(args, flag) {
+pub fn fuzz_main(args: &[String], jobs_env: Option<&std::ffi::OsStr>) -> i32 {
+    let uint = |name| args::Flag::value(name, "an unsigned integer");
+    let flags = [
+        uint("--seed"),
+        uint("--seeds"),
+        uint("--seed-start"),
+        args::JOBS,
+    ];
+    let parsed = args::parse("fuzz", 0, &flags, args).and_then(|a| {
+        Ok((
+            a.get::<u64>("--seed")?,
+            a.get("--seeds")?.unwrap_or(1000),
+            a.get("--seed-start")?.unwrap_or(0),
+            a.jobs(jobs_env)?,
+        ))
+    });
+    let (seed, count, start, jobs) = match parsed {
         Ok(v) => v,
         Err(e) => {
             eprintln!("error: {e}");
-            flag_err = true;
-            None
+            return 2;
         }
     };
-    let (seed, seeds, start) = (get("--seed"), get("--seeds"), get("--seed-start"));
-    let jobs = parse_jobs(args, jobs_env.as_deref()).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        flag_err = true;
-        None
-    });
-    if flag_err {
-        return 2;
-    }
     if let Some(seed) = seed {
         return if print_seed_repro(seed) { 0 } else { 1 };
     }
-    let count = seeds.unwrap_or(1000) as usize;
-    let start = start.unwrap_or(0);
-    let jobs = jobs.unwrap_or_else(default_jobs);
     let t0 = std::time::Instant::now();
     let s = run_fuzz_with_jobs(start, count, jobs);
     println!("== watchdog-gen differential fuzz ==");
@@ -782,23 +681,6 @@ pub fn fuzz_main(args: &[String], jobs_env: Option<String>) -> i32 {
         0
     } else {
         1
-    }
-}
-
-/// Parses an unsigned-integer flag from an argument list (flags after `--`
-/// are ignored). Returns `None` when absent.
-///
-/// # Errors
-///
-/// Returns a message when the flag is present without a parseable value.
-pub fn parse_u64_flag(args: &[String], flag: &str) -> Result<Option<u64>, String> {
-    match flag_value(args, flag) {
-        None => Ok(None),
-        Some(Some(v)) => v
-            .parse::<u64>()
-            .map(Some)
-            .map_err(|_| format!("{flag} requires an unsigned integer, got {v:?}")),
-        Some(None) => Err(format!("{flag} requires a value (an unsigned integer)")),
     }
 }
 
@@ -882,59 +764,85 @@ mod tests {
         }
     }
 
-    fn args(xs: &[&str]) -> Vec<String> {
+    fn argv(xs: &[&str]) -> Vec<String> {
         xs.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// A suite binary's command line, as `args::suite_flags` scans it.
+    fn suite(xs: &[&str]) -> Result<args::Args, String> {
+        args::parse("fig05", 0, &[args::SCALE, args::JOBS], &argv(xs))
+    }
+
+    fn scale(xs: &[&str]) -> Result<Scale, String> {
+        Ok(suite(xs)?.get("--scale")?.unwrap_or(Scale::Small))
+    }
+
+    fn jobs(xs: &[&str], env: Option<&str>) -> Result<usize, String> {
+        suite(xs)?.jobs(env.map(std::ffi::OsStr::new))
     }
 
     #[test]
     fn parse_scale_accepts_valid_values() {
-        assert_eq!(parse_scale(&args(&[])), Ok(Scale::Small));
-        assert_eq!(parse_scale(&args(&["--scale", "test"])), Ok(Scale::Test));
-        assert_eq!(parse_scale(&args(&["--scale", "small"])), Ok(Scale::Small));
-        assert_eq!(
-            parse_scale(&args(&["--scale", "ref"])),
-            Ok(Scale::Reference)
-        );
-        assert_eq!(
-            parse_scale(&args(&["--scale", "reference"])),
-            Ok(Scale::Reference)
-        );
+        assert_eq!(scale(&[]), Ok(Scale::Small));
+        assert_eq!(scale(&["--scale", "test"]), Ok(Scale::Test));
+        assert_eq!(scale(&["--scale", "small"]), Ok(Scale::Small));
+        assert_eq!(scale(&["--scale", "ref"]), Ok(Scale::Reference));
+        assert_eq!(scale(&["--scale", "reference"]), Ok(Scale::Reference));
     }
 
     #[test]
     fn parse_scale_rejects_unknown_values_with_the_valid_list() {
-        let e = parse_scale(&args(&["--scale", "huge"])).unwrap_err();
+        let e = scale(&["--scale", "huge"]).unwrap_err();
         assert!(e.contains("huge") && e.contains("test, small, ref"), "{e}");
-        let e = parse_scale(&args(&["--scale"])).unwrap_err();
+        assert!(e.contains("--scale"), "{e}");
+        let e = scale(&["--scale"]).unwrap_err();
         assert!(e.contains("requires a value"), "{e}");
+        let e = "huge".parse::<Scale>().unwrap_err();
+        assert_eq!(e, "valid values are test, small, ref (or reference)");
     }
 
     #[test]
     fn parse_scale_ignores_flags_after_double_dash() {
         // `--scale` after `--` belongs to someone else (e.g. a test
         // harness): the default applies and no error is raised.
+        assert_eq!(scale(&["--", "--scale", "bogus"]), Ok(Scale::Small));
         assert_eq!(
-            parse_scale(&args(&["--", "--scale", "bogus"])),
-            Ok(Scale::Small)
-        );
-        assert_eq!(
-            parse_scale(&args(&["--scale", "test", "--", "--scale", "bogus"])),
+            scale(&["--scale", "test", "--", "--scale", "bogus"]),
             Ok(Scale::Test)
         );
     }
 
     #[test]
     fn parse_jobs_precedence_and_errors() {
-        assert_eq!(parse_jobs(&args(&[]), None), Ok(None));
-        assert_eq!(parse_jobs(&args(&["--jobs", "4"]), None), Ok(Some(4)));
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(jobs(&[], None), Ok(cores));
+        assert_eq!(jobs(&["--jobs", "4"], None), Ok(4));
         // The flag beats the environment.
-        assert_eq!(parse_jobs(&args(&["--jobs", "2"]), Some("8")), Ok(Some(2)));
-        assert_eq!(parse_jobs(&args(&[]), Some("8")), Ok(Some(8)));
-        assert_eq!(parse_jobs(&args(&["--", "--jobs", "9"]), None), Ok(None));
-        assert!(parse_jobs(&args(&["--jobs", "0"]), None).is_err());
-        assert!(parse_jobs(&args(&["--jobs", "many"]), None).is_err());
-        assert!(parse_jobs(&args(&["--jobs"]), None).is_err());
-        assert!(parse_jobs(&args(&[]), Some("-3")).is_err());
+        assert_eq!(jobs(&["--jobs", "2"], Some("8")), Ok(2));
+        assert_eq!(jobs(&[], Some("8")), Ok(8));
+        assert_eq!(jobs(&["--", "--jobs", "9"], None), Ok(cores));
+        for bad in [&["--jobs", "0"][..], &["--jobs", "many"], &["--jobs"]] {
+            let e = jobs(bad, None).unwrap_err();
+            assert!(e.contains("--jobs") && e.contains("positive"), "{e}");
+        }
+        for env in ["-3", "0", ""] {
+            let e = jobs(&[], Some(env)).unwrap_err();
+            assert!(e.contains("WATCHDOG_JOBS"), "{e}");
+        }
+    }
+
+    #[test]
+    fn parse_u64_flag_parses_and_rejects() {
+        let flags = [args::Flag::value("--seeds", "an unsigned integer")];
+        let seeds = |xs: &[&str]| args::parse("fuzz", 0, &flags, &argv(xs))?.get::<u64>("--seeds");
+        assert_eq!(seeds(&[]), Ok(None));
+        assert_eq!(seeds(&["--seeds", "250"]), Ok(Some(250)));
+        let e = seeds(&["--seeds", "many"]).unwrap_err();
+        assert!(e.contains("--seeds requires an unsigned integer"), "{e}");
+        assert!(e.contains("\"many\""), "{e}");
+        assert!(seeds(&["--seeds"]).is_err());
+        assert!(seeds(&["--seeds", "-1"]).is_err());
+        assert_eq!(seeds(&["--", "--seeds", "9"]), Ok(None));
     }
 
     #[test]
@@ -944,21 +852,6 @@ mod tests {
             assert_eq!(r, (0..40).map(|i| i * i).collect::<Vec<_>>());
         }
         assert!(parallel_map(0, 4, |i| i).is_empty());
-    }
-
-    #[test]
-    fn parse_u64_flag_parses_and_rejects() {
-        assert_eq!(parse_u64_flag(&args(&[]), "--seeds"), Ok(None));
-        assert_eq!(
-            parse_u64_flag(&args(&["--seeds", "250"]), "--seeds"),
-            Ok(Some(250))
-        );
-        assert!(parse_u64_flag(&args(&["--seeds", "many"]), "--seeds").is_err());
-        assert!(parse_u64_flag(&args(&["--seeds"]), "--seeds").is_err());
-        assert_eq!(
-            parse_u64_flag(&args(&["--", "--seeds", "9"]), "--seeds"),
-            Ok(None)
-        );
     }
 
     #[test]
@@ -1135,6 +1028,7 @@ mod tests {
         );
     }
 }
+pub mod args;
 pub mod figs;
 pub mod perf;
 pub mod perfdiff;

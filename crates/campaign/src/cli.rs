@@ -1,10 +1,13 @@
-//! The `watchdog-cli campaign` front end: flag parsing with exhaustive
-//! error listings (the `scale_from_args` discipline), the help text, and
-//! the exit-code policy.
+//! The `watchdog-cli campaign` front end: its flags (scanned by the
+//! shared [`watchdog_bench::args`] parser), the help text, and the
+//! exit-code policy.
 
+use std::ffi::OsStr;
+use std::num::NonZeroU64;
 use std::path::PathBuf;
 use std::time::Duration;
 
+use watchdog_bench::args::{parse, Flag, JOBS, SCALE};
 use watchdog_workloads::Scale;
 
 use crate::cell::CampaignSpec;
@@ -57,7 +60,7 @@ WATCHDOG_FAULT environment variable for fault-injection testing
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignCli {
     /// Fuzz-seed count (`--seeds`).
-    pub seeds: u64,
+    pub seeds: usize,
     /// First fuzz seed (`--seed-start`).
     pub seed_start: u64,
     /// Run the suite grid instead of fuzzing (`--suite`).
@@ -82,137 +85,65 @@ pub struct CampaignCli {
     pub quiet: bool,
 }
 
-const VALID_FLAGS: &str = "--seeds, --seed-start, --suite, --scale, --jobs, --ledger, \
-                           --resume, --timeout-secs, --retries, --fault, --events, --quiet";
+const FLAGS: &[Flag] = &[
+    Flag::value("--seeds", "an unsigned integer"),
+    Flag::value("--seed-start", "an unsigned integer"),
+    Flag::switch("--suite"),
+    SCALE,
+    JOBS,
+    Flag::value("--ledger", "a file path"),
+    Flag::switch("--resume"),
+    Flag::value("--timeout-secs", "a positive integer"),
+    Flag::value("--retries", "an unsigned integer"),
+    Flag::value("--fault", "a fault plan, e.g. panic@3 or exit@0,hang@9!"),
+    Flag::value("--events", "a file path"),
+    Flag::switch("--quiet"),
+];
 
-/// Parses `campaign` flags from `args` (the words after the subcommand).
+/// Parses `campaign` flags from `args` (the words after the subcommand);
+/// `jobs_env` is the `WATCHDOG_JOBS` value.
 ///
 /// # Errors
 ///
 /// A message naming the bad flag or value and listing the valid
 /// alternatives.
-pub fn parse_campaign_args(args: &[String]) -> Result<CampaignCli, String> {
-    let mut cli = CampaignCli {
-        seeds: 1000,
-        seed_start: 0,
-        suite: false,
-        scale: Scale::Small,
-        jobs: default_jobs(),
-        ledger: PathBuf::from("campaign.wdlg"),
-        resume: false,
-        timeout_secs: 30,
-        retries: 2,
-        fault: None,
-        events: None,
-        quiet: false,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--suite" => cli.suite = true,
-            "--resume" => cli.resume = true,
-            "--quiet" => cli.quiet = true,
-            "--seeds" => cli.seeds = uint_value(&mut it, "--seeds")?,
-            "--seed-start" => cli.seed_start = uint_value(&mut it, "--seed-start")?,
-            "--timeout-secs" => {
-                cli.timeout_secs = uint_value(&mut it, "--timeout-secs")?;
-                if cli.timeout_secs == 0 {
-                    return Err("--timeout-secs must be positive".into());
-                }
-            }
-            "--retries" => {
-                cli.retries = u32::try_from(uint_value(&mut it, "--retries")?)
-                    .map_err(|_| "--retries value is out of range".to_string())?;
-            }
-            "--jobs" => {
-                let n = uint_value(&mut it, "--jobs")?;
-                if n == 0 {
-                    return Err("--jobs requires a positive integer".into());
-                }
-                cli.jobs =
-                    usize::try_from(n).map_err(|_| "--jobs value is out of range".to_string())?;
-            }
-            "--ledger" => {
-                cli.ledger = PathBuf::from(
-                    it.next()
-                        .ok_or_else(|| "--ledger requires a value (a file path)".to_string())?,
-                );
-            }
-            "--scale" => {
-                let v = it.next().ok_or_else(|| {
-                    "--scale requires a value: valid values are test, small, ref \
-                         (or reference)"
-                        .to_string()
-                })?;
-                cli.scale = match v.as_str() {
-                    "test" => Scale::Test,
-                    "small" => Scale::Small,
-                    "ref" | "reference" => Scale::Reference,
-                    other => {
-                        return Err(format!(
-                            "unknown scale {other:?}: valid values are test, small, ref \
-                             (or reference)"
-                        ))
-                    }
-                };
-            }
-            "--fault" => {
-                let v = it.next().ok_or_else(|| {
-                    "--fault requires a value (e.g. panic@3 or exit@0,hang@9!)".to_string()
-                })?;
-                // Validate now so the error surfaces at the coordinator,
-                // not inside every worker.
-                FaultPlan::parse(v)?;
-                cli.fault = Some(v.clone());
-            }
-            "--events" => {
-                cli.events =
-                    Some(PathBuf::from(it.next().ok_or_else(|| {
-                        "--events requires a value (a file path)".to_string()
-                    })?));
-            }
-            other => {
-                return Err(format!(
-                    "unknown campaign flag {other:?}: valid flags are {VALID_FLAGS}"
-                ))
-            }
-        }
-    }
-    Ok(cli)
+pub fn parse_campaign_args(
+    args: &[String],
+    jobs_env: Option<&OsStr>,
+) -> Result<CampaignCli, String> {
+    let a = parse("campaign", 0, FLAGS, args)?;
+    // Validate the plan now so the error surfaces at the coordinator,
+    // not inside every worker.
+    a.get::<FaultPlan>("--fault")?;
+    Ok(CampaignCli {
+        seeds: a.get("--seeds")?.unwrap_or(1000),
+        seed_start: a.get("--seed-start")?.unwrap_or(0),
+        suite: a.has("--suite"),
+        scale: a.get("--scale")?.unwrap_or(Scale::Small),
+        jobs: a.jobs(jobs_env)?,
+        ledger: a.get("--ledger")?.unwrap_or_else(|| "campaign.wdlg".into()),
+        resume: a.has("--resume"),
+        timeout_secs: a
+            .get::<NonZeroU64>("--timeout-secs")?
+            .map_or(30, NonZeroU64::get),
+        retries: a.get("--retries")?.unwrap_or(2),
+        fault: a.get("--fault")?,
+        events: a.get("--events")?,
+        quiet: a.has("--quiet"),
+    })
 }
 
-fn uint_value(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<u64, String> {
-    let v = it
-        .next()
-        .ok_or_else(|| format!("{flag} requires a value (an unsigned integer)"))?;
-    v.parse::<u64>()
-        .map_err(|_| format!("{flag} requires an unsigned integer, got {v:?}"))
-}
-
-/// `--jobs` default: `WATCHDOG_JOBS`, then available cores.
-fn default_jobs() -> usize {
-    if let Ok(v) = std::env::var("WATCHDOG_JOBS") {
-        if let Ok(n) = v.parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
-/// Entry point for `watchdog-cli campaign`: parses `args`, runs the
-/// campaign with `worker_exe` as the child binary, prints the summary,
+/// Entry point for `watchdog-cli campaign`: parses `args` (with
+/// `jobs_env` the `WATCHDOG_JOBS` value), runs the campaign with
+/// `worker_exe` as the child binary, prints the summary,
 /// and returns the process exit code (0 all-pass, 1 failures or error,
 /// 2 usage).
-pub fn campaign_main(args: &[String], worker_exe: PathBuf) -> i32 {
+pub fn campaign_main(args: &[String], worker_exe: PathBuf, jobs_env: Option<&OsStr>) -> i32 {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         print!("{CAMPAIGN_HELP}");
         return 0;
     }
-    let cli = match parse_campaign_args(args) {
+    let cli = match parse_campaign_args(args, jobs_env) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("error: {e}");
@@ -222,14 +153,7 @@ pub fn campaign_main(args: &[String], worker_exe: PathBuf) -> i32 {
     let spec = if cli.suite {
         CampaignSpec::suite(cli.scale)
     } else {
-        let count = match usize::try_from(cli.seeds) {
-            Ok(n) => n,
-            Err(_) => {
-                eprintln!("error: --seeds value is out of range");
-                return 2;
-            }
-        };
-        CampaignSpec::fuzz(cli.seed_start, count)
+        CampaignSpec::fuzz(cli.seed_start, cli.seeds)
     };
 
     let mut cfg = CampaignConfig::new(worker_exe);
@@ -279,7 +203,7 @@ mod tests {
 
     fn parse(words: &[&str]) -> Result<CampaignCli, String> {
         let args: Vec<String> = words.iter().map(|s| s.to_string()).collect();
-        parse_campaign_args(&args)
+        parse_campaign_args(&args, None)
     }
 
     #[test]
@@ -296,6 +220,20 @@ mod tests {
         assert!(cli.fault.is_none());
         assert!(cli.events.is_none());
         assert!(!cli.quiet);
+        // `--jobs` beats WATCHDOG_JOBS, which beats the core count.
+        assert_eq!(
+            parse_campaign_args(&[], Some(OsStr::new("5")))
+                .unwrap()
+                .jobs,
+            5
+        );
+        let args = ["--jobs".to_string(), "3".to_string()];
+        assert_eq!(
+            parse_campaign_args(&args, Some(OsStr::new("5")))
+                .unwrap()
+                .jobs,
+            3
+        );
     }
 
     #[test]
@@ -358,5 +296,9 @@ mod tests {
         assert!(e.contains("panic, exit, hang, corrupt, truncate"), "{e}");
         let e = parse(&["--ledger"]).unwrap_err();
         assert!(e.contains("file path"), "{e}");
+        let e = parse(&["--seeds", "1", "--seeds", "2"]).unwrap_err();
+        assert_eq!(e, "--seeds given more than once");
+        let e = parse_campaign_args(&[], Some(OsStr::new("0"))).unwrap_err();
+        assert!(e.contains("WATCHDOG_JOBS"), "{e}");
     }
 }

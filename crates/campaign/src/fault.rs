@@ -70,14 +70,12 @@ pub struct FaultPlan {
 /// Environment variable carrying the fault plan into worker processes.
 pub const FAULT_ENV: &str = "WATCHDOG_FAULT";
 
-impl FaultPlan {
-    /// Parses a specification like `panic@3`, `exit@0,hang@9!`.
-    ///
-    /// # Errors
-    ///
-    /// A message naming the bad clause and listing the valid kinds (the
-    /// `scale_from_args` error-listing discipline).
-    pub fn parse(spec: &str) -> Result<FaultPlan, String> {
+impl std::str::FromStr for FaultPlan {
+    type Err = String;
+
+    /// Parses a specification like `panic@3`, `exit@0,hang@9!`; the
+    /// error names the bad clause and lists the valid kinds.
+    fn from_str(spec: &str) -> Result<FaultPlan, String> {
         let mut points = Vec::new();
         for clause in spec.split(',').map(str::trim).filter(|c| !c.is_empty()) {
             let (kind_s, rest) = clause.split_once('@').ok_or_else(|| {
@@ -112,15 +110,17 @@ impl FaultPlan {
         }
         Ok(FaultPlan { points })
     }
+}
 
+impl FaultPlan {
     /// Reads the plan from [`FAULT_ENV`] (absent or empty = no faults).
     ///
     /// # Errors
     ///
-    /// As [`FaultPlan::parse`].
+    /// As `FaultPlan`'s `FromStr`.
     pub fn from_env() -> Result<FaultPlan, String> {
         match std::env::var(FAULT_ENV) {
-            Ok(spec) => FaultPlan::parse(&spec),
+            Ok(spec) => spec.parse(),
             Err(_) => Ok(FaultPlan::default()),
         }
     }
@@ -145,7 +145,9 @@ mod tests {
 
     #[test]
     fn parses_every_kind_and_the_every_attempt_marker() {
-        let p = FaultPlan::parse("panic@0, exit@5,hang@9!,corrupt@2,truncate@7").unwrap();
+        let p = "panic@0, exit@5,hang@9!,corrupt@2,truncate@7"
+            .parse::<FaultPlan>()
+            .unwrap();
         assert_eq!(p.fault_for(0, 0), Some(FaultKind::Panic));
         assert_eq!(p.fault_for(0, 1), None, "single-shot faults fire once");
         assert_eq!(p.fault_for(5, 0), Some(FaultKind::Exit));
@@ -158,20 +160,20 @@ mod tests {
 
     #[test]
     fn empty_specs_are_empty_plans() {
-        assert!(FaultPlan::parse("").unwrap().is_empty());
-        assert!(FaultPlan::parse(" , ").unwrap().is_empty());
+        assert!("".parse::<FaultPlan>().unwrap().is_empty());
+        assert!(" , ".parse::<FaultPlan>().unwrap().is_empty());
     }
 
     #[test]
     fn errors_list_the_valid_kinds() {
-        let e = FaultPlan::parse("boom@3").unwrap_err();
+        let e = "boom@3".parse::<FaultPlan>().unwrap_err();
         assert!(
             e.contains("panic, exit, hang, corrupt, truncate"),
             "error must list valid kinds: {e}"
         );
-        let e = FaultPlan::parse("panic").unwrap_err();
+        let e = "panic".parse::<FaultPlan>().unwrap_err();
         assert!(e.contains("kind@cell"), "{e}");
-        let e = FaultPlan::parse("panic@many").unwrap_err();
+        let e = "panic@many".parse::<FaultPlan>().unwrap_err();
         assert!(e.contains("unsigned integer"), "{e}");
     }
 }

@@ -231,7 +231,7 @@ mod tests {
 
     #[test]
     fn corrupt_fault_emits_a_checksum_failing_frame_and_keeps_running() {
-        let plan = FaultPlan::parse("corrupt@5").unwrap();
+        let plan = "corrupt@5".parse::<FaultPlan>().unwrap();
         let mut input = Vec::new();
         write_frame(
             &mut input,
@@ -276,7 +276,7 @@ mod tests {
 
     #[test]
     fn retried_cell_passes_a_single_shot_fault() {
-        let plan = FaultPlan::parse("corrupt@5").unwrap();
+        let plan = "corrupt@5".parse::<FaultPlan>().unwrap();
         let msgs = [
             CoordMsg::Job {
                 cell: 5,

@@ -20,8 +20,6 @@ pub struct LockManager {
     next_key: u64,
     free_locks: Vec<u64>,
     cursor: u64,
-    live_locks: u64,
-    peak_live_locks: u64,
 }
 
 impl Default for LockManager {
@@ -40,8 +38,6 @@ impl LockManager {
             // Slot 0 of the region is the conceptual free-list head the
             // runtime µops read/write; lock locations start one word in.
             cursor: HEAP_LOCK_BASE + 8,
-            live_locks: 0,
-            peak_live_locks: 0,
         }
     }
 
@@ -64,19 +60,15 @@ impl LockManager {
     /// Returns `None` if the lock region is exhausted (practically
     /// unreachable: it supports 16M simultaneously-live allocations).
     pub fn alloc_lock(&mut self) -> Option<u64> {
-        let lock = if let Some(l) = self.free_locks.pop() {
-            l
-        } else {
-            if self.cursor + 8 > HEAP_LOCK_BASE + HEAP_LOCK_SIZE {
-                return None;
-            }
-            let l = self.cursor;
-            self.cursor += 8;
-            l
-        };
-        self.live_locks += 1;
-        self.peak_live_locks = self.peak_live_locks.max(self.live_locks);
-        Some(lock)
+        if let Some(l) = self.free_locks.pop() {
+            return Some(l);
+        }
+        if self.cursor + 8 > HEAP_LOCK_BASE + HEAP_LOCK_SIZE {
+            return None;
+        }
+        let l = self.cursor;
+        self.cursor += 8;
+        Some(l)
     }
 
     /// Returns a lock location to the LIFO free list.
@@ -86,19 +78,6 @@ impl LockManager {
             "foreign lock location"
         );
         self.free_locks.push(lock);
-        self.live_locks -= 1;
-    }
-
-    /// Number of lock locations currently associated with live allocations.
-    pub fn live_locks(&self) -> u64 {
-        self.live_locks
-    }
-
-    /// High-water mark of simultaneously live lock locations (8 bytes each
-    /// — the paper's observation that lock locations are "small relative to
-    /// the average object size").
-    pub fn peak_live_locks(&self) -> u64 {
-        self.peak_live_locks
     }
 
     /// Total keys handed out so far.
@@ -153,19 +132,6 @@ mod tests {
         let l2 = m.alloc_lock().unwrap();
         assert_eq!(l1, l2, "lock location recycled");
         assert_ne!(k1, k2, "key never recycled");
-    }
-
-    #[test]
-    fn live_lock_accounting() {
-        let mut m = LockManager::new();
-        let locks: Vec<u64> = (0..10).map(|_| m.alloc_lock().unwrap()).collect();
-        assert_eq!(m.live_locks(), 10);
-        assert_eq!(m.peak_live_locks(), 10);
-        for l in &locks[..5] {
-            m.free_lock(*l);
-        }
-        assert_eq!(m.live_locks(), 5);
-        assert_eq!(m.peak_live_locks(), 10, "peak is sticky");
     }
 
     #[test]

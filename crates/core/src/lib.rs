@@ -67,7 +67,7 @@ pub use machine::{CheckMode, CommitHook, CommitRecord, Machine, MachineConfig};
 pub use pointer_id::{PointerId, PointerPolicy, Profile};
 pub use report::RunReport;
 pub use runtime::HeapAllocator;
-pub use sim::{Mode, SimConfig, Simulator};
+pub use sim::{Mode, SimConfig, Simulator, MODE_NAMES};
 pub use telemetry::{export_metrics, run_json, RunTelemetry, RUN_SCHEMA};
 
 /// Convenient glob-import surface.

@@ -16,7 +16,7 @@
 
 use std::time::Instant;
 
-use watchdog_isa::crack::BoundsUops;
+use watchdog_isa::crack::BoundsUops::{self, Fused, Split};
 use watchdog_isa::program::Program;
 use watchdog_mem::HierarchyConfig;
 use watchdog_pipeline::{CoreConfig, TimingCore, UopBatch};
@@ -71,6 +71,33 @@ impl Mode {
             ptr: PointerId::Conservative,
             lock_cache: true,
             ideal_shadow: false,
+        }
+    }
+
+    /// ISA-assisted Watchdog without the lock-location cache (the
+    /// "without lock location cache" bars of Fig. 9).
+    pub const fn no_lock_cache() -> Mode {
+        Mode::Watchdog {
+            ptr: PointerId::IsaAssisted,
+            lock_cache: false,
+            ideal_shadow: false,
+        }
+    }
+
+    /// ISA-assisted Watchdog with idealized shadow accesses (§9.3).
+    pub const fn ideal_shadow() -> Mode {
+        Mode::Watchdog {
+            ptr: PointerId::IsaAssisted,
+            lock_cache: true,
+            ideal_shadow: true,
+        }
+    }
+
+    /// ISA-assisted full memory safety with `uops` bounds checks (§8).
+    pub const fn bounds(uops: BoundsUops) -> Mode {
+        Mode::WatchdogBounds {
+            ptr: PointerId::IsaAssisted,
+            uops,
         }
     }
 
@@ -162,6 +189,36 @@ impl Mode {
             hier.lock_cache = lock_cache;
             hier.ideal_shadow = ideal_shadow;
         }
+    }
+}
+
+/// Every command-line spelling of a [`Mode`], one row per mode: the
+/// canonical name first, then its aliases (what `Mode::from_str` reads).
+pub const MODE_NAMES: &[(&[&str], Mode)] = &[
+    (&["baseline", "base"], Mode::Baseline),
+    (&["location", "location-based"], Mode::LocationBased),
+    (&["cons", "conservative"], Mode::watchdog_conservative()),
+    (&["isa", "watchdog", "isa-assisted"], Mode::watchdog()),
+    (&["no-ll", "no-lock-cache"], Mode::no_lock_cache()),
+    (&["ideal-shadow"], Mode::ideal_shadow()),
+    (&["bounds1", "bounds-fused"], Mode::bounds(Fused)),
+    (&["bounds2", "bounds-split"], Mode::bounds(Split)),
+];
+
+impl std::str::FromStr for Mode {
+    type Err = String;
+
+    /// Parses any spelling in [`MODE_NAMES`]. The error lists the
+    /// canonical names.
+    fn from_str(s: &str) -> Result<Mode, String> {
+        MODE_NAMES
+            .iter()
+            .find(|(names, _)| names.contains(&s))
+            .map(|&(_, mode)| mode)
+            .ok_or_else(|| {
+                let names: Vec<&str> = MODE_NAMES.iter().map(|(names, _)| names[0]).collect();
+                format!("valid values are {}", names.join(", "))
+            })
     }
 }
 
@@ -414,6 +471,24 @@ mod tests {
     use super::*;
     use crate::error::ViolationKind;
     use watchdog_isa::{AluOp, Cond, Gpr, ProgramBuilder};
+
+    #[test]
+    fn every_mode_spelling_parses_to_its_row() {
+        for (names, mode) in MODE_NAMES {
+            for name in *names {
+                assert_eq!(name.parse::<Mode>(), Ok(*mode), "{name}");
+            }
+        }
+        let modes: Vec<Mode> = MODE_NAMES.iter().map(|(_, m)| *m).collect();
+        for (i, m) in modes.iter().enumerate() {
+            assert!(!modes[..i].contains(m), "{} listed twice", m.label());
+        }
+        let e = "nope".parse::<Mode>().unwrap_err();
+        assert_eq!(
+            e,
+            "valid values are baseline, location, cons, isa, no-ll, ideal-shadow, bounds1, bounds2"
+        );
+    }
 
     fn g(n: u8) -> Gpr {
         Gpr::new(n)

@@ -116,18 +116,6 @@ pub const fn is_lock_region(addr: u64) -> bool {
         || addr == INVALID_LOCK_ADDR
 }
 
-/// 4KB page index of an address.
-#[inline]
-pub const fn page_of(addr: u64) -> u64 {
-    addr >> 12
-}
-
-/// 8-byte word index of an address.
-#[inline]
-pub const fn word_of(addr: u64) -> u64 {
-    addr >> 3
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

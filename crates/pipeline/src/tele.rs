@@ -175,9 +175,11 @@ mod tests {
 
     #[test]
     fn export_produces_the_stable_namespace() {
-        let mut t = CoreTelemetry::default();
-        t.insts = 10;
-        t.uops = 25;
+        let mut t = CoreTelemetry {
+            insts: 10,
+            uops: 25,
+            ..CoreTelemetry::default()
+        };
         t.dispatch_by_kind[UopKind::Check as usize] = 5;
         t.rob_occupancy.observe(100);
         let mut reg = MetricsRegistry::new();

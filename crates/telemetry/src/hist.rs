@@ -131,16 +131,6 @@ impl Histogram {
         self.max
     }
 
-    /// Non-empty buckets as `(inclusive upper bound, sample count)`
-    /// pairs, lowest first.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(i, &n)| (Self::bucket_high(i), n))
-    }
-
     /// The standard `(p50, p90, p99)` summary triple every renderer
     /// shows — one bucket walk per quantile via [`Histogram::percentile`].
     pub fn quantiles(&self) -> (u64, u64, u64) {

@@ -57,11 +57,6 @@ impl TraceRecorder {
         self.count
     }
 
-    /// Encoded bytes captured so far.
-    pub fn byte_len(&self) -> usize {
-        self.events.len()
-    }
-
     /// Seals the stream into a [`Trace`], attaching the functional run's
     /// outcome and final statistics (which the replayer reproduces in its
     /// [`RunReport`] verbatim — they are architectural facts no timing

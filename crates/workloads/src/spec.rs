@@ -27,6 +27,21 @@ impl Scale {
     }
 }
 
+impl std::str::FromStr for Scale {
+    type Err = String;
+
+    /// Parses a command-line scale name: `test`, `small`, `ref` or
+    /// `reference`. The error lists the valid values.
+    fn from_str(s: &str) -> Result<Scale, String> {
+        match s {
+            "test" => Ok(Scale::Test),
+            "small" => Ok(Scale::Small),
+            "ref" | "reference" => Ok(Scale::Reference),
+            _ => Err("valid values are test, small, ref (or reference)".into()),
+        }
+    }
+}
+
 /// Behavioural category of a benchmark (drives where it lands in Figs.
 /// 5–11).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

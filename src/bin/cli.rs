@@ -23,46 +23,16 @@
 //! watchdog-cli worker                       # internal: campaign child process
 //! ```
 
-use watchdog::bench::{fuzz_main, jobs_from_args, run_juliet_with_jobs, summarize_juliet};
+use std::ffi::OsStr;
+
+use watchdog::bench::args::{Args, Flag, JOBS, SCALE};
+use watchdog::bench::{fuzz_main, run_juliet_with_jobs, summarize_juliet};
 use watchdog::prelude::*;
 use watchdog::trace::{record, replay, replay_many, verify_replay, ReplayConfig, Trace};
 
-fn parse_mode(s: &str) -> Option<Mode> {
-    Some(match s {
-        "baseline" | "base" => Mode::Baseline,
-        "location" | "location-based" => Mode::LocationBased,
-        "cons" | "conservative" => Mode::watchdog_conservative(),
-        "isa" | "watchdog" | "isa-assisted" => Mode::watchdog(),
-        "no-ll" | "no-lock-cache" => Mode::Watchdog {
-            ptr: PointerId::IsaAssisted,
-            lock_cache: false,
-            ideal_shadow: false,
-        },
-        "ideal-shadow" => Mode::Watchdog {
-            ptr: PointerId::IsaAssisted,
-            lock_cache: true,
-            ideal_shadow: true,
-        },
-        "bounds1" | "bounds-fused" => Mode::WatchdogBounds {
-            ptr: PointerId::IsaAssisted,
-            uops: BoundsUops::Fused,
-        },
-        "bounds2" | "bounds-split" => Mode::WatchdogBounds {
-            ptr: PointerId::IsaAssisted,
-            uops: BoundsUops::Split,
-        },
-        _ => return None,
-    })
-}
-
-fn parse_scale(s: &str) -> Option<Scale> {
-    Some(match s {
-        "test" => Scale::Test,
-        "small" => Scale::Small,
-        "ref" | "reference" => Scale::Reference,
-        _ => return None,
-    })
-}
+const MODE: Flag = Flag::value("--mode", "a mode");
+const OUT: Flag = Flag::value("-o", "a file path").or("--out");
+const TRACE: Flag = Flag::value("--trace", "a file path");
 
 fn usage() -> ! {
     eprintln!(
@@ -70,20 +40,32 @@ fn usage() -> ! {
          [--mode <mode>] [--scale test|small|ref] [--functional] [--json] [--telemetry] [--cpi]\n  \
          watchdog-cli perf [--samples N] [--filter F] [--out-dir DIR] [-o FILE] [--rev R]\n  \
          watchdog-cli perf compare <baseline.json> <candidate.json> [--threshold PCT] [-o FILE]\n  \
-         watchdog-cli events validate <events.jsonl> [--ledger FILE]\n  watchdog-cli juliet [--mode <mode>]\n  \
+         watchdog-cli events validate <events.jsonl> [--ledger FILE]\n  watchdog-cli juliet [--mode <mode>] [--jobs J]\n  \
          watchdog-cli fuzz [--seeds N] [--seed-start K] [--jobs J]\n  watchdog-cli fuzz --seed <K>\n  \
          watchdog-cli trace record <bench> [--mode <mode>] [--scale <scale>] [-o FILE]\n  \
          watchdog-cli trace replay <bench> --trace FILE [--scale <scale>] [--verify]\n  \
          watchdog-cli trace info --trace FILE\n  \
-         watchdog-cli trace selftest [--bench <bench>] [--scale <scale>] [--seeds N]\n  \
+         watchdog-cli trace selftest [--bench <bench>] [--scale <scale>] [--seeds N] [--jobs J]\n  \
          watchdog-cli campaign [flags]         (see `watchdog-cli campaign --help`)\n  \
          watchdog-cli worker                   (internal; spawned by campaign)"
     );
     std::process::exit(2);
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.windows(2).find(|w| w[0] == flag).map(|w| w[1].clone())
+/// Scans the arguments of the subcommand `cmd` (see
+/// [`watchdog::bench::args::parse`]); a flag error prints it with the
+/// usage text and exits 2.
+fn parse(cmd: &str, positional: usize, flags: &[Flag], args: &[String]) -> Args {
+    ok(watchdog::bench::args::parse(cmd, positional, flags, args))
+}
+
+/// Unwraps a flag result, or prints the error with the usage text and
+/// exits 2.
+fn ok<T>(r: Result<T, String>) -> T {
+    r.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        usage()
+    })
 }
 
 fn cmd_list() {
@@ -94,117 +76,71 @@ fn cmd_list() {
 }
 
 fn cmd_modes() {
-    for m in [
-        "baseline",
-        "location",
-        "cons",
-        "isa",
-        "no-ll",
-        "ideal-shadow",
-        "bounds1",
-        "bounds2",
-    ] {
-        println!("{:<14} -> {}", m, parse_mode(m).unwrap().label());
+    for (names, mode) in watchdog::core::MODE_NAMES {
+        println!("{:<14} -> {}", names[0], mode.label());
     }
 }
 
 fn cmd_run(args: &[String]) {
-    let Some((name, flags)) = args.split_first() else {
-        usage()
-    };
-    let Some(spec) = benchmark(name) else {
-        eprintln!("unknown benchmark {name:?}; see `watchdog-cli list`");
-        std::process::exit(2);
-    };
-    let (mut mode, mut scale) = (Mode::watchdog(), Scale::Small);
-    let (mut functional, mut json, mut telemetry, mut cpi) = (false, false, false, false);
-    let mut flags = flags.iter();
-    while let Some(flag) = flags.next() {
-        match flag.as_str() {
-            "--mode" => {
-                let m = flags.next().unwrap_or_else(|| usage());
-                mode = parse_mode(m).unwrap_or_else(|| {
-                    eprintln!("unknown mode {m:?}; see `watchdog-cli modes`");
-                    std::process::exit(2);
-                });
-            }
-            "--scale" => {
-                let s = flags.next().unwrap_or_else(|| usage());
-                scale = parse_scale(s).unwrap_or_else(|| {
-                    eprintln!("unknown scale {s:?}");
-                    std::process::exit(2);
-                });
-            }
-            "--functional" => functional = true,
-            "--json" => json = true,
-            "--telemetry" => telemetry = true,
-            "--cpi" => cpi = true,
-            other => {
-                eprintln!("unknown argument {other:?} to `run`");
-                usage();
-            }
-        }
-    }
+    let a = parse(
+        "run",
+        1,
+        &[
+            MODE,
+            SCALE,
+            Flag::switch("--functional"),
+            Flag::switch("--json"),
+            Flag::switch("--telemetry"),
+            Flag::switch("--cpi"),
+        ],
+        args,
+    );
+    let mode = ok(a.get("--mode")).unwrap_or(Mode::watchdog());
+    let scale = ok(a.get("--scale")).unwrap_or(Scale::Small);
+    let Some(name) = a.positional(0) else { usage() };
+    let spec = bench_spec(name);
+    let (json, telemetry) = (a.has("--json"), a.has("--telemetry"));
 
-    if cpi {
+    if a.has("--cpi") {
         cmd_run_cpi(spec.name, scale);
         return;
     }
 
-    let cfg = if functional {
+    let cfg = if a.has("--functional") {
         SimConfig::functional(mode)
     } else {
         SimConfig::timed(mode)
     };
-
     let program = spec.build(scale);
     let sim = Simulator::new(cfg);
-
-    if json || telemetry {
-        // Instrumented run: same RunReport (asserted by the telemetry
-        // cross-check suite), plus the out-of-band RunTelemetry.
-        let (report, tele) = match sim.run_instrumented(&program) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("simulation failed: {e}");
-                std::process::exit(1);
-            }
-        };
-        if json {
-            // Machine-readable only: stdout is the document.
-            let scale_label = format!("{scale:?}").to_lowercase();
-            print!(
-                "{}",
-                watchdog::core::run_json(spec.name, &scale_label, &report, Some(&tele))
-            );
-        } else {
-            println!(
-                "benchmark:       {} ({:?}, {scale:?})",
-                spec.name, spec.category
-            );
-            print_report(&report);
-            println!("telemetry:");
-            print!(
-                "{}",
-                watchdog::core::export_metrics(&report, Some(&tele)).render_human()
-            );
-        }
+    // An instrumented run (for --json or --telemetry) returns the same
+    // RunReport, asserted by the telemetry cross-check suite, plus the
+    // out-of-band RunTelemetry.
+    let run = match json || telemetry {
+        true => sim.run_instrumented(&program).map(|(r, t)| (r, Some(t))),
+        false => sim.run(&program).map(|r| (r, None)),
+    };
+    let (report, tele) = run.unwrap_or_else(|e| {
+        eprintln!("simulation failed: {e}");
+        std::process::exit(1);
+    });
+    if json {
+        // Machine-readable only: stdout is the document.
+        let scale_label = format!("{scale:?}").to_lowercase();
+        let doc = watchdog::core::run_json(spec.name, &scale_label, &report, tele.as_ref());
+        print!("{doc}");
         return;
     }
-
-    let report = match sim.run(&program) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("simulation failed: {e}");
-            std::process::exit(1);
-        }
-    };
-
     println!(
         "benchmark:       {} ({:?}, {scale:?})",
         spec.name, spec.category
     );
     print_report(&report);
+    if let Some(tele) = tele {
+        println!("telemetry:");
+        let reg = watchdog::core::export_metrics(&report, Some(&tele));
+        print!("{}", reg.render_human());
+    }
 }
 
 /// `run --cpi` — the paper's Fig. 8 breakdown with exact cycle
@@ -213,7 +149,7 @@ fn cmd_run(args: &[String]) {
 /// reasons) as a share of `cycles × commit_width`. The rows sum to 100%
 /// by construction — the zero-slack invariant the accounting suite pins.
 fn cmd_run_cpi(name: &str, scale: Scale) {
-    let program = build_bench(name, scale);
+    let program = bench_spec(name).build(scale);
     let mut rows = Vec::new();
     let mut width = 0;
     for mode in [
@@ -274,15 +210,12 @@ fn cmd_run_cpi(name: &str, scale: Scale) {
     );
 }
 
-/// Best-effort short git revision for perf-snapshot file names:
-/// `--rev` override, then `git rev-parse --short HEAD` — suffixed with
+/// Best-effort short git revision for perf-snapshot file names when
+/// `--rev` is absent: `git rev-parse --short HEAD` — suffixed with
 /// `-dirty` when the working tree has uncommitted changes, so a snapshot
 /// taken mid-edit never silently overwrites the committed revision's
 /// `BENCH_<rev>.json` — else `unknown`.
-fn git_rev(args: &[String]) -> String {
-    if let Some(rev) = flag_value(args, "--rev") {
-        return rev;
-    }
+fn git_rev() -> String {
     let git = |argv: &[&str]| {
         std::process::Command::new("git")
             .args(argv)
@@ -316,28 +249,35 @@ fn cmd_perf(args: &[String]) {
         cmd_perf_compare(&args[1..]);
         return;
     }
-    let samples = flag_value(args, "--samples").map_or(3u64, |v| {
-        v.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| {
-            eprintln!("--samples requires a positive integer");
-            std::process::exit(2);
-        })
-    });
-    let filter = flag_value(args, "--filter");
-    let rev = git_rev(args);
-    let out = match flag_value(args, "-o").or_else(|| flag_value(args, "--out")) {
-        Some(path) => path,
+    let a = parse(
+        "perf",
+        0,
+        &[
+            Flag::value("--samples", "a positive integer"),
+            Flag::value("--filter", "a case-name substring"),
+            Flag::value("--out-dir", "a directory"),
+            OUT,
+            Flag::value("--rev", "a revision label"),
+        ],
+        args,
+    );
+    let samples = ok(a.get::<std::num::NonZeroU64>("--samples")).map_or(3, |n| n.get());
+    let filter = a.raw("--filter");
+    let rev = a.raw("--rev").map_or_else(git_rev, String::from);
+    let out = match a.raw("-o") {
+        Some(path) => path.to_string(),
         None => {
             // Snapshots accumulate per revision in the history
             // directory, so `perf compare` always has a baseline.
-            let dir = flag_value(args, "--out-dir").unwrap_or_else(|| "bench-history".into());
-            if let Err(e) = std::fs::create_dir_all(&dir) {
+            let dir = a.raw("--out-dir").unwrap_or("bench-history");
+            if let Err(e) = std::fs::create_dir_all(dir) {
                 eprintln!("cannot create {dir}: {e}");
                 std::process::exit(1);
             }
             format!("{dir}/BENCH_{rev}.json")
         }
     };
-    let snap = watchdog::bench::perf::perf_snapshot(&rev, samples, filter.as_deref(), |r| {
+    let snap = watchdog::bench::perf::perf_snapshot(&rev, samples, filter, |r| {
         println!(
             "{:<40} {:>14.1} ns/iter  ({:.1} Melem/s)",
             r.name, r.ns_per_iter, r.melem_per_s
@@ -374,21 +314,24 @@ fn cmd_perf(args: &[String]) {
 /// `watchdog-perfdiff-v1` delta report, and exits 1 when any case
 /// regressed or lost coverage (the CI failure signal).
 fn cmd_perf_compare(args: &[String]) {
-    let (Some(base_path), Some(cand_path)) = (args.first(), args.get(1)) else {
+    let a = parse(
+        "perf compare",
+        2,
+        &[
+            Flag::value("--threshold", "a non-negative number (percent)"),
+            OUT,
+        ],
+        args,
+    );
+    let (Some(base_path), Some(cand_path)) = (a.positional(0), a.positional(1)) else {
         usage()
     };
-    let threshold = flag_value(args, "--threshold").map_or(
-        watchdog::bench::perfdiff::DEFAULT_THRESHOLD_PCT,
-        |v| {
-            v.parse::<f64>()
-                .ok()
-                .filter(|t| *t >= 0.0)
-                .unwrap_or_else(|| {
-                    eprintln!("--threshold requires a non-negative number (percent)");
-                    std::process::exit(2);
-                })
-        },
-    );
+    let threshold = ok(a.get::<f64>("--threshold").and_then(|t| match t {
+        Some(t) if t.is_nan() || t < 0.0 => Err(format!(
+            "--threshold requires a non-negative number, got {t}"
+        )),
+        t => Ok(t.unwrap_or(watchdog::bench::perfdiff::DEFAULT_THRESHOLD_PCT)),
+    }));
     // A missing or unreadable snapshot is a usage error (exit 2), kept
     // distinct from the regression signal (exit 1) so CI wiring mistakes
     // never masquerade as perf verdicts. For the baseline — the usual
@@ -444,8 +387,8 @@ fn cmd_perf_compare(args: &[String]) {
         &["base ns/iter", "cand ns/iter", "delta", "verdict"],
         &rows,
     );
-    if let Some(out) = flag_value(args, "-o").or_else(|| flag_value(args, "--out")) {
-        if let Err(e) = std::fs::write(&out, diff.to_json()) {
+    if let Some(out) = a.raw("-o") {
+        if let Err(e) = std::fs::write(out, diff.to_json()) {
             eprintln!("cannot write {out}: {e}");
             std::process::exit(1);
         }
@@ -470,7 +413,13 @@ fn cmd_perf_compare(args: &[String]) {
 /// vocabulary and, with `--ledger`, cross-checks its durable done/fail
 /// outcomes against the campaign ledger.
 fn cmd_events_validate(args: &[String]) {
-    let Some(path) = args.first() else { usage() };
+    let a = parse(
+        "events validate",
+        1,
+        &[Flag::value("--ledger", "a file path")],
+        args,
+    );
+    let Some(path) = a.positional(0) else { usage() };
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("cannot read {path}: {e}");
         std::process::exit(2);
@@ -505,8 +454,8 @@ fn cmd_events_validate(args: &[String]) {
             ", no campaign_end (crashed or still running)"
         }
     );
-    if let Some(ledger_path) = flag_value(args, "--ledger") {
-        let bytes = std::fs::read(&ledger_path).unwrap_or_else(|e| {
+    if let Some(ledger_path) = a.raw("--ledger") {
+        let bytes = std::fs::read(ledger_path).unwrap_or_else(|e| {
             eprintln!("cannot read {ledger_path}: {e}");
             std::process::exit(2);
         });
@@ -587,36 +536,22 @@ fn print_report(report: &RunReport) {
     }
 }
 
-/// Builds the named benchmark or exits with the standard unknown-name
-/// message.
-fn build_bench(name: &str, scale: Scale) -> Program {
-    let Some(spec) = benchmark(name) else {
+/// The named benchmark, or exit 2 with the standard unknown-name message.
+fn bench_spec(name: &str) -> watchdog::workloads::BenchSpec {
+    benchmark(name).unwrap_or_else(|| {
         eprintln!("unknown benchmark {name:?}; see `watchdog-cli list`");
         std::process::exit(2);
-    };
-    spec.build(scale)
-}
-
-fn scale_arg(args: &[String], default: Scale) -> Scale {
-    flag_value(args, "--scale").map_or(default, |s| {
-        parse_scale(&s).unwrap_or_else(|| {
-            eprintln!("unknown scale {s:?}");
-            std::process::exit(2);
-        })
     })
 }
 
-/// `--jobs`, else `WATCHDOG_JOBS`, else every core; a bad value exits 2.
-fn jobs_arg(args: &[String]) -> usize {
-    jobs_from_args(args, std::env::var("WATCHDOG_JOBS").ok())
-}
-
-fn trace_file_arg(args: &[String]) -> Trace {
-    let Some(path) = flag_value(args, "--trace") else {
+/// The trace file `--trace` names; exits 2 when absent, 1 when
+/// unreadable.
+fn trace_file_arg(a: &Args) -> Trace {
+    let Some(path) = a.raw("--trace") else {
         eprintln!("--trace FILE is required");
         std::process::exit(2);
     };
-    let bytes = std::fs::read(&path).unwrap_or_else(|e| {
+    let bytes = std::fs::read(path).unwrap_or_else(|e| {
         eprintln!("cannot read {path}: {e}");
         std::process::exit(1);
     });
@@ -627,18 +562,14 @@ fn trace_file_arg(args: &[String]) -> Trace {
 }
 
 fn cmd_trace_record(args: &[String]) {
-    let Some(name) = args.first() else { usage() };
-    let mode = flag_value(args, "--mode").map_or(Mode::watchdog(), |m| {
-        parse_mode(&m).unwrap_or_else(|| {
-            eprintln!("unknown mode {m:?}; see `watchdog-cli modes`");
-            std::process::exit(2);
-        })
-    });
-    let scale = scale_arg(args, Scale::Small);
-    let out = flag_value(args, "-o")
-        .or_else(|| flag_value(args, "--out"))
-        .unwrap_or_else(|| format!("{name}.wdtr"));
-    let program = build_bench(name, scale);
+    let a = parse("trace record", 1, &[MODE, SCALE, OUT], args);
+    let mode = ok(a.get("--mode")).unwrap_or(Mode::watchdog());
+    let scale = ok(a.get("--scale")).unwrap_or(Scale::Small);
+    let Some(name) = a.positional(0) else { usage() };
+    let out = a
+        .raw("-o")
+        .map_or_else(|| format!("{name}.wdtr"), String::from);
+    let program = bench_spec(name).build(scale);
     let trace = record(&program, mode, SimConfig::timed(mode).max_insts).unwrap_or_else(|e| {
         eprintln!("recording failed: {e}");
         std::process::exit(1);
@@ -656,10 +587,16 @@ fn cmd_trace_record(args: &[String]) {
 }
 
 fn cmd_trace_replay(args: &[String]) {
-    let Some(name) = args.first() else { usage() };
-    let scale = scale_arg(args, Scale::Small);
-    let trace = trace_file_arg(args);
-    let program = build_bench(name, scale);
+    let a = parse(
+        "trace replay",
+        1,
+        &[TRACE, SCALE, Flag::switch("--verify")],
+        args,
+    );
+    let scale = ok(a.get("--scale")).unwrap_or(Scale::Small);
+    let Some(name) = a.positional(0) else { usage() };
+    let trace = trace_file_arg(&a);
+    let program = bench_spec(name).build(scale);
     let report = replay(&program, &trace, &ReplayConfig::default()).unwrap_or_else(|e| {
         eprintln!("replay failed: {e}");
         std::process::exit(1);
@@ -669,7 +606,7 @@ fn cmd_trace_replay(args: &[String]) {
         trace.program()
     );
     print_report(&report);
-    if args.iter().any(|a| a == "--verify") {
+    if a.has("--verify") {
         let live = Simulator::new(SimConfig::timed(trace.mode()))
             .run(&program)
             .unwrap_or_else(|e| {
@@ -688,7 +625,8 @@ fn cmd_trace_replay(args: &[String]) {
 }
 
 fn cmd_trace_info(args: &[String]) {
-    let trace = trace_file_arg(args);
+    let a = parse("trace info", 0, &[TRACE], args);
+    let trace = trace_file_arg(&a);
     let info = trace.info();
     println!("format version:  {}", info.version);
     println!("program:         {}", info.program);
@@ -748,21 +686,27 @@ fn verify_ll_sweep(program: &Program, mode: Mode) -> Result<(), String> {
 /// `replay_many`, each point compared against its own `replay`. Cases are
 /// sharded across `--jobs`/`WATCHDOG_JOBS` workers. Exit code 0 = every
 /// comparison identical.
-fn cmd_trace_selftest(args: &[String]) {
-    let bench_name = flag_value(args, "--bench").unwrap_or_else(|| "mcf".into());
-    let scale = scale_arg(args, Scale::Test);
-    let seeds = flag_value(args, "--seeds").map_or(25u64, |v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("--seeds requires an unsigned integer");
-            std::process::exit(2);
-        })
-    });
-    let jobs = jobs_arg(args);
+fn cmd_trace_selftest(args: &[String], jobs_env: Option<&OsStr>) {
+    let a = parse(
+        "trace selftest",
+        0,
+        &[
+            Flag::value("--bench", "a benchmark name"),
+            SCALE,
+            Flag::value("--seeds", "an unsigned integer"),
+            JOBS,
+        ],
+        args,
+    );
+    let bench_name = a.raw("--bench").unwrap_or("mcf");
+    let scale = ok(a.get("--scale")).unwrap_or(Scale::Test);
+    let seeds = ok(a.get("--seeds")).unwrap_or(25u64);
+    let jobs = ok(a.jobs(jobs_env));
     // One shared recipe (`verify_replay`): live timed run vs.
     // record→serialize→deserialize→replay, compared field-for-field — the
     // same helper the workspace equivalence tests assert with, so the CI
     // smoke and tier-1 can never check different properties.
-    let program = build_bench(&bench_name, scale);
+    let program = bench_spec(bench_name).build(scale);
     let gen_cfg = watchdog::gen::GenConfig::default();
     let cases: Vec<(Program, Mode)> = [Mode::watchdog_conservative(), Mode::watchdog()]
         .into_iter()
@@ -808,23 +752,22 @@ fn cmd_trace_selftest(args: &[String]) {
     }
 }
 
-fn cmd_trace(args: &[String]) {
+fn cmd_trace(args: &[String], jobs_env: Option<&OsStr>) {
     match args.first().map(String::as_str) {
         Some("record") => cmd_trace_record(&args[1..]),
         Some("replay") => cmd_trace_replay(&args[1..]),
         Some("info") => cmd_trace_info(&args[1..]),
-        Some("selftest") => cmd_trace_selftest(&args[1..]),
+        Some("selftest") => cmd_trace_selftest(&args[1..], jobs_env),
         _ => usage(),
     }
 }
 
-fn cmd_juliet(args: &[String]) {
-    let mode = flag_value(args, "--mode").map_or(Mode::watchdog_conservative(), |m| {
-        parse_mode(&m).unwrap_or_else(|| usage())
-    });
+fn cmd_juliet(args: &[String], jobs_env: Option<&OsStr>) {
+    let a = parse("juliet", 0, &[MODE, JOBS], args);
+    let mode = ok(a.get("--mode")).unwrap_or(Mode::watchdog_conservative());
     // Cases are sharded across the worker pool (`--jobs`/`WATCHDOG_JOBS`);
     // results are merged in suite order, identical to a serial run.
-    let outcomes = run_juliet_with_jobs(mode, jobs_arg(args), None);
+    let outcomes = run_juliet_with_jobs(mode, ok(a.jobs(jobs_env)), None);
     let s = summarize_juliet(&outcomes);
     println!("mode:            {}", mode.label());
     println!(
@@ -836,27 +779,28 @@ fn cmd_juliet(args: &[String]) {
     println!("false positives: {}/{}", s.false_positives, s.cases);
 }
 
-fn cmd_fuzz(args: &[String]) {
+fn cmd_fuzz(args: &[String], jobs_env: Option<&OsStr>) {
     // The whole fuzz command line (flags, defaults, repro and campaign
     // reports) is shared with the standalone `fuzz` binary, so the two
     // entry points cannot drift.
-    let code = fuzz_main(args, std::env::var("WATCHDOG_JOBS").ok());
+    let code = fuzz_main(args, jobs_env);
     if code != 0 {
         std::process::exit(code);
     }
 }
 
-fn cmd_campaign(args: &[String]) {
+fn cmd_campaign(args: &[String], jobs_env: Option<&OsStr>) {
     // Workers are this same binary, re-exec'd as `watchdog-cli worker`.
     let exe = std::env::current_exe().unwrap_or_else(|e| {
         eprintln!("cannot locate own executable to spawn workers: {e}");
         std::process::exit(1);
     });
-    std::process::exit(watchdog::campaign::campaign_main(args, exe));
+    std::process::exit(watchdog::campaign::campaign_main(args, exe, jobs_env));
 }
 
 fn cmd_worker(args: &[String]) {
-    if args.iter().any(|a| a == "--help" || a == "-h") {
+    let a = parse("worker", 0, &[Flag::switch("--help").or("-h")], args);
+    if a.has("--help") {
         print!("{}", watchdog::campaign::cli::WORKER_HELP);
         return;
     }
@@ -865,16 +809,24 @@ fn cmd_worker(args: &[String]) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let jobs_env = std::env::var_os("WATCHDOG_JOBS");
+    let jobs_env = jobs_env.as_deref();
     match args.first().map(String::as_str) {
-        Some("list") => cmd_list(),
-        Some("modes") => cmd_modes(),
+        Some("list") => {
+            parse("list", 0, &[], &args[1..]);
+            cmd_list();
+        }
+        Some("modes") => {
+            parse("modes", 0, &[], &args[1..]);
+            cmd_modes();
+        }
         Some("run") => cmd_run(&args[1..]),
         Some("perf") => cmd_perf(&args[1..]),
         Some("events") => cmd_events(&args[1..]),
-        Some("juliet") => cmd_juliet(&args[1..]),
-        Some("fuzz") => cmd_fuzz(&args[1..]),
-        Some("trace") => cmd_trace(&args[1..]),
-        Some("campaign") => cmd_campaign(&args[1..]),
+        Some("juliet") => cmd_juliet(&args[1..], jobs_env),
+        Some("fuzz") => cmd_fuzz(&args[1..], jobs_env),
+        Some("trace") => cmd_trace(&args[1..], jobs_env),
+        Some("campaign") => cmd_campaign(&args[1..], jobs_env),
         Some("worker") => cmd_worker(&args[1..]),
         _ => usage(),
     }

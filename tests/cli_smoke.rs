@@ -500,3 +500,85 @@ fn trace_selftest_smoke_passes() {
     ]);
     assert!(out.contains("trace selftest: PASS"), "{out}");
 }
+
+/// Runs `watchdog-cli args` with `WATCHDOG_JOBS` set to `jobs_env` (or
+/// unset) and asserts a flag error: exit 2, `needle` named on stderr, and
+/// nothing on stdout.
+fn assert_flag_error(args: &[&str], jobs_env: Option<&str>, needle: &str) {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_watchdog-cli"));
+    cmd.args(args).env_remove("WATCHDOG_JOBS");
+    if let Some(v) = jobs_env {
+        cmd.env("WATCHDOG_JOBS", v);
+    }
+    let out = cmd.output().expect("watchdog-cli spawns");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "watchdog-cli {args:?} (WATCHDOG_JOBS={jobs_env:?}) must exit 2:\n{err}"
+    );
+    assert!(
+        err.contains(needle),
+        "watchdog-cli {args:?}: {needle:?} not named on stderr:\n{err}"
+    );
+    assert!(
+        out.stdout.is_empty(),
+        "watchdog-cli {args:?} printed output:\n{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+}
+
+#[test]
+fn every_front_end_rejects_bad_flags_before_it_simulates() {
+    // (command words, a flag it reads with a value, a bad value for it
+    // or None when its values are free-form paths, whether it reads
+    // WATCHDOG_JOBS). Each case must fail fast: a flag error exits before
+    // any simulation, file access or campaign starts.
+    let commands: &[(&[&str], &str, Option<&str>, bool)] = &[
+        (&["run", "mcf"], "--mode", Some("nope"), false),
+        (&["trace", "record", "mcf"], "--scale", Some("huge"), false),
+        (
+            &["trace", "replay", "mcf", "--trace", "x.wdtr"],
+            "--scale",
+            Some("huge"),
+            false,
+        ),
+        (&["trace", "info"], "--trace", None, false),
+        (&["trace", "selftest"], "--seeds", Some("many"), true),
+        (&["perf"], "--samples", Some("0"), false),
+        (
+            &["perf", "compare", "a.json", "b.json"],
+            "--threshold",
+            Some("-5"),
+            false,
+        ),
+        (&["juliet"], "--mode", Some("nope"), true),
+        (&["fuzz"], "--seeds", Some("many"), true),
+        (&["events", "validate", "x.jsonl"], "--ledger", None, false),
+        (&["campaign"], "--scale", Some("huge"), true),
+    ];
+    for &(words, flag, bad, reads_jobs) in commands {
+        let with = |extra: &[&'static str]| -> Vec<&'static str> {
+            words.iter().chain(extra).copied().collect()
+        };
+        assert_flag_error(&with(&["--bogus"]), None, "--bogus");
+        assert_flag_error(&with(&[flag]), None, flag);
+        assert_flag_error(&with(&[flag, "v", flag, "v"]), None, flag);
+        if let Some(bad) = bad {
+            assert_flag_error(&with(&[flag, bad]), None, flag);
+        }
+        if reads_jobs {
+            assert_flag_error(&with(&[]), Some("0"), "WATCHDOG_JOBS");
+            assert_flag_error(&with(&["--jobs", "0"]), None, "--jobs");
+        }
+    }
+    // The misparses the lax parsers let through, word for word.
+    assert_flag_error(
+        &["fuzz", "--seeds", "3", "--seed-strat", "500"],
+        None,
+        "--seed-strat",
+    );
+    assert_flag_error(&["trace", "record", "mcf", "--mode"], None, "--mode");
+    assert_flag_error(&["campaign", "--seeds", "2"], Some("0"), "WATCHDOG_JOBS");
+    assert_flag_error(&["juliet", "--mode", "nope"], None, "\"nope\"");
+}

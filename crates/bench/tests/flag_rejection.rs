@@ -47,7 +47,6 @@ fn every_bench_binary_rejects_bad_flags_before_it_simulates() {
         (env!("CARGO_BIN_EXE_juliet"), "--jobs", Some("many"), true),
         (env!("CARGO_BIN_EXE_fuzz"), "--seeds", Some("many"), true),
         (env!("CARGO_BIN_EXE_table1"), "--scale", None, false),
-        (env!("CARGO_BIN_EXE_diag"), "--scale", None, false),
     ];
     for &(exe, flag, bad, reads_jobs) in bins {
         assert_flag_error(exe, &["--bogus"], None, "--bogus");
@@ -61,9 +60,8 @@ fn every_bench_binary_rejects_bad_flags_before_it_simulates() {
             assert_flag_error(exe, &["--jobs", "0"], None, "--jobs");
         }
     }
-    // The misparses the lax parsers let through, word for word: a
-    // misspelt flag the campaign silently ignored, and an unknown
-    // benchmark that panicked.
+    // The misparse the lax parsers let through, word for word: a
+    // misspelt flag the campaign silently ignored.
     let fuzz = env!("CARGO_BIN_EXE_fuzz");
     assert_flag_error(
         fuzz,
@@ -71,7 +69,4 @@ fn every_bench_binary_rejects_bad_flags_before_it_simulates() {
         None,
         "--seed-strat",
     );
-    let diag = env!("CARGO_BIN_EXE_diag");
-    assert_flag_error(diag, &["nope"], None, "\"nope\"");
-    assert_flag_error(diag, &["mcf", "perl"], None, "\"perl\"");
 }

@@ -7,8 +7,7 @@ use std::num::NonZeroU64;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use watchdog_bench::args::{parse, Flag, JOBS, SCALE};
-use watchdog_workloads::Scale;
+use watchdog_bench::args::{parse, Flag, JOBS};
 
 use crate::cell::CampaignSpec;
 use crate::coordinator::{run_campaign, CampaignConfig};
@@ -21,17 +20,15 @@ watchdog-cli campaign — crash-isolated multi-process simulation campaign
 usage: watchdog-cli campaign [flags]
 
 The coordinator spawns worker processes (re-exec'd `watchdog-cli worker`),
-feeds them fuzz seeds or (benchmark x mode) cells, and appends every
-result to a crash-safe ledger. Workers that panic, exit, hang or emit
-corrupt frames are killed and respawned; their cells are retried a
-bounded number of times. The completed ledger is byte-identical to a
-serial single-process run's.
+feeds them differential-fuzz seeds, and appends every result to a
+crash-safe ledger. Workers that panic, exit, hang or emit corrupt frames
+are killed and respawned; their cells are retried a bounded number of
+times. The completed ledger is byte-identical to a serial single-process
+run's.
 
 flags:
   --seeds N          fuzz campaign over N seeds (default 1000)
   --seed-start N     first seed (default 0)
-  --suite            run the (benchmark x mode) suite grid instead of fuzz
-  --scale S          suite input scale: test, small, ref (default small)
   --jobs N           worker processes (default WATCHDOG_JOBS, then cores)
   --ledger PATH      ledger file (default campaign.wdlg)
   --resume           replay the ledger; run only the missing cells
@@ -63,10 +60,6 @@ pub struct CampaignCli {
     pub seeds: usize,
     /// First fuzz seed (`--seed-start`).
     pub seed_start: u64,
-    /// Run the suite grid instead of fuzzing (`--suite`).
-    pub suite: bool,
-    /// Suite scale (`--scale`).
-    pub scale: Scale,
     /// Worker-process count (`--jobs`, then `WATCHDOG_JOBS`, then cores).
     pub jobs: usize,
     /// Ledger path (`--ledger`).
@@ -88,8 +81,6 @@ pub struct CampaignCli {
 const FLAGS: &[Flag] = &[
     Flag::value("--seeds", "an unsigned integer"),
     Flag::value("--seed-start", "an unsigned integer"),
-    Flag::switch("--suite"),
-    SCALE,
     JOBS,
     Flag::value("--ledger", "a file path"),
     Flag::switch("--resume"),
@@ -118,8 +109,6 @@ pub fn parse_campaign_args(
     Ok(CampaignCli {
         seeds: a.get("--seeds")?.unwrap_or(1000),
         seed_start: a.get("--seed-start")?.unwrap_or(0),
-        suite: a.has("--suite"),
-        scale: a.get("--scale")?.unwrap_or(Scale::Small),
         jobs: a.jobs(jobs_env)?,
         ledger: a.get("--ledger")?.unwrap_or_else(|| "campaign.wdlg".into()),
         resume: a.has("--resume"),
@@ -150,11 +139,7 @@ pub fn campaign_main(args: &[String], worker_exe: PathBuf, jobs_env: Option<&OsS
             return 2;
         }
     };
-    let spec = if cli.suite {
-        CampaignSpec::suite(cli.scale)
-    } else {
-        CampaignSpec::fuzz(cli.seed_start, cli.seeds)
-    };
+    let spec = CampaignSpec::fuzz(cli.seed_start, cli.seeds);
 
     let mut cfg = CampaignConfig::new(worker_exe);
     cfg.jobs = cli.jobs;
@@ -211,8 +196,6 @@ mod tests {
         let cli = parse(&[]).unwrap();
         assert_eq!(cli.seeds, 1000);
         assert_eq!(cli.seed_start, 0);
-        assert!(!cli.suite);
-        assert_eq!(cli.scale, Scale::Small);
         assert_eq!(cli.ledger, PathBuf::from("campaign.wdlg"));
         assert!(!cli.resume);
         assert_eq!(cli.timeout_secs, 30);
@@ -269,9 +252,6 @@ mod tests {
         assert_eq!(cli.fault.as_deref(), Some("panic@3"));
         assert_eq!(cli.events, Some(PathBuf::from("/tmp/x.jsonl")));
         assert!(cli.quiet);
-        let cli = parse(&["--suite", "--scale", "test"]).unwrap();
-        assert!(cli.suite);
-        assert_eq!(cli.scale, Scale::Test);
     }
 
     #[test]
@@ -284,9 +264,12 @@ mod tests {
 
     #[test]
     fn value_errors_follow_the_scale_from_args_style() {
-        let e = parse(&["--scale", "huge"]).unwrap_err();
-        assert!(e.contains("valid values are test, small, ref"), "{e}");
-        let e = parse(&["--scale"]).unwrap_err();
+        let e = parse(&["--retries", "many"]).unwrap_err();
+        assert!(
+            e.contains("--retries") && e.contains("unsigned integer"),
+            "{e}"
+        );
+        let e = parse(&["--retries"]).unwrap_err();
         assert!(e.contains("requires a value"), "{e}");
         let e = parse(&["--seeds", "many"]).unwrap_err();
         assert!(e.contains("unsigned integer"), "{e}");

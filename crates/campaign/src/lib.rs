@@ -1,19 +1,18 @@
 //! **watchdog-campaign** — crash-isolated multi-process simulation
 //! campaigns with a resumable, crash-safe results ledger.
 //!
-//! The paper's evaluation is a large campaign — twenty benchmarks ×
-//! hardware configurations × detection modes, plus error-injection
-//! studies — and the in-process worker pool (`watchdog-bench`) caps out
-//! at thread-scoped parallelism: one panic or OOM kills the whole sweep,
-//! and an overnight million-seed fuzz run cannot survive an interruption.
-//! This crate adds the multi-process rung:
+//! The in-process worker pool (`watchdog-bench`) runs the paper's fixed
+//! benchmark grid, whose every report the golden corpus pins. Open-ended
+//! differential fuzzing is different: one panic or OOM would kill the
+//! whole sweep, and an overnight million-seed run must survive an
+//! interruption. This crate adds the multi-process rung for it:
 //!
 //! * A **coordinator** ([`run_campaign`]) spawns N long-lived worker
 //!   processes (re-exec'd `watchdog-cli worker` children speaking
 //!   length-prefixed, checksummed frames over stdin/stdout — the
 //!   [`frame`] module, built on the same varint primitives as the trace
 //!   wire format) and feeds them a job queue of [`CellSpec`] cells
-//!   (fuzz seeds or benchmark × config points).
+//!   (fuzz seeds).
 //! * Every completed cell is appended to a **crash-safe ledger**
 //!   (the [`ledger`] module): one fsync'd, checksummed record per cell
 //!   under a header carrying the campaign's spec hash and a program

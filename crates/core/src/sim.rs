@@ -446,7 +446,6 @@ impl Simulator {
         if let Some(t) = tele {
             if let Some(core) = core.as_ref() {
                 core.export_telemetry_into(&mut t.core_metrics);
-                t.ll_memo_hits = core.hierarchy().ll_memo_hits();
             }
             t.host_ns = t_run.expect("run timer started").elapsed().as_nanos() as u64;
             t.fill_ns = fill_ns;

@@ -10,11 +10,10 @@
 //!   counts, identical run to run) and the host timers (`host.*`, which
 //!   differ run to run). Neither lives in the report.
 //!
-//! Every consumer — `watchdog-cli run` human diagnostics, `run --json`,
-//! the diagnostics binary, the telemetry cross-check suite — renders
-//! from the registry this module builds, so a metric added here shows up
-//! everywhere at once and cannot drift between the human and the
-//! machine-readable output.
+//! Every consumer — `watchdog-cli run --telemetry`, `run --json`, the
+//! telemetry cross-check suite — renders from the registry this module
+//! builds, so a metric added here shows up everywhere at once and cannot
+//! drift between the human and the machine-readable output.
 
 use watchdog_telemetry::{JsonValue, MetricsRegistry, Unit};
 
@@ -33,11 +32,10 @@ pub use watchdog_pipeline::TAG_NAMES;
 /// compare reports byte for byte, and the host timers differ run to run.
 #[derive(Debug, Clone, Default)]
 pub struct RunTelemetry {
-    /// Core-side metrics (`profile.*`, `cpi.*`, `feed.*`) exported from
+    /// Core-side metrics (`profile.*`, `cpi.*`, `feed.*`,
+    /// `mem.ll.memo_hits`) exported from
     /// the timing core just before `finish()` consumed it.
     pub core_metrics: MetricsRegistry,
-    /// Lock-probe memo short circuits taken by the hierarchy.
-    pub ll_memo_hits: u64,
     /// Host nanoseconds the whole run took.
     pub host_ns: u64,
     /// Host nanoseconds spent filling µop batches: the functional step,
@@ -50,8 +48,8 @@ pub struct RunTelemetry {
 }
 
 impl RunTelemetry {
-    /// Simulated cycles per host nanosecond — the throughput figure the
-    /// diagnostics binary tracks (0.0 when untimed or unmeasured).
+    /// Simulated cycles per host nanosecond, exported as
+    /// `host.cycles_per_ns` (0.0 when untimed or unmeasured).
     pub fn cycles_per_host_ns(&self, report: &RunReport) -> f64 {
         if self.host_ns == 0 {
             0.0
@@ -161,7 +159,6 @@ pub fn export_metrics(report: &RunReport, tele: Option<&RunTelemetry>) -> Metric
     // Host-side observations from an instrumented run.
     if let Some(tele) = tele {
         reg.absorb(&tele.core_metrics);
-        reg.counter_at("mem.ll.memo_hits", Unit::Count, tele.ll_memo_hits);
         reg.counter_at("host.run.ns", Unit::Nanos, tele.host_ns);
         reg.counter_at("host.fill.ns", Unit::Nanos, tele.fill_ns);
         reg.counter_at("host.consume.ns", Unit::Nanos, tele.consume_ns);

@@ -103,8 +103,8 @@ impl FeedStats {
     }
 
     /// Exports the feed counters and the derived occupancy ratios under
-    /// the stable `feed.*` namespace — the single source both the `diag`
-    /// binary and the `--json` export render from.
+    /// the stable `feed.*` namespace — the single source both
+    /// `watchdog-cli run --telemetry` and the `--json` export render from.
     pub fn export_into(&self, reg: &mut watchdog_telemetry::MetricsRegistry) {
         use watchdog_telemetry::Unit;
         reg.counter_at("feed.batches", Unit::Count, self.batches);

@@ -318,9 +318,10 @@ impl TimingCore {
 
     /// Exports everything the core can observe about itself — the
     /// self-profiler (when enabled), per-unit FU utilization, the
-    /// calendar wheel's overflow high-water mark and the batch-feed
-    /// counters — into `reg` under the `profile.*` / `feed.*`
-    /// namespaces.
+    /// calendar wheel's overflow high-water mark, the batch-feed
+    /// counters and the hierarchy's lock-probe memo hits — into `reg`
+    /// under the `profile.*` / `cpi.*` / `feed.*` namespaces, then
+    /// `mem.ll.memo_hits` last.
     pub fn export_telemetry_into(&self, reg: &mut MetricsRegistry) {
         if let Some(t) = &self.tele {
             t.export_into(reg);
@@ -356,6 +357,7 @@ impl TimingCore {
             self.iq.overflow_peak() as u64,
         );
         self.feed.export_into(reg);
+        reg.counter_at("mem.ll.memo_hits", Unit::Count, self.hier.ll_memo_hits());
     }
 
     /// Immutable view of the memory hierarchy (for diagnostics).

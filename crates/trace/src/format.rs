@@ -485,7 +485,9 @@ pub fn get_mode(buf: &[u8], pos: &mut usize) -> Result<Mode, TraceError> {
     }
 }
 
-fn kind_code(k: ViolationKind) -> u8 {
+/// Compact byte code of a [`ViolationKind`]: the trace trailer's
+/// violation byte, and the kind half of a campaign failure's dedup key.
+pub fn kind_code(k: ViolationKind) -> u8 {
     match k {
         ViolationKind::UseAfterFree => 0,
         ViolationKind::UseAfterReturn => 1,

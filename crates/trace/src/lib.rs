@@ -88,7 +88,4 @@ pub mod wire;
 
 pub use format::{program_fingerprint, Trace, TraceError, TraceInfo, TraceOutcome};
 pub use record::{record, TraceRecorder};
-pub use replay::{
-    replay, replay_instrumented, replay_many, replay_with_stats, verify_replay, ReplayConfig,
-    ReplayStats,
-};
+pub use replay::{replay, replay_instrumented, replay_many, verify_replay, ReplayConfig};

@@ -18,9 +18,8 @@
 //! Sequential fetches cost one byte; loopy pointer code averages a few
 //! bytes per instruction.
 
-use watchdog_core::machine::{CommitHook, CommitRecord, MachineConfig, Step};
+use watchdog_core::machine::{CommitHook, CommitRecord, Step};
 use watchdog_core::prelude::*;
-use watchdog_core::PointerPolicy;
 use watchdog_isa::Program;
 
 use crate::format::{program_fingerprint, Trace, TraceOutcome};
@@ -134,20 +133,11 @@ impl CommitHook for TraceRecorder {
 /// `max_insts` yields [`SimError::InstLimit`], exactly like a live run —
 /// there is no trace for a program that cannot be simulated.
 pub fn record(program: &Program, mode: Mode, max_insts: u64) -> Result<Trace, SimError> {
-    let policy = match mode.pointer_id() {
-        Some(PointerId::IsaAssisted) => {
-            PointerPolicy::Profiled(Simulator::profile(program, max_insts)?)
-        }
-        _ => PointerPolicy::Conservative,
-    };
-    let mcfg = MachineConfig {
-        check: mode.check_mode(),
-        bounds: mode.bounds_uops(),
-        policy,
-        profiling: false,
-        emit_uops: false,
-        crack_cache: false,
-    };
+    let mcfg = Simulator::new(SimConfig {
+        max_insts,
+        ..SimConfig::functional(mode)
+    })
+    .machine_config(program)?;
     let mut machine = watchdog_core::Machine::new(program, mcfg);
     let mut recorder = TraceRecorder::new();
     let mut executed = 0u64;

@@ -28,7 +28,7 @@ use watchdog_isa::crack_cache::{CrackCache, CrackCacheStats};
 use watchdog_isa::insn::Inst;
 use watchdog_isa::Program;
 use watchdog_mem::{AccessClass, CacheConfig, GeometryClasses, HierarchyConfig};
-use watchdog_pipeline::{CoreConfig, FeedStats, MemOp, TimingCore, TimingReport, UopBatch};
+use watchdog_pipeline::{CoreConfig, MemOp, TimingCore, TimingReport, UopBatch};
 use watchdog_telemetry::MetricsRegistry;
 
 use crate::format::{program_fingerprint, Trace, TraceError};
@@ -80,17 +80,6 @@ impl ReplayConfig {
             crack_cache: cfg.crack_cache,
         }
     }
-}
-
-/// Replay-side feed diagnostics returned by [`replay_with_stats`]:
-/// how the µop stream reached the timing core. Deliberately outside the
-/// [`RunReport`], which must stay field-identical to the live run's.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ReplayStats {
-    /// Batch-feed counters of the timing core.
-    pub feed: FeedStats,
-    /// Lock-probe memo short circuits taken by the hierarchy.
-    pub ll_memo_hits: u64,
 }
 
 /// End-to-end equivalence check, shared by the CI `trace selftest`, the
@@ -145,28 +134,14 @@ pub fn replay(
     trace: &Trace,
     cfg: &ReplayConfig,
 ) -> Result<RunReport, TraceError> {
-    replay_with_stats(program, trace, cfg).map(|(report, _)| report)
-}
-
-/// [`replay()`] plus the feed diagnostics (batch occupancy, lock-probe
-/// memo hits) that never appear in the report itself.
-///
-/// # Errors
-///
-/// Exactly as [`replay()`].
-pub fn replay_with_stats(
-    program: &Program,
-    trace: &Trace,
-    cfg: &ReplayConfig,
-) -> Result<(RunReport, ReplayStats), TraceError> {
-    let (report, stats, _) = replay_one(program, trace, cfg, false)?;
-    Ok((report, stats))
+    replay_one(program, trace, cfg, false).map(|(report, _)| report)
 }
 
 /// [`replay()`] with the timing core's self-profiler attached: the core
 /// collects per-kind dispatch counters, occupancy histograms and the CPI
-/// stack, exported as a `profile.*`/`cpi.*`/`feed.*` registry beside the
-/// report. The registry equals the `core_metrics` of a live
+/// stack, exported with the feed counters and the lock-probe memo hits
+/// as a `profile.*`/`cpi.*`/`feed.*`/`mem.ll.memo_hits` registry beside
+/// the report. The registry equals the `core_metrics` of a live
 /// instrumented run of the same cell. The report itself is byte-identical to an
 /// uninstrumented [`replay()`] — telemetry is observation, never timing.
 ///
@@ -178,8 +153,7 @@ pub fn replay_instrumented(
     trace: &Trace,
     cfg: &ReplayConfig,
 ) -> Result<(RunReport, MetricsRegistry), TraceError> {
-    let (report, _, reg) = replay_one(program, trace, cfg, true)?;
-    Ok((report, reg))
+    replay_one(program, trace, cfg, true)
 }
 
 /// Replays `trace` under every configuration of `cfgs` in one pass: each
@@ -226,20 +200,19 @@ fn replay_one(
     trace: &Trace,
     cfg: &ReplayConfig,
     telemetry: bool,
-) -> Result<(RunReport, ReplayStats, MetricsRegistry), TraceError> {
+) -> Result<(RunReport, MetricsRegistry), TraceError> {
     let mut replayed = replay_impl(program, trace, std::slice::from_ref(cfg), telemetry)?;
     let report = replayed.report(trace, cfg, 0);
     let run = replayed
         .runs
         .pop()
         .expect("one configuration, one timing class");
-    Ok((report, run.stats, run.registry))
+    Ok((report, run.registry))
 }
 
 /// What one timing core produced.
 struct ClassRun {
     timing: TimingReport,
-    stats: ReplayStats,
     registry: MetricsRegistry,
 }
 
@@ -329,17 +302,12 @@ fn replay_impl(
     let runs = cores
         .into_iter()
         .map(|core| {
-            let stats = ReplayStats {
-                feed: core.feed_stats(),
-                ll_memo_hits: core.hierarchy().ll_memo_hits(),
-            };
             let mut registry = MetricsRegistry::new();
             if telemetry {
                 core.export_telemetry_into(&mut registry);
             }
             ClassRun {
                 timing: core.finish(),
-                stats,
                 registry,
             }
         })

@@ -436,7 +436,7 @@ fn campaign_and_worker_help_texts_print() {
 fn campaign_flag_errors_list_the_valid_alternatives_and_exit_2() {
     let cases: &[(&[&str], &str)] = &[
         (&["campaign", "--seedz", "5"], "valid flags are"),
-        (&["campaign", "--scale", "huge"], "test, small, ref"),
+        (&["campaign", "--timeout-secs", "0"], "positive integer"),
         (&["campaign", "--seeds", "many"], "unsigned integer"),
         (&["campaign", "--jobs", "0"], "positive"),
         (&["fuzz", "--jobs", "0"], "positive"),
@@ -555,7 +555,7 @@ fn every_front_end_rejects_bad_flags_before_it_simulates() {
         (&["juliet"], "--mode", Some("nope"), true),
         (&["fuzz"], "--seeds", Some("many"), true),
         (&["events", "validate", "x.jsonl"], "--ledger", None, false),
-        (&["campaign"], "--scale", Some("huge"), true),
+        (&["campaign"], "--retries", Some("many"), true),
     ];
     for &(words, flag, bad, reads_jobs) in commands {
         let with = |extra: &[&'static str]| -> Vec<&'static str> {

@@ -112,9 +112,10 @@ fn assert_same_metrics(got: &MetricsRegistry, want: &MetricsRegistry, label: &st
 /// Replayed feed: the trace replayer drives the same timing core from a
 /// recorded event stream. It must hold the zero-slack identity and
 /// reproduce every metric the live run's core exports (`cpi.*`,
-/// `profile.*`, `feed.*`) exactly. A second live run must reproduce the
-/// first one's too: the core's telemetry is a deterministic function of
-/// the µop stream, not of the host or of how the µops arrive.
+/// `profile.*`, `feed.*`, `mem.ll.memo_hits`) exactly. A second live run
+/// must reproduce the first one's too: the core's telemetry is a
+/// deterministic function of the µop stream, not of the host or of how
+/// the µops arrive.
 #[test]
 fn replayed_feeds_reproduce_the_live_cpi_stack() {
     for bench in ["mcf", "perl"] {
@@ -136,6 +137,14 @@ fn replayed_feeds_reproduce_the_live_cpi_stack() {
             let (_, reg) = replay_instrumented(&program, &trace, &cfg).unwrap();
             check_zero_slack(&reg, &feed);
             assert_same_metrics(&reg, &live, &feed);
+            // Both pointer-heavy benchmarks probe lock locations, so the
+            // hierarchy's lock-probe memo short-circuits some probes.
+            let memo = |r: &MetricsRegistry| r.counter_value("mem.ll.memo_hits");
+            assert!(
+                memo(&reg).is_some_and(|n| n > 0),
+                "[{feed}] no lock-probe memo hits exported"
+            );
+            assert_eq!(memo(&reg), memo(&live), "[{feed}] memo hits differ");
         }
     }
 }

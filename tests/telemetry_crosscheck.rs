@@ -116,9 +116,10 @@ fn crosscheck_cell(cell: &str, report: &RunReport, tele: &RunTelemetry) {
         fill_ns + consume_ns <= run_ns,
         "{cell}: fill {fill_ns} + consume {consume_ns} ns exceed the run's {run_ns} ns"
     );
+    // The lock-probe memo count is the core's own export.
     assert_eq!(
-        c(&reg, cell, "mem.ll.memo_hits"),
-        tele.ll_memo_hits,
+        Some(c(&reg, cell, "mem.ll.memo_hits")),
+        tele.core_metrics.counter_value("mem.ll.memo_hits"),
         "{cell}"
     );
 }

@@ -1,5 +1,5 @@
 //! The one strict command-line scanner every front end uses: the bench
-//! binaries, `fuzz`, every `watchdog-cli` subcommand and `campaign`.
+//! binaries, every `watchdog-cli` subcommand and `campaign`.
 //!
 //! A command declares its [`Flag`]s and how many positional words it
 //! takes; [`parse`] applies one set of rules to all of them. An unknown

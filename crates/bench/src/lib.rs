@@ -22,7 +22,6 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use watchdog_core::prelude::*;
-use watchdog_gen::{DiffFailure, DiffOutcome, GenConfig};
 use watchdog_workloads::juliet::SUITE_SIZE;
 use watchdog_workloads::{all_benchmarks, benign_suite_prefix, juliet_suite_prefix, Cwe, Scale};
 
@@ -99,9 +98,9 @@ pub fn payload_msg(payload: &(dyn std::any::Any + Send)) -> &str {
 ///
 /// This is the one worker pool every sharded workload in this crate rides
 /// on: the (benchmark × mode) suite grid, the 291-case Juliet suite and
-/// the `watchdog-gen` fuzzing campaign. A panicking closure propagates
-/// out of the enclosing [`std::thread::scope`]; callers that want
-/// labelled failures catch panics inside `run` (see [`run_suite_with_jobs`]).
+/// the LL$ sweeps. A panicking closure propagates out of the enclosing
+/// [`std::thread::scope`]; callers that want labelled failures catch
+/// panics inside `run` (see [`run_suite_with_jobs`]).
 pub fn parallel_map<T, F>(n: usize, jobs: usize, run: F) -> Vec<T>
 where
     T: Send,
@@ -494,196 +493,6 @@ pub fn summarize_juliet(outcomes: &[JulietOutcome]) -> JulietSummary {
     s
 }
 
-/// Result of a differential fuzzing campaign over `watchdog-gen` seeds.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FuzzSummary {
-    /// First seed of the campaign.
-    pub seed_start: u64,
-    /// Number of seeds (= generated programs, each with a benign twin).
-    pub count: usize,
-    /// Per-seed outcomes of the passing seeds, in seed order.
-    pub outcomes: Vec<DiffOutcome>,
-    /// Failing seeds with their divergence details, in seed order.
-    pub failures: Vec<DiffFailure>,
-}
-
-impl FuzzSummary {
-    /// Whether every seed passed the differential matrix.
-    pub fn ok(&self) -> bool {
-        self.failures.is_empty()
-    }
-
-    /// Total simulations performed across all passing seeds.
-    pub fn total_runs(&self) -> usize {
-        self.outcomes.iter().map(|o| o.runs).sum()
-    }
-
-    /// Total dynamic guest instructions of the conservative functional
-    /// runs (a rough campaign-size indicator).
-    pub fn total_insts(&self) -> u64 {
-        self.outcomes.iter().map(|o| o.insts).sum()
-    }
-}
-
-/// Runs `watchdog_gen::check_seed` for seeds `seed_start..seed_start+count`
-/// sharded across the same [`parallel_map`] worker pool as the suite
-/// runner. Panics inside a seed's matrix are converted into that seed's
-/// [`DiffFailure`], so one bad seed never takes down the campaign.
-pub fn run_fuzz_with_jobs(seed_start: u64, count: usize, jobs: usize) -> FuzzSummary {
-    let cfg = GenConfig::default();
-    let results = parallel_map(count, jobs, |i| {
-        let seed = seed_start + i as u64;
-        panic::catch_unwind(AssertUnwindSafe(|| watchdog_gen::check_seed(seed, &cfg)))
-            .unwrap_or_else(|payload| {
-                Err(DiffFailure {
-                    seed,
-                    detail: format!("panicked: {}", payload_msg(payload.as_ref())),
-                })
-            })
-    });
-    let mut outcomes = Vec::with_capacity(count);
-    let mut failures = Vec::new();
-    for r in results {
-        match r {
-            Ok(o) => outcomes.push(o),
-            Err(f) => failures.push(f),
-        }
-    }
-    FuzzSummary {
-        seed_start,
-        count,
-        outcomes,
-        failures,
-    }
-}
-
-/// Prints the generated case for `seed` — payload, oracle, disassembly —
-/// then re-runs the differential matrix and prints the verdict. Returns
-/// whether the seed passed ([`fuzz_main`]'s `--seed`).
-fn print_seed_repro(seed: u64) -> bool {
-    let g = watchdog_gen::generate(seed, &GenConfig::default());
-    println!("seed:       {seed}");
-    println!("payload:    {:?}", g.oracle.payload);
-    println!(
-        "oracle:     {:?} at instruction {:?} (location-blind: {})",
-        g.oracle.expected, g.oracle.expected_pc, g.oracle.location_blind
-    );
-    println!(
-        "\n-- {} ({} instructions) --",
-        g.program.name(),
-        g.program.len()
-    );
-    print!("{}", g.program.disassemble());
-    match watchdog_gen::check_generated(&g) {
-        Ok(o) => {
-            println!(
-                "\nPASS: {} simulations agree with the oracle ({} guest insts under cons/functional)",
-                o.runs, o.insts
-            );
-            true
-        }
-        Err(f) => {
-            println!("\nFAIL: {f}");
-            false
-        }
-    }
-}
-
-/// Prints a fuzzing-campaign report (seed band, simulation counts, oracle
-/// split, per-failure repro lines). Returns [`FuzzSummary::ok`].
-fn print_fuzz_report(s: &FuzzSummary, jobs: usize, elapsed_secs: Option<f64>) -> bool {
-    println!(
-        "seeds:       {}..{} ({} programs + {} benign twins, {jobs} worker thread(s))",
-        s.seed_start,
-        s.seed_start + s.count as u64,
-        s.count,
-        s.count
-    );
-    let time = elapsed_secs.map_or(String::new(), |t| format!(" in {t:.2}s"));
-    // `outcomes` holds passing seeds only; be explicit about that when
-    // some seeds failed, so a failing campaign never under-reports its
-    // own size without saying so.
-    let scope = if s.failures.is_empty() {
-        ""
-    } else {
-        ", passing seeds only"
-    };
-    println!(
-        "simulations: {} ({} guest insts under cons/functional{scope}){time}",
-        s.total_runs(),
-        s.total_insts()
-    );
-    let violating = s.outcomes.iter().filter(|o| o.expected.is_some()).count();
-    println!(
-        "oracles:     {} violating, {} benign{scope} — 0 misses, 0 false positives required",
-        violating,
-        s.outcomes.len() - violating
-    );
-    if s.ok() {
-        println!(
-            "result:      PASS ({} seed(s), zero oracle mismatches)",
-            s.count
-        );
-    } else {
-        println!(
-            "result:      FAIL ({} of {} seed(s) diverged)",
-            s.failures.len(),
-            s.count
-        );
-        for f in &s.failures {
-            println!("{f}");
-        }
-    }
-    s.ok()
-}
-
-/// Complete fuzz command line, shared verbatim by the standalone `fuzz`
-/// binary and `watchdog-cli fuzz` so flags, defaults and report formats
-/// cannot drift between the two entry points.
-///
-/// `args` are the arguments after the command name and `jobs_env` the
-/// `WATCHDOG_JOBS` value. `--seed K` runs a verbose single-seed repro;
-/// otherwise `--seeds N` (default 1000) and `--seed-start K` (default 0)
-/// run a campaign across the [`args::Args::jobs`] worker count. Returns
-/// the process exit code: 0 on success, 1 on oracle divergence, 2 on a
-/// flag error.
-#[must_use]
-pub fn fuzz_main(args: &[String], jobs_env: Option<&std::ffi::OsStr>) -> i32 {
-    let uint = |name| args::Flag::value(name, "an unsigned integer");
-    let flags = [
-        uint("--seed"),
-        uint("--seeds"),
-        uint("--seed-start"),
-        args::JOBS,
-    ];
-    let parsed = args::parse("fuzz", 0, &flags, args).and_then(|a| {
-        Ok((
-            a.get::<u64>("--seed")?,
-            a.get("--seeds")?.unwrap_or(1000),
-            a.get("--seed-start")?.unwrap_or(0),
-            a.jobs(jobs_env)?,
-        ))
-    });
-    let (seed, count, start, jobs) = match parsed {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
-    if let Some(seed) = seed {
-        return if print_seed_repro(seed) { 0 } else { 1 };
-    }
-    let t0 = std::time::Instant::now();
-    let s = run_fuzz_with_jobs(start, count, jobs);
-    println!("== watchdog-gen differential fuzz ==");
-    if print_fuzz_report(&s, jobs, Some(t0.elapsed().as_secs_f64())) {
-        0
-    } else {
-        1
-    }
-}
-
 /// Benchmark names in the paper's figure order (the suite map is sorted
 /// alphabetically; figures should not be).
 pub fn figure_order() -> Vec<String> {
@@ -866,21 +675,6 @@ mod tests {
             s.loc_detected < s.loc_cases,
             "location-based checking must miss the reallocation cases: {s:?}"
         );
-    }
-
-    #[test]
-    fn fuzz_campaign_smoke() {
-        let s = run_fuzz_with_jobs(0, 8, 4);
-        assert!(s.ok(), "failures: {:?}", s.failures);
-        assert_eq!(s.outcomes.len(), 8);
-        assert!(
-            s.total_runs() >= 8 * 8,
-            "at least the 8-run main matrix per seed"
-        );
-        assert!(s.total_insts() > 0);
-        // Seed order is stable regardless of scheduling.
-        let seeds: Vec<u64> = s.outcomes.iter().map(|o| o.seed).collect();
-        assert_eq!(seeds, (0..8).collect::<Vec<_>>());
     }
 
     #[test]

@@ -45,7 +45,6 @@ fn every_bench_binary_rejects_bad_flags_before_it_simulates() {
             true,
         ),
         (env!("CARGO_BIN_EXE_juliet"), "--jobs", Some("many"), true),
-        (env!("CARGO_BIN_EXE_fuzz"), "--seeds", Some("many"), true),
         (env!("CARGO_BIN_EXE_table1"), "--scale", None, false),
     ];
     for &(exe, flag, bad, reads_jobs) in bins {
@@ -60,13 +59,4 @@ fn every_bench_binary_rejects_bad_flags_before_it_simulates() {
             assert_flag_error(exe, &["--jobs", "0"], None, "--jobs");
         }
     }
-    // The misparse the lax parsers let through, word for word: a
-    // misspelt flag the campaign silently ignored.
-    let fuzz = env!("CARGO_BIN_EXE_fuzz");
-    assert_flag_error(
-        fuzz,
-        &["--seeds", "3", "--seed-strat", "500"],
-        None,
-        "--seed-strat",
-    );
 }

@@ -30,7 +30,7 @@ pub const KIND_RETRIES_EXHAUSTED: u8 = 0xfe;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CellSpec {
     /// One `watchdog-gen` differential-fuzz seed (the full mode matrix
-    /// of `check_seed`, up to 12 simulations).
+    /// of `check_generated`, up to 12 simulations).
     Seed(u64),
 }
 

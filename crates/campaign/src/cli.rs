@@ -2,16 +2,19 @@
 //! shared [`watchdog_bench::args`] parser), the help text, and the
 //! exit-code policy.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::ffi::OsStr;
 use std::num::NonZeroU64;
 use std::path::PathBuf;
 use std::time::Duration;
 
 use watchdog_bench::args::{parse, Flag, JOBS};
+use watchdog_gen::{generate, matrix_runs, GenConfig};
 
-use crate::cell::CampaignSpec;
+use crate::cell::{CampaignSpec, CellOutcome, CellSpec};
 use crate::coordinator::{run_campaign, CampaignConfig};
 use crate::fault::FaultPlan;
+use crate::ledger::{dedup, parse_ledger};
 
 /// Help text for `watchdog-cli campaign --help`.
 pub const CAMPAIGN_HELP: &str = "\
@@ -19,12 +22,12 @@ watchdog-cli campaign — crash-isolated multi-process simulation campaign
 
 usage: watchdog-cli campaign [flags]
 
-The coordinator spawns worker processes (re-exec'd `watchdog-cli worker`),
-feeds them differential-fuzz seeds, and appends every result to a
-crash-safe ledger. Workers that panic, exit, hang or emit corrupt frames
-are killed and respawned; their cells are retried a bounded number of
-times. The completed ledger is byte-identical to a serial single-process
-run's.
+The one multi-seed differential fuzzer. The coordinator spawns worker
+processes (re-exec'd `watchdog-cli worker`), feeds them `watchdog-gen`
+seeds, and appends every result to a crash-safe ledger. Workers that
+panic, exit, hang or emit corrupt frames are killed and respawned; their
+cells are retried a bounded number of times. The completed ledger is
+byte-identical to a serial single-process run's.
 
 flags:
   --seeds N          fuzz campaign over N seeds (default 1000)
@@ -38,6 +41,10 @@ flags:
   --events PATH      write a JSONL event stream (spawns, reaps, retries,
                      per-cell fsync times, throughput) to PATH
   --quiet            suppress the periodic progress line
+
+The summary counts violating and benign seeds, simulations and guest
+instructions, and prints one `watchdog-cli fuzz --seed K` repro line per
+distinct failure.
 
 exit status: 0 all cells passed; 1 failures recorded or campaign error;
 2 bad usage.
@@ -106,9 +113,21 @@ pub fn parse_campaign_args(
     // Validate the plan now so the error surfaces at the coordinator,
     // not inside every worker.
     a.get::<FaultPlan>("--fault")?;
+    let (seeds, seed_start): (usize, u64) = (
+        a.get("--seeds")?.unwrap_or(1000),
+        a.get("--seed-start")?.unwrap_or(0),
+    );
+    // The band is `seed_start..seed_start + seeds`; past `u64::MAX` the
+    // seeds would wrap around to 0.
+    if seed_start.checked_add(seeds as u64).is_none() {
+        return Err(format!(
+            "--seed-start {seed_start} plus --seeds {seeds} runs past the last seed, {}",
+            u64::MAX
+        ));
+    }
     Ok(CampaignCli {
-        seeds: a.get("--seeds")?.unwrap_or(1000),
-        seed_start: a.get("--seed-start")?.unwrap_or(0),
+        seeds,
+        seed_start,
         jobs: a.jobs(jobs_env)?,
         ledger: a.get("--ledger")?.unwrap_or_else(|| "campaign.wdlg".into()),
         resume: a.has("--resume"),
@@ -155,30 +174,94 @@ pub fn campaign_main(args: &[String], worker_exe: PathBuf, jobs_env: Option<&OsS
         cfg.jobs,
         cli.ledger.display()
     );
-    match run_campaign(&spec, &cfg, &cli.ledger, cli.resume) {
-        Ok(stats) => {
-            let secs = (stats.elapsed_ms as f64 / 1000.0).max(1e-9);
-            println!("  cells     : {}", stats.cells);
-            println!("  resumed   : {}", stats.resumed);
-            println!("  ran       : {}", stats.completed);
-            println!("  retries   : {}", stats.retries);
-            println!("  respawns  : {}", stats.respawns);
-            println!(
-                "  failures  : {} ({} unique)",
-                stats.failures, stats.unique_failures
-            );
-            println!(
-                "  result    : {} in {:.1}s ({:.1} cells/s)",
-                if stats.failures == 0 { "PASS" } else { "FAIL" },
-                secs,
-                f64::from(stats.completed) / secs
-            );
-            i32::from(stats.failures != 0)
-        }
+    let finished = run_campaign(&spec, &cfg, &cli.ledger, cli.resume).and_then(|stats| {
+        let ledger = parse_ledger(&std::fs::read(&cli.ledger)?)?;
+        Ok((stats, FuzzTally::new(&spec, &dedup(&ledger.records))))
+    });
+    let (stats, tally) = match finished {
+        Ok(v) => v,
         Err(e) => {
             eprintln!("error: {e}");
-            1
+            return 1;
         }
+    };
+    let secs = (stats.elapsed_ms as f64 / 1000.0).max(1e-9);
+    let scope = (!tally.repros.is_empty()).then_some(", passing seeds only");
+    println!("  cells     : {}", stats.cells);
+    println!("  resumed   : {}", stats.resumed);
+    println!("  ran       : {}", stats.completed);
+    println!("  retries   : {}", stats.retries);
+    println!("  respawns  : {}", stats.respawns);
+    println!(
+        "  oracles   : {} violating, {} benign — 0 misses, 0 false positives required",
+        tally.violating, tally.benign
+    );
+    println!(
+        "  sims      : {} ({} guest insts under cons/functional{})",
+        tally.sims,
+        tally.insts,
+        scope.unwrap_or_default()
+    );
+    println!(
+        "  failures  : {} ({} unique)",
+        stats.failures, stats.unique_failures
+    );
+    for line in &tally.repros {
+        println!("    {line}");
+    }
+    println!(
+        "  result    : {} in {:.1}s ({:.1} cells/s)",
+        if stats.failures == 0 { "PASS" } else { "FAIL" },
+        secs,
+        f64::from(stats.completed) / secs
+    );
+    i32::from(stats.failures != 0)
+}
+
+/// The differential-fuzz report of a finished campaign, computed from its
+/// canonical ledger and seed list alone, so a resumed campaign reports
+/// exactly what an undisturbed one does: the oracle split of every seed,
+/// the simulations ([`matrix_runs`]) and guest instructions of the
+/// passing ones, and one repro line per failure signature (violation
+/// kind, faulting pc), naming its lowest failing seed.
+#[derive(Debug, Default)]
+struct FuzzTally {
+    violating: usize,
+    benign: usize,
+    sims: usize,
+    insts: u64,
+    repros: Vec<String>,
+}
+
+impl FuzzTally {
+    /// Tallies `done` (cell id to outcome) against the seeds of `spec`.
+    fn new(spec: &CampaignSpec, done: &BTreeMap<u32, CellOutcome>) -> FuzzTally {
+        let mut t = FuzzTally::default();
+        let mut seen = BTreeSet::new();
+        for (&id, outcome) in done {
+            let Some(CellSpec::Seed(seed)) = spec.cells.get(id as usize) else {
+                continue;
+            };
+            let oracle = generate(*seed, &GenConfig::default()).oracle;
+            if oracle.expected.is_some() {
+                t.violating += 1;
+            } else {
+                t.benign += 1;
+            }
+            match outcome {
+                CellOutcome::Pass { insts, .. } => {
+                    t.sims += matrix_runs(&oracle);
+                    t.insts += insts;
+                }
+                CellOutcome::Fail { kind, pc, detail } if seen.insert((*kind, *pc)) => {
+                    let first = detail.lines().next().unwrap_or("");
+                    t.repros
+                        .push(format!("repro: watchdog-cli fuzz --seed {seed}  # {first}"));
+                }
+                CellOutcome::Fail { .. } => {}
+            }
+        }
+        t
     }
 }
 
@@ -283,5 +366,42 @@ mod tests {
         assert_eq!(e, "--seeds given more than once");
         let e = parse_campaign_args(&[], Some(OsStr::new("0"))).unwrap_err();
         assert!(e.contains("WATCHDOG_JOBS"), "{e}");
+        let e = parse(&["--seed-start", "18446744073709551615", "--seeds", "2"]).unwrap_err();
+        assert!(e.contains("runs past the last seed"), "{e}");
+        let last = ["--seed-start", "18446744073709551614", "--seeds", "1"];
+        assert_eq!(parse(&last).unwrap().seed_start, u64::MAX - 1);
+    }
+
+    #[test]
+    fn the_fuzz_tally_reads_the_oracles_and_the_passing_cells() {
+        let spec = CampaignSpec::fuzz(0, 25);
+        let mut done: BTreeMap<u32, CellOutcome> = crate::run_campaign_serial(&spec)
+            .into_iter()
+            .map(|r| (r.cell, r.outcome))
+            .collect();
+        let t = FuzzTally::new(&spec, &done);
+        assert_eq!((t.violating, t.benign), (19, 6), "{t:?}");
+        assert_eq!((t.sims, t.insts), (276, 1057), "{t:?}");
+        assert!(t.repros.is_empty(), "{t:?}");
+
+        // Failures drop out of the simulation count, keep their oracle,
+        // and print one repro line per signature (lowest seed first).
+        let fail = |detail: &str| CellOutcome::Fail {
+            kind: 7,
+            pc: 3,
+            detail: detail.into(),
+        };
+        done.insert(
+            4,
+            fail("seed 4: synthetic\n  repro: watchdog-cli fuzz --seed 4"),
+        );
+        done.insert(9, fail("seed 9: synthetic"));
+        let f = FuzzTally::new(&spec, &done);
+        assert_eq!((f.violating, f.benign), (19, 6));
+        assert!(f.sims < t.sims && f.insts < t.insts, "{f:?}");
+        assert_eq!(
+            f.repros,
+            ["repro: watchdog-cli fuzz --seed 4  # seed 4: synthetic"]
+        );
     }
 }

@@ -1,7 +1,7 @@
 //! The differential detection harness.
 //!
-//! For one seed, [`check_seed`] runs the generated program under the full
-//! mode matrix and cross-checks every observation against the
+//! For one seed, [`check_generated`] runs the generated program under the
+//! full mode matrix and cross-checks every observation against the
 //! [`Oracle`] ground truth:
 //!
 //! | run | assertion |
@@ -17,25 +17,19 @@
 //! heap behaviour, footprint and violation ([`RunReport::agrees_with`]) —
 //! the timing model may only add cycle data, never change what happened.
 //!
-//! A failure carries the seed and a one-line repro command; the bench
-//! crate's `fuzz` binary shards seeds across the worker pool and prints
-//! them.
+//! A failure carries the seed and a one-line repro command. Many seeds run
+//! through `watchdog-cli campaign` (crash-isolated workers, a resumable
+//! ledger), whose summary prints every failure's repro line.
 
-use crate::script::{generate, GenConfig, Generated, Oracle, Payload};
+use crate::script::{Generated, Oracle, Payload};
 use std::fmt;
 use watchdog_core::prelude::*;
 use watchdog_isa::Program;
 
-/// Everything a passing seed reports (compact, `Eq`-comparable — the
-/// determinism tests assert sharded campaigns reproduce these exactly).
+/// Everything a passing seed reports (compact and `Eq`-comparable; a
+/// campaign cell digests it into its ledger record).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DiffOutcome {
-    /// The seed.
-    pub seed: u64,
-    /// Payload the generator chose.
-    pub payload: Payload,
-    /// The oracle's expectation.
-    pub expected: Option<ViolationKind>,
     /// Dynamic instructions of the conservative functional run.
     pub insts: u64,
     /// Simulations performed for this seed.
@@ -98,7 +92,20 @@ fn check_oracle(report: &RunReport, oracle: &Oracle) -> Result<(), String> {
     }
 }
 
-/// Runs the full differential matrix for one seed.
+/// Simulations [`check_generated`] runs for a case with `oracle` when the
+/// case passes: the 8-run main matrix, plus the benign twin under cons,
+/// isa, location-based and bounds when the oracle expects a violation.
+/// Lets a report count simulations from the oracle alone (the campaign
+/// ledger records only each seed's verdict).
+pub fn matrix_runs(oracle: &Oracle) -> usize {
+    if oracle.expected.is_some() {
+        12
+    } else {
+        8
+    }
+}
+
+/// Runs the full differential matrix for one generated case.
 ///
 /// # Errors
 ///
@@ -106,12 +113,6 @@ fn check_oracle(report: &RunReport, oracle: &Oracle) -> Result<(), String> {
 /// misplaced violation, a false positive, a timed/functional disagreement,
 /// a location-based detection where blindness is expected, or a simulator
 /// error.
-pub fn check_seed(seed: u64, cfg: &GenConfig) -> Result<DiffOutcome, DiffFailure> {
-    check_generated(&generate(seed, cfg))
-}
-
-/// [`check_seed`] for an already-generated case (lets callers print the
-/// case and check it without generating twice).
 pub fn check_generated(g: &Generated) -> Result<DiffOutcome, DiffFailure> {
     let seed = g.seed;
     let fail = |detail: String| DiffFailure { seed, detail };
@@ -213,9 +214,6 @@ pub fn check_generated(g: &Generated) -> Result<DiffOutcome, DiffFailure> {
     }
 
     Ok(DiffOutcome {
-        seed,
-        payload: g.oracle.payload,
-        expected: g.oracle.expected,
         insts: cons_f.machine.insts,
         runs,
         program_digest: g.digest(),
@@ -226,24 +224,28 @@ pub fn check_generated(g: &Generated) -> Result<DiffOutcome, DiffFailure> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::script::{generate, GenConfig};
 
     #[test]
     fn a_band_of_seeds_passes_the_full_matrix() {
         let cfg = GenConfig::default();
+        let mut sizes = std::collections::BTreeSet::new();
         for seed in 0..32 {
-            check_seed(seed, &cfg).unwrap_or_else(|e| panic!("{e}"));
+            let g = generate(seed, &cfg);
+            let o = check_generated(&g).unwrap_or_else(|e| panic!("{e}"));
+            assert_eq!(o.runs, matrix_runs(&g.oracle), "seed {seed}");
+            sizes.insert(o.runs);
         }
+        // Both matrix shapes (violating and benign) occur in the band.
+        assert_eq!(sizes.len(), 2, "{sizes:?}");
     }
 
     #[test]
     fn outcome_is_reproducible() {
         let cfg = GenConfig::default();
-        let a = check_seed(7, &cfg).unwrap();
-        let b = check_seed(7, &cfg).unwrap();
+        let a = check_generated(&generate(7, &cfg)).unwrap();
+        let b = check_generated(&generate(7, &cfg)).unwrap();
         assert_eq!(a, b);
-        // 8 main-matrix runs, plus 4 twin runs for violating payloads.
-        let want = if a.expected.is_some() { 12 } else { 8 };
-        assert_eq!(a.runs, want, "matrix size for {:?}", a.payload);
         assert!(a.insts > 0);
     }
 

@@ -14,8 +14,8 @@
 //! precisely which access must trap, with which [`ViolationKind`], at
 //! which instruction index. That ground truth is the [`Oracle`].
 //!
-//! The differential harness ([`check_seed`]) then runs each program under
-//! every mode — baseline, conservative and ISA-assisted Watchdog (both
+//! The differential harness ([`check_generated`]) then runs each program
+//! under every mode — baseline, conservative and ISA-assisted Watchdog (both
 //! functional and timed), the bounds extension, and the §2.1
 //! location-based checker — and cross-checks: detections equal the oracle
 //! (no misses, no false positives, exact faulting instruction),
@@ -29,14 +29,14 @@
 //! # Example
 //!
 //! ```
-//! use watchdog_gen::{check_seed, generate, GenConfig};
+//! use watchdog_gen::{check_generated, generate, GenConfig};
 //!
 //! let cfg = GenConfig::default();
 //! let g = generate(3, &cfg);
 //! assert!(g.program.len() > 10);
 //! // The full differential matrix passes for this seed.
-//! let outcome = check_seed(3, &cfg).expect("no divergence");
-//! assert_eq!(outcome.seed, 3);
+//! let outcome = check_generated(&g).expect("no divergence");
+//! assert!(outcome.runs >= 8);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -46,7 +46,7 @@ pub mod diff;
 pub mod rng;
 pub mod script;
 
-pub use diff::{check_generated, check_seed, DiffFailure, DiffOutcome};
+pub use diff::{check_generated, matrix_runs, DiffFailure, DiffOutcome};
 pub use rng::Rng;
 pub use script::{generate, GenConfig, Generated, Oracle, Payload, Route};
 pub use watchdog_core::error::ViolationKind;

@@ -12,6 +12,13 @@
 
 use crate::config::ConfigError;
 
+/// Largest cache block, in bytes: one 4 KB page.
+const MAX_BLOCK: u64 = 4096;
+
+/// Most lines one cache may hold (Table 2's 16 MB L3 holds 2^18). The
+/// line state is allocated up front, 16 bytes per line.
+const MAX_CACHE_LINES: u64 = 1 << 20;
+
 /// Geometry of one cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
@@ -38,18 +45,26 @@ impl CacheConfig {
     }
 
     /// Checks that `size`, `ways` and `block` are powers of two with at
-    /// least one set and at most 16 ways (validity masks are `u16`).
-    /// `fields` names `size`, `ways` and `block` in the error.
+    /// least one set and at most 16 ways (validity masks are `u16`), a
+    /// block of at most one 4 KB page, and at most 2^20 lines (all
+    /// allocated up front). `fields` names `size`, `ways` and `block` in
+    /// the error.
     ///
     /// # Errors
     ///
     /// A [`ConfigError`] naming the first offending field.
     pub fn validate(&self, [size, ways, block]: [&'static str; 3]) -> Result<(), ConfigError> {
         ConfigError::check_pow2(block, self.block)?;
+        ConfigError::check_range(block, self.block, 1, MAX_BLOCK)?;
         ConfigError::check_pow2(ways, self.ways)?;
         ConfigError::check_range(ways, self.ways, 1, 16)?;
         ConfigError::check_pow2(size, self.size)?;
-        ConfigError::check_min(size, self.size, self.ways.saturating_mul(self.block))
+        ConfigError::check_range(
+            size,
+            self.size,
+            self.ways * self.block,
+            self.block * MAX_CACHE_LINES,
+        )
     }
 
     /// Number of sets.

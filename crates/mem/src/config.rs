@@ -1,12 +1,33 @@
-//! The typed error every simulator configuration check returns: the
-//! memory hierarchy's and the core's.
+//! The typed error every simulator configuration check returns (the
+//! memory hierarchy's and the core's), and the bounds both share.
 
 use std::fmt;
+
+/// Largest latency, in cycles, any core or hierarchy latency field may
+/// hold (2^20, about a third of a millisecond at 3.2 GHz; Table 2's
+/// largest is DRAM's 100).
+///
+/// The bound is what keeps every timestamp sum in range. One µop's
+/// completion exceeds the latest earlier timestamp by at most its
+/// dispatch latency, an unpipelined unit's busy time, the address
+/// generation latency and one full memory path (L1, a TLB walk, L2, L3
+/// and DRAM), and a mispredict adds one redirect penalty: at most ten
+/// bounded terms, under 2^24 cycles. A run's cycle count therefore grows
+/// by under 2^24 per µop, and reaching `u64::MAX` would take 2^40 µops,
+/// hours to days of simulation.
+pub const MAX_LATENCY: u64 = 1 << 20;
+
+/// Largest entry count of any sized structure: the core's windows,
+/// return-address stack and metadata register file, each TLB, and each
+/// prefetcher's streams and degree (Table 2's largest is the 168-entry
+/// ROB). Every one is allocated up front, so the bound keeps a
+/// configuration from asking for more memory than the host has.
+pub const MAX_ENTRIES: u64 = 1 << 16;
 
 /// What a configuration field must satisfy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Constraint {
-    /// Within `min..=max` (`max` is `u64::MAX` when unbounded).
+    /// Within `min..=max`.
     Range {
         /// Smallest accepted value.
         min: u64,
@@ -43,9 +64,16 @@ impl ConfigError {
         }
     }
 
-    /// `Ok` when `value` is at least `min`, else an error naming `field`.
-    pub fn check_min(field: &'static str, value: u64, min: u64) -> Result<(), Self> {
-        Self::check_range(field, value, min, u64::MAX)
+    /// `Ok` when `value` is at most [`MAX_LATENCY`], else an error naming
+    /// `field`.
+    pub fn check_latency(field: &'static str, value: u64) -> Result<(), Self> {
+        Self::check_range(field, value, 0, MAX_LATENCY)
+    }
+
+    /// `Ok` when `value` is in `1..=`[`MAX_ENTRIES`], else an error naming
+    /// `field`.
+    pub fn check_entries(field: &'static str, value: u64) -> Result<(), Self> {
+        Self::check_range(field, value, 1, MAX_ENTRIES)
     }
 
     /// `Ok` when `value` is a power of two, else an error naming `field`.
@@ -66,8 +94,6 @@ impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "config field `{}` = {} ", self.field, self.value)?;
         match self.constraint {
-            Constraint::Range { min, max: u64::MAX } => write!(f, "must be at least {min}"),
-            Constraint::Range { min, max } if min == max => write!(f, "must be {min}"),
             Constraint::Range { min, max } => write!(f, "must be in {min}..={max}"),
             Constraint::PowerOfTwo => write!(f, "must be a power of two"),
         }

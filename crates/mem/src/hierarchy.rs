@@ -19,7 +19,7 @@
 //!   (§9.3's cache-pressure isolation experiment).
 
 use crate::cache::{Cache, CacheConfig, CacheStats};
-use crate::config::ConfigError;
+use crate::config::{ConfigError, MAX_ENTRIES};
 use crate::prefetch::StreamPrefetcher;
 use crate::tlb::Tlb;
 
@@ -206,10 +206,14 @@ impl Default for HierarchyConfig {
 
 impl HierarchyConfig {
     /// Checks every field the hierarchy cannot be built from: each cache
-    /// geometry (see [`CacheConfig::validate`]), at least one entry per
-    /// TLB and at least one stream per prefetcher. The fields are `pub`,
-    /// so a struct literal can skip [`CacheConfig::new`]'s checks; every
-    /// driver calls this before building a [`Hierarchy`].
+    /// geometry (see [`CacheConfig::validate`]), `1..=`[`MAX_ENTRIES`]
+    /// entries per TLB and streams per prefetcher, a prefetch degree of at
+    /// most [`MAX_ENTRIES`], and every latency at most
+    /// [`MAX_LATENCY`](crate::MAX_LATENCY), which keeps the core's
+    /// timestamp sums from overflowing (the argument is on the constant).
+    /// The fields are `pub`, so a struct literal can skip
+    /// [`CacheConfig::new`]'s checks; the live run and every replay call
+    /// this before building a [`Hierarchy`].
     ///
     /// # Errors
     ///
@@ -220,10 +224,17 @@ impl HierarchyConfig {
         self.ll.validate(["ll.size", "ll.ways", "ll.block"])?;
         self.l2.validate(["l2.size", "l2.ways", "l2.block"])?;
         self.l3.validate(["l3.size", "l3.ways", "l3.block"])?;
-        ConfigError::check_min("dtlb_entries", self.dtlb_entries as u64, 1)?;
-        ConfigError::check_min("lltlb_entries", self.lltlb_entries as u64, 1)?;
-        ConfigError::check_min("l1_prefetch.streams", self.l1_prefetch.0 as u64, 1)?;
-        ConfigError::check_min("l2_prefetch.streams", self.l2_prefetch.0 as u64, 1)
+        ConfigError::check_entries("dtlb_entries", self.dtlb_entries as u64)?;
+        ConfigError::check_entries("lltlb_entries", self.lltlb_entries as u64)?;
+        ConfigError::check_entries("l1_prefetch.streams", self.l1_prefetch.0 as u64)?;
+        ConfigError::check_range("l1_prefetch.degree", self.l1_prefetch.1, 0, MAX_ENTRIES)?;
+        ConfigError::check_entries("l2_prefetch.streams", self.l2_prefetch.0 as u64)?;
+        ConfigError::check_range("l2_prefetch.degree", self.l2_prefetch.1, 0, MAX_ENTRIES)?;
+        ConfigError::check_latency("l1_lat", self.l1_lat)?;
+        ConfigError::check_latency("l2_lat", self.l2_lat)?;
+        ConfigError::check_latency("l3_lat", self.l3_lat)?;
+        ConfigError::check_latency("mem_lat", self.mem_lat)?;
+        ConfigError::check_latency("tlb_miss_penalty", self.tlb_miss_penalty)
     }
 }
 

@@ -35,7 +35,7 @@ pub mod vm;
 pub mod words;
 
 pub use cache::{Cache, CacheConfig, CacheStats, GeometryClasses};
-pub use config::{ConfigError, Constraint};
+pub use config::{ConfigError, Constraint, MAX_ENTRIES, MAX_LATENCY};
 pub use hash::{FastMap, MulHasher};
 pub use hierarchy::{
     AccessClass, AccessOutcome, AccessReq, Hierarchy, HierarchyConfig, HierarchyStats,

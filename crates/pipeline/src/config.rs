@@ -2,7 +2,7 @@
 
 use crate::rename::META_REGS_FLOOR;
 use crate::wheel::POOL_PAD;
-use watchdog_mem::ConfigError;
+use watchdog_mem::{ConfigError, MAX_ENTRIES};
 
 /// Table 2's physical register files, printed by
 /// [`CoreConfig::describe`]. Not modelled: the timing model renames only
@@ -10,22 +10,34 @@ use watchdog_mem::ConfigError;
 /// affect a simulated number.
 pub const TABLE2_REGISTERS: &str = "(160 int + 144 floating point)";
 
+/// Table 2 rows the timing model does not simulate, printed by
+/// [`CoreConfig::describe`]: the clock (the simulator reports cycles) and
+/// the fetch and rename latencies (the frontend charges fetch bandwidth,
+/// I-cache misses and redirects; pipeline depth enters only through
+/// `CoreConfig::redirect_penalty`).
+pub const TABLE2_CLOCK: &str = "3.2 GHz";
+/// Table 2's fetch latency; not modelled (see [`TABLE2_CLOCK`]).
+pub const TABLE2_FETCH_LATENCY: &str = "3 cycle latency";
+/// Table 2's rename latency; not modelled (see [`TABLE2_CLOCK`]).
+pub const TABLE2_RENAME_LATENCY: &str = "2 cycle latency";
+
+/// Widest fetch (bytes), rename or commit (µops) width per cycle. It
+/// bounds the CPI stack's `cycles × commit_width` slots: a µop adds under
+/// 2^24 cycles ([`MAX_LATENCY`](watchdog_mem::MAX_LATENCY)), so under 2^30
+/// slots, and overflow takes 2^34 worst-case µops, over three times what
+/// the default limit (2×10^8 instructions of at most 24 µops) allows.
+const MAX_WIDTH: u64 = 64;
+
 /// Out-of-order core parameters.
 ///
 /// [`CoreConfig::sandy_bridge`] reproduces Table 2; every field is public so
 /// ablation studies can vary one parameter at a time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoreConfig {
-    /// Core clock in MHz (informational; the simulator reports cycles).
-    pub clock_mhz: u64,
     /// Fetch bandwidth in bytes per cycle ("16 bytes/cycle").
     pub fetch_bytes_per_cycle: u64,
-    /// Fetch pipeline latency in cycles.
-    pub fetch_latency: u64,
     /// Rename width in µops per cycle ("max 6 µops per cycle").
     pub rename_width: u64,
-    /// Rename latency in cycles.
-    pub rename_latency: u64,
     /// Dispatch latency in cycles.
     pub dispatch_latency: u64,
     /// Reorder-buffer entries ("168-entry ROB").
@@ -88,11 +100,8 @@ impl CoreConfig {
     /// The Table 2 configuration.
     pub const fn sandy_bridge() -> Self {
         CoreConfig {
-            clock_mhz: 3200,
             fetch_bytes_per_cycle: 16,
-            fetch_latency: 3,
             rename_width: 6,
-            rename_latency: 2,
             dispatch_latency: 1,
             rob_entries: 168,
             iq_entries: 54,
@@ -126,10 +135,7 @@ impl CoreConfig {
     /// reproduction binary.
     pub fn describe(&self) -> Vec<(String, String)> {
         vec![
-            (
-                "Clock".into(),
-                format!("{:.1} GHz", self.clock_mhz as f64 / 1000.0),
-            ),
+            ("Clock".into(), TABLE2_CLOCK.into()),
             (
                 "Bpred".into(),
                 "3-table PPM: 256x2, 128x4, 128x4, 8-bit tags, 2-bit counters".into(),
@@ -137,15 +143,15 @@ impl CoreConfig {
             (
                 "Fetch".into(),
                 format!(
-                    "{} bytes/cycle. {} cycle latency",
-                    self.fetch_bytes_per_cycle, self.fetch_latency
+                    "{} bytes/cycle. {TABLE2_FETCH_LATENCY}",
+                    self.fetch_bytes_per_cycle
                 ),
             ),
             (
                 "Rename".into(),
                 format!(
-                    "Max {} uops per cycle. {} cycle latency",
-                    self.rename_width, self.rename_latency
+                    "Max {} uops per cycle. {TABLE2_RENAME_LATENCY}",
+                    self.rename_width
                 ),
             ),
             (
@@ -191,25 +197,28 @@ impl CoreConfig {
     }
 
     /// Checks that every sizing field describes a buildable machine:
-    /// each window holds at least one entry, each functional-unit class
+    /// each window, the return-address stack and the metadata register
+    /// file hold `1..=`[`MAX_ENTRIES`] entries (the register file more
+    /// than rename's permanent mappings), each functional-unit class
     /// (including the issue-slot pool, sized by `issue_width`) has
-    /// `1..=`[`POOL_PAD`] units, the fetch/rename/commit widths and the
-    /// return-address stack are non-zero, and the metadata register file
-    /// is larger than rename's permanent mappings.
+    /// `1..=`[`POOL_PAD`] units, the fetch/rename/commit widths are in
+    /// `1..=64`, and every latency (`dispatch_latency`,
+    /// `redirect_penalty`, each `lat_*`) is at most
+    /// [`MAX_LATENCY`](watchdog_mem::MAX_LATENCY), which keeps every
+    /// timestamp sum from overflowing (the argument is on the constant).
     ///
     /// # Errors
     ///
     /// A [`ConfigError`] naming the first offending field.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        let at_least = |field, value: usize, min: usize| {
-            ConfigError::check_min(field, value as u64, min as u64)
-        };
+        let entries = |field, value: usize| ConfigError::check_entries(field, value as u64);
         let units =
             |field, value: usize| ConfigError::check_range(field, value as u64, 1, POOL_PAD as u64);
-        at_least("rob_entries", self.rob_entries, 1)?;
-        at_least("iq_entries", self.iq_entries, 1)?;
-        at_least("lq_entries", self.lq_entries, 1)?;
-        at_least("sq_entries", self.sq_entries, 1)?;
+        let width = |field, value| ConfigError::check_range(field, value, 1, MAX_WIDTH);
+        entries("rob_entries", self.rob_entries)?;
+        entries("iq_entries", self.iq_entries)?;
+        entries("lq_entries", self.lq_entries)?;
+        entries("sq_entries", self.sq_entries)?;
         units("int_alus", self.int_alus)?;
         units("muldiv_units", self.muldiv_units)?;
         units("fp_alus", self.fp_alus)?;
@@ -220,15 +229,30 @@ impl CoreConfig {
         units("store_ports", self.store_ports)?;
         units("ll_ports", self.ll_ports)?;
         units("issue_width", self.issue_width as usize)?;
-        at_least(
-            "fetch_bytes_per_cycle",
-            self.fetch_bytes_per_cycle as usize,
-            1,
+        width("fetch_bytes_per_cycle", self.fetch_bytes_per_cycle)?;
+        width("rename_width", self.rename_width)?;
+        width("commit_width", self.commit_width)?;
+        entries("ras_entries", self.ras_entries)?;
+        ConfigError::check_range(
+            "meta_phys_regs",
+            self.meta_phys_regs as u64,
+            META_REGS_FLOOR as u64 + 1,
+            MAX_ENTRIES,
         )?;
-        at_least("rename_width", self.rename_width as usize, 1)?;
-        at_least("commit_width", self.commit_width as usize, 1)?;
-        at_least("ras_entries", self.ras_entries, 1)?;
-        at_least("meta_phys_regs", self.meta_phys_regs, META_REGS_FLOOR + 1)
+        for (field, value) in [
+            ("dispatch_latency", self.dispatch_latency),
+            ("redirect_penalty", self.redirect_penalty),
+            ("lat_int_alu", self.lat_int_alu),
+            ("lat_int_mul", self.lat_int_mul),
+            ("lat_int_div", self.lat_int_div),
+            ("lat_fp_alu", self.lat_fp_alu),
+            ("lat_fp_mul", self.lat_fp_mul),
+            ("lat_fp_div", self.lat_fp_div),
+            ("lat_agu", self.lat_agu),
+        ] {
+            ConfigError::check_latency(field, value)?;
+        }
+        Ok(())
     }
 }
 
@@ -254,7 +278,6 @@ mod tests {
         assert_eq!(c.load_ports, 2);
         assert_eq!(c.store_ports, 1);
         assert_eq!(c.fetch_bytes_per_cycle, 16);
-        assert_eq!(c.clock_mhz, 3200);
     }
 
     #[test]
@@ -266,6 +289,10 @@ mod tests {
         assert!(rows
             .iter()
             .any(|(k, v)| k == "Registers" && v == "(160 int + 144 floating point)"));
+        let row = |name: &str| rows.iter().find(|(k, _)| k == name).unwrap().1.clone();
+        assert_eq!(row("Clock"), "3.2 GHz");
+        assert_eq!(row("Fetch"), "16 bytes/cycle. 3 cycle latency");
+        assert_eq!(row("Rename"), "Max 6 uops per cycle. 2 cycle latency");
     }
 
     #[test]

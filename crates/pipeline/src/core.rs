@@ -473,6 +473,9 @@ impl TimingCore {
         let mut cpi_stall = [0u64; NUM_STALL_CAUSES];
 
         let lock_via_ll = self.hier.lock_cache_enabled();
+        // An I-fetch hit costs the L1 latency, which the frontend hides;
+        // only the cycles beyond it stall fetch.
+        let l1 = self.hier.config().l1_lat;
         for (i, ev) in insts.iter().enumerate() {
             self.insts += 1;
 
@@ -493,7 +496,6 @@ impl TimingCore {
             if block != self.last_fetch_block {
                 self.last_fetch_block = block;
                 let lat = self.hier.access(AccessClass::Ifetch, ev.pc, false);
-                let l1 = 3;
                 if lat > l1 {
                     // An I-cache miss starves the frontend for the extra
                     // cycles.
@@ -872,6 +874,24 @@ mod tests {
             );
             feed(core, &ci);
         }
+    }
+
+    #[test]
+    fn icache_stalls_do_not_depend_on_the_l1_hit_latency() {
+        // The frontend hides an I-fetch hit at any L1 latency; only the
+        // cycles a miss adds beyond it stall fetch.
+        let icache = |l1_lat| {
+            let hier = HierarchyConfig {
+                l1_lat,
+                ..HierarchyConfig::default()
+            };
+            let mut core = TimingCore::new(CoreConfig::sandy_bridge(), hier);
+            feed_alu_stream(&mut core, false, 3000);
+            core.finish().stalls.icache
+        };
+        let base = icache(3);
+        assert!(base > 0, "the stream's first block misses");
+        assert_eq!(icache(5), base);
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! vendored registry, so the real `proptest` cannot be fetched. This shim
 //! implements the slice of its API the workspace's property suites use —
 //! [`Strategy`] with `prop_map`, range/tuple/`Just`/`any` strategies,
-//! `proptest::collection::vec`, and the [`proptest!`] / [`prop_assert!`]
-//! family — on top of a small deterministic xorshift RNG.
+//! `proptest::collection::vec`, the [`proptest!`] / [`prop_assert!`]
+//! family and a per-block [`ProptestConfig`] case count — on top of a
+//! small deterministic xorshift RNG.
 //!
 //! Differences from the real crate, by design:
 //!
@@ -13,7 +14,9 @@
 //!   assertion message) but is not minimised.
 //! * **Deterministic seeding.** Each test derives its seed from its own
 //!   name, so runs are reproducible; set `PROPTEST_CASES` to change the
-//!   number of cases per test (default 32).
+//!   number of cases per test (default 32). A block that states its own
+//!   count (`#![proptest_config(ProptestConfig::with_cases(n))]`) keeps
+//!   it, as in the real crate.
 //!
 //! To switch to the real crate, repoint the `proptest` entry in the
 //! workspace `[workspace.dependencies]` at a registry version.
@@ -288,26 +291,43 @@ pub fn cases() -> u32 {
         .unwrap_or(32)
 }
 
+/// A [`proptest!`] block's configuration, set with
+/// `#![proptest_config(...)]` as the block's first item.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ProptestConfig {
+    /// Cases each test of the block runs.
+    pub cases: u32,
+}
+
+impl ProptestConfig {
+    /// A configuration running `cases` cases per test.
+    pub fn with_cases(cases: u32) -> Self {
+        ProptestConfig { cases }
+    }
+}
+
 /// Glob-import surface mirroring `proptest::prelude::*`.
 pub mod prelude {
     pub use crate::{
         any, prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest,
-        Arbitrary, BoxedStrategy, Just, Strategy, TestCaseError, TestCaseResult,
+        Arbitrary, BoxedStrategy, Just, ProptestConfig, Strategy, TestCaseError, TestCaseResult,
     };
 }
 
 /// Defines property tests: each `fn name(arg in strategy, ...) { body }`
-/// becomes a `#[test]` running the body over generated inputs.
+/// becomes a `#[test]` running the body over generated inputs. An optional
+/// leading `#![proptest_config(config)]` sets the block's case count.
 #[macro_export]
 macro_rules! proptest {
-    ($(
+    (@with $config:expr; $(
         $(#[$attr:meta])*
         fn $name:ident($($arg:ident in $strat:expr),+ $(,)?) $body:block
     )+) => {$(
         $(#[$attr])*
         fn $name() {
+            let config: $crate::ProptestConfig = $config;
             let mut rng = $crate::TestRng::new($crate::seed_from_name(stringify!($name)));
-            for case in 0..$crate::cases() {
+            for case in 0..config.cases {
                 $(let $arg = $crate::Strategy::new_value(&$strat, &mut rng);)+
                 let result: ::std::result::Result<(), $crate::TestCaseError> = (|| {
                     $body
@@ -319,6 +339,12 @@ macro_rules! proptest {
             }
         }
     )+};
+    (#![proptest_config($config:expr)] $($tests:tt)+) => {
+        $crate::proptest!(@with $config; $($tests)+);
+    };
+    ($($tests:tt)+) => {
+        $crate::proptest!(@with $crate::ProptestConfig::with_cases($crate::cases()); $($tests)+);
+    };
 }
 
 /// Uniformly chooses between the listed strategies each draw.
@@ -387,6 +413,7 @@ macro_rules! prop_assume {
 mod tests {
     use super::prelude::*;
     use super::*;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     #[test]
     fn ranges_stay_in_bounds() {
@@ -420,6 +447,24 @@ mod tests {
             seen[s.new_value(&mut rng) as usize] = true;
         }
         assert_eq!(seen, [false, true, true, true]);
+    }
+
+    static CONFIGURED_CASES: AtomicU32 = AtomicU32::new(0);
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(5))]
+        /// Not a `#[test]` itself: the test below calls it and counts.
+        fn a_block_config_sets_the_case_count(x in 0u32..10) {
+            prop_assert!(x < 10);
+            CONFIGURED_CASES.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    #[test]
+    fn configured_block_runs_its_own_count() {
+        CONFIGURED_CASES.store(0, Ordering::Relaxed);
+        a_block_config_sets_the_case_count();
+        assert_eq!(CONFIGURED_CASES.load(Ordering::Relaxed), 5);
     }
 
     proptest! {

@@ -12,13 +12,12 @@
 //! watchdog-cli perf compare bench-history/BENCH_aaa.json BENCH_bbb.json
 //! watchdog-cli events validate run.events.jsonl --ledger fuzz.wdlg
 //! watchdog-cli juliet                       # run the §9.2 security suite
-//! watchdog-cli fuzz --seeds 1000            # differential fuzzing campaign
-//! watchdog-cli fuzz --seed 42               # reproduce one generated case
+//! watchdog-cli fuzz --seed 42               # reproduce one generated fuzz case
 //! watchdog-cli trace record mcf --mode cons -o mcf.wdtr
 //! watchdog-cli trace replay mcf --trace mcf.wdtr --verify
 //! watchdog-cli trace info --trace mcf.wdtr
 //! watchdog-cli trace selftest --seeds 25    # record→replay equivalence smoke
-//! watchdog-cli campaign --seeds 100000      # crash-isolated multi-process fuzz
+//! watchdog-cli campaign --seeds 1000        # differential fuzzing, crash-isolated workers
 //! watchdog-cli campaign --resume            # continue an interrupted campaign
 //! watchdog-cli worker                       # internal: campaign child process
 //! ```
@@ -26,7 +25,7 @@
 use std::ffi::OsStr;
 
 use watchdog::bench::args::{Args, Flag, JOBS, SCALE};
-use watchdog::bench::{fuzz_main, run_juliet_with_jobs, summarize_juliet};
+use watchdog::bench::{run_juliet_with_jobs, summarize_juliet};
 use watchdog::prelude::*;
 use watchdog::trace::{record, replay, replay_many, verify_replay, ReplayConfig, Trace};
 
@@ -41,7 +40,7 @@ fn usage() -> ! {
          watchdog-cli perf [--samples N] [--filter F] [--out-dir DIR] [-o FILE] [--rev R]\n  \
          watchdog-cli perf compare <baseline.json> <candidate.json> [--threshold PCT] [-o FILE]\n  \
          watchdog-cli events validate <events.jsonl> [--ledger FILE]\n  watchdog-cli juliet [--mode <mode>] [--jobs J]\n  \
-         watchdog-cli fuzz [--seeds N] [--seed-start K] [--jobs J]\n  watchdog-cli fuzz --seed <K>\n  \
+         watchdog-cli fuzz --seed <K>          (one seed's repro; many seeds: campaign)\n  \
          watchdog-cli trace record <bench> [--mode <mode>] [--scale <scale>] [-o FILE]\n  \
          watchdog-cli trace replay <bench> --trace FILE [--scale <scale>] [--verify]\n  \
          watchdog-cli trace info --trace FILE\n  \
@@ -779,13 +778,43 @@ fn cmd_juliet(args: &[String], jobs_env: Option<&OsStr>) {
     println!("false positives: {}/{}", s.false_positives, s.cases);
 }
 
-fn cmd_fuzz(args: &[String], jobs_env: Option<&OsStr>) {
-    // The whole fuzz command line (flags, defaults, repro and campaign
-    // reports) is shared with the standalone `fuzz` binary, so the two
-    // entry points cannot drift.
-    let code = fuzz_main(args, jobs_env);
-    if code != 0 {
-        std::process::exit(code);
+/// `fuzz --seed K`: prints the generated case for one seed — payload,
+/// oracle, disassembly — then runs its differential matrix and prints
+/// the verdict (exit 1 on a divergence). Many seeds run through
+/// `campaign`, whose failure lines point back here.
+fn cmd_fuzz(args: &[String]) {
+    let a = parse(
+        "fuzz",
+        0,
+        &[Flag::value("--seed", "an unsigned integer")],
+        args,
+    );
+    let Some(seed) = ok(a.get::<u64>("--seed")) else {
+        eprintln!("error: fuzz needs --seed K (run many seeds with `watchdog-cli campaign`)");
+        usage()
+    };
+    let g = watchdog::gen::generate(seed, &watchdog::gen::GenConfig::default());
+    println!("seed:       {seed}");
+    println!("payload:    {:?}", g.oracle.payload);
+    println!(
+        "oracle:     {:?} at instruction {:?} (location-blind: {})",
+        g.oracle.expected, g.oracle.expected_pc, g.oracle.location_blind
+    );
+    println!(
+        "\n-- {} ({} instructions) --",
+        g.program.name(),
+        g.program.len()
+    );
+    print!("{}", g.program.disassemble());
+    match watchdog::gen::check_generated(&g) {
+        Ok(o) => println!(
+            "\nPASS: {} simulations agree with the oracle ({} guest insts under cons/functional)",
+            o.runs, o.insts
+        ),
+        Err(f) => {
+            println!("\nFAIL: {f}");
+            std::process::exit(1);
+        }
     }
 }
 
@@ -824,7 +853,7 @@ fn main() {
         Some("perf") => cmd_perf(&args[1..]),
         Some("events") => cmd_events(&args[1..]),
         Some("juliet") => cmd_juliet(&args[1..], jobs_env),
-        Some("fuzz") => cmd_fuzz(&args[1..], jobs_env),
+        Some("fuzz") => cmd_fuzz(&args[1..]),
         Some("trace") => cmd_trace(&args[1..], jobs_env),
         Some("campaign") => cmd_campaign(&args[1..], jobs_env),
         Some("worker") => cmd_worker(&args[1..]),

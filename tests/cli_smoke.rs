@@ -439,7 +439,11 @@ fn campaign_flag_errors_list_the_valid_alternatives_and_exit_2() {
         (&["campaign", "--timeout-secs", "0"], "positive integer"),
         (&["campaign", "--seeds", "many"], "unsigned integer"),
         (&["campaign", "--jobs", "0"], "positive"),
-        (&["fuzz", "--jobs", "0"], "positive"),
+        // `fuzz` is the one-seed repro; its usage points many-seed runs
+        // at `campaign`.
+        (&["fuzz", "--seeds", "1"], "valid flags are --seed"),
+        (&["fuzz", "--seeds", "1"], "many seeds: campaign"),
+        (&["fuzz"], "run many seeds with `watchdog-cli campaign`"),
         (&["juliet", "--jobs", "0"], "positive"),
         (&["trace", "selftest", "--jobs", "0"], "positive"),
         (
@@ -468,14 +472,30 @@ fn micro_campaign_runs_and_resumes() {
     ]);
     assert!(out.contains("result    : PASS"), "{out}");
     assert!(out.contains("ran       : 4"), "{out}");
+    let fuzz_lines = |out: &str| -> Vec<String> {
+        out.lines()
+            .filter(|l| l.contains("oracles   :") || l.contains("sims      :"))
+            .map(String::from)
+            .collect()
+    };
+    let fresh = fuzz_lines(&out);
+    assert_eq!(fresh.len(), 2, "{out}");
+    assert!(fresh[0].contains("violating") && fresh[1].contains("guest insts"));
 
-    // Resuming a completed campaign schedules nothing and still passes.
+    // Resuming a completed campaign schedules nothing, still passes and
+    // reports the same oracle split, simulations and instructions.
     let out = stdout_of(&[
         "campaign", "--seeds", "4", "--jobs", "2", "--ledger", path, "--quiet", "--resume",
     ]);
     assert!(out.contains("resumed   : 4"), "{out}");
     assert!(out.contains("ran       : 0"), "{out}");
     assert!(out.contains("result    : PASS"), "{out}");
+    assert_eq!(fuzz_lines(&out), fresh, "{out}");
+
+    // One seed's repro prints the case and its verdict.
+    let out = stdout_of(&["fuzz", "--seed", "3"]);
+    assert!(out.contains("seed:       3"), "{out}");
+    assert!(out.contains("PASS: "), "{out}");
 
     // A worker fed a clean EOF on stdin exits 0 (the shutdown path the
     // coordinator uses when it closes the pipe).
@@ -553,7 +573,7 @@ fn every_front_end_rejects_bad_flags_before_it_simulates() {
             false,
         ),
         (&["juliet"], "--mode", Some("nope"), true),
-        (&["fuzz"], "--seeds", Some("many"), true),
+        (&["fuzz"], "--seed", Some("many"), false),
         (&["events", "validate", "x.jsonl"], "--ledger", None, false),
         (&["campaign"], "--retries", Some("many"), true),
     ];
@@ -574,7 +594,7 @@ fn every_front_end_rejects_bad_flags_before_it_simulates() {
     }
     // The misparses the lax parsers let through, word for word.
     assert_flag_error(
-        &["fuzz", "--seeds", "3", "--seed-strat", "500"],
+        &["campaign", "--seeds", "3", "--seed-strat", "500"],
         None,
         "--seed-strat",
     );

@@ -2,11 +2,10 @@
 //! `watchdog-cli perf`, the in-tree cliff gate.
 //!
 //! The timing cases drain a pre-assembled committed µop stream through
-//! the timing core's one batched feed. Per workload there are three: the
-//! calendar-wheel core, the identical runner measured again under an
+//! the timing core's one batched feed. Per workload there are two: the
+//! calendar-wheel core and the identical runner measured again under an
 //! `_aa` name (the A/A pair, whose spread is the snapshot's own noise
-//! floor), and the same core with the self-profiler attached (the
-//! telemetry overhead gauge). Three more cases time the functional layer
+//! floor). Three more cases time the functional layer
 //! the stream comes from: a functional-only machine run (no µops) in the
 //! baseline, conservative and ISA-assisted modes, which is where guest
 //! memory, shadow accesses and the pointer classification are paid for.
@@ -42,13 +41,9 @@ fn committed_stream(name: &str, scale: Scale) -> Vec<CrackedInst> {
 }
 
 /// Drains `stream` through a fresh [`TimingCore`] with the batched feed,
-/// optionally with the self-profiler attached (the telemetry overhead
-/// gauge), returning final cycles.
-fn feed_stream(stream: &[CrackedInst], telemetry: bool) -> u64 {
+/// returning final cycles.
+fn feed_stream(stream: &[CrackedInst]) -> u64 {
     let mut core = TimingCore::new(CoreConfig::sandy_bridge(), HierarchyConfig::default());
-    if telemetry {
-        core.enable_telemetry();
-    }
     let mut batch = UopBatch::with_capacity(UopBatch::TARGET_INSTS);
     for ci in stream {
         batch.push_cracked(ci);
@@ -103,9 +98,8 @@ fn measure(name: &str, elems: u64, samples: u64, mut f: impl FnMut() -> u64) -> 
 
 /// Measures every perf case whose `group/case` path contains `filter`
 /// (all cases when `filter` is `None`), invoking `progress` per finished
-/// record. The `timing_wheel` cases include the A/A repeat and the
-/// telemetry-enabled variant, so the noise floor and the profiler's
-/// overhead are part of every snapshot; the `functional` cases time the
+/// record. The `timing_wheel` cases include the A/A repeat, so the noise
+/// floor is part of every snapshot; the `functional` cases time the
 /// functional machine per mode.
 fn run_perf(
     samples: u64,
@@ -123,15 +117,11 @@ fn run_perf(
         let cases: Vec<(String, Runner<'_>)> = vec![
             (
                 format!("timing_wheel/{name}_wheel"),
-                Box::new(|| feed_stream(&stream, false)),
+                Box::new(|| feed_stream(&stream)),
             ),
             (
                 format!("timing_wheel/{name}_wheel_aa"),
-                Box::new(|| feed_stream(&stream, false)),
-            ),
-            (
-                format!("timing_wheel/{name}_wheel_telemetry"),
-                Box::new(|| feed_stream(&stream, true)),
+                Box::new(|| feed_stream(&stream)),
             ),
         ];
         for (case, mut run) in cases {
@@ -186,8 +176,7 @@ mod tests {
     fn wheel_and_batched_feeds_agree_with_per_inst() {
         let stream = committed_stream("mcf", Scale::Test);
         assert!(!stream.is_empty());
-        let wheel = feed_stream(&stream, false);
-        let wheel_tele = feed_stream(&stream, true);
+        let wheel = feed_stream(&stream);
         // One instruction per batch.
         let mut core = TimingCore::new(CoreConfig::sandy_bridge(), HierarchyConfig::default());
         let mut batch = UopBatch::new();
@@ -201,7 +190,6 @@ mod tests {
             core.finish().cycles,
             "batched and per-inst feeds agree"
         );
-        assert_eq!(wheel, wheel_tele, "telemetry never changes timing");
     }
 
     #[test]
@@ -210,11 +198,7 @@ mod tests {
         let names: Vec<&str> = snap.records.iter().map(|r| r.name.as_str()).collect();
         assert_eq!(
             names,
-            [
-                "timing_wheel/mcf_wheel",
-                "timing_wheel/mcf_wheel_aa",
-                "timing_wheel/mcf_wheel_telemetry"
-            ]
+            ["timing_wheel/mcf_wheel", "timing_wheel/mcf_wheel_aa"]
         );
         let parsed = BenchSnapshot::from_json(&snap.to_json()).expect("self-validates");
         assert_eq!(parsed, snap);

@@ -349,12 +349,12 @@ impl Simulator {
         self.run_impl(program, None)
     }
 
-    /// [`Simulator::run`] with the self-profiler attached: the timing
-    /// core collects its [`CoreTelemetry`](watchdog_pipeline::CoreTelemetry)
-    /// (per-kind dispatch counters, occupancy histograms, the CPI stack)
-    /// and the driver loop times the whole run, the batch fills and the
-    /// batch consumes, all returned beside — never inside — the report.
-    /// The report is byte-identical to an uninstrumented
+    /// [`Simulator::run`] that also returns what the run observed about
+    /// itself: the timing core's self-profile (per-kind dispatch
+    /// counters, occupancy histograms, the CPI stack, which every timed
+    /// run records) exported before `finish`, and host timers for the
+    /// whole run, the batch fills and the batch consumes, all beside —
+    /// never inside — the report. The report is byte-identical to
     /// [`Simulator::run`] of the same configuration.
     ///
     /// # Errors
@@ -369,8 +369,9 @@ impl Simulator {
         Ok((report, tele))
     }
 
-    /// The run loop; `tele`, when supplied, collects host-side
-    /// observations without touching any report field.
+    /// The run loop; `tele`, when supplied, reads the host clocks and
+    /// receives the core's exported registry, without touching any report
+    /// field.
     fn run_impl(
         &self,
         program: &Program,
@@ -386,11 +387,7 @@ impl Simulator {
             .cfg
             .timing
             .then(|| TimingCore::new(self.cfg.core, hier));
-        let tele_on = tele.is_some();
-        let t_run = tele_on.then(Instant::now);
-        if let (true, Some(core)) = (tele_on, core.as_mut()) {
-            core.enable_telemetry();
-        }
+        let t_run = tele.is_some().then(Instant::now);
         // Host timers, read twice per batch flush: the lap up to the
         // flush is fill time, the flush itself consume time.
         let (mut fill_ns, mut consume_ns) = (0u64, 0u64);

@@ -275,8 +275,7 @@ mod tests {
         let (r, tele) = sim.run_instrumented(&p).unwrap();
         let reg = export_metrics(&r, Some(&tele));
         let t = r.timing.as_ref().unwrap();
-        // The self-profiler's independent accounting agrees with the
-        // report.
+        // The profile's totals are the report's.
         assert_eq!(reg.counter_value("profile.insts"), Some(t.insts));
         assert_eq!(reg.counter_value("profile.uops"), Some(t.uops));
         assert!(reg.counter_value("feed.batches").unwrap() > 0);
@@ -295,8 +294,8 @@ mod tests {
             .expect("host.cycles_per_ns exported");
         assert_eq!(rate.unit, Unit::PerNano);
         assert_eq!(rate.gauge, Some(tele.cycles_per_host_ns(&r)));
-        // And the instrumented report itself matches an uninstrumented
-        // run byte for byte — telemetry is observation, not behaviour.
+        // And the instrumented report itself matches a plain run byte for
+        // byte — telemetry is observation, not behaviour.
         let plain = sim.run(&p).unwrap();
         assert_eq!(format!("{plain:?}"), format!("{r:?}"));
     }

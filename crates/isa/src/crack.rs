@@ -245,51 +245,6 @@ pub fn assemble_cracked(cur: &mut CrackedInst, stat: &Cracked, facts: &CommitFac
     }
 }
 
-/// Static memory-shape descriptor of one [`UopKind`]: the bits the batch
-/// fill classifies memory µops by (`MemOp::of` in the pipeline crate).
-///
-/// The bits are definitionally redundant with the `UopKind::is_*`
-/// classifier functions — that is the point: the fill path reads one dense
-/// table entry (`KIND_DESCS[kind as usize]`) instead of re-deriving the
-/// same facts through a chain of `matches!` tests, and an exhaustive test
-/// pins the table to the classifiers for every kind.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct KindDesc {
-    /// Accesses memory (needs a resolved address and a cache port).
-    pub mem: bool,
-    /// Writes memory (store-shaped dispatch; reads are load-shaped).
-    pub mem_write: bool,
-    /// Accesses a lock location (routes to the lock-location cache).
-    pub lock_access: bool,
-    /// Accesses the shadow metadata space.
-    pub shadow_access: bool,
-}
-
-/// Builds the descriptor of one µop kind. `const` so the dense table is
-/// computed at compile time.
-pub const fn kind_desc(kind: UopKind) -> KindDesc {
-    KindDesc {
-        mem: kind.is_mem(),
-        mem_write: kind.is_mem_write(),
-        lock_access: kind.is_lock_access(),
-        shadow_access: kind.is_shadow_access(),
-    }
-}
-
-/// Dense memory-shape descriptor table, indexed by `kind as usize` (the
-/// ordering guaranteed by [`UopKind::ALL`]). Generated from
-/// [`kind_desc`] at compile time next to the µop assembly code it
-/// describes, so the cracker and the batch fill agree by construction.
-pub const KIND_DESCS: [KindDesc; UopKind::COUNT] = {
-    let mut table = [kind_desc(UopKind::Nop); UopKind::COUNT];
-    let mut i = 0;
-    while i < UopKind::COUNT {
-        table[i] = kind_desc(UopKind::ALL[i]);
-        i += 1;
-    }
-    table
-};
-
 /// Cracks one macro-instruction.
 ///
 /// `ptr_op` says whether the active pointer-identification policy classified
@@ -923,23 +878,6 @@ mod tests {
             addr: MemAddr::base(g(1)),
             width: Width::B8,
             hint,
-        }
-    }
-
-    #[test]
-    fn kind_desc_table_agrees_with_the_classifiers_for_every_kind() {
-        // Exhaustive over the whole vocabulary, not sampled: the dense
-        // table must agree with the `is_*` reference classifiers and with
-        // its own generator for every kind, and `kind as usize` must
-        // index the kind's own entry.
-        for (i, &k) in UopKind::ALL.iter().enumerate() {
-            let d = KIND_DESCS[k as usize];
-            assert_eq!(k as usize, i);
-            assert_eq!(d, kind_desc(k), "{k:?}: table diverges from generator");
-            assert_eq!(d.mem, k.is_mem(), "{k:?}: mem bit");
-            assert_eq!(d.mem_write, k.is_mem_write(), "{k:?}: mem_write bit");
-            assert_eq!(d.lock_access, k.is_lock_access(), "{k:?}: lock bit");
-            assert_eq!(d.shadow_access, k.is_shadow_access(), "{k:?}: shadow bit");
         }
     }
 

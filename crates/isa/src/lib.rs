@@ -58,7 +58,6 @@ pub mod program;
 pub mod reg;
 pub mod uop;
 
-pub use crack::{kind_desc, KindDesc, KIND_DESCS};
 pub use crack_cache::{CrackCache, CrackCacheStats};
 pub use insn::{AluOp, Cond, FpOp, FpWidth, Inst, MemAddr, PtrHint, Width};
 pub use program::{Label, Program, ProgramBuilder, ProgramError};

@@ -75,8 +75,8 @@ impl UopKind {
 
     /// Every µop kind, in discriminant order. Indexing this array with
     /// `kind as usize` yields `kind` back — the property that makes dense
-    /// per-kind tables (dispatch descriptors, telemetry counters) safe to
-    /// index without a `match`.
+    /// per-kind tables (the telemetry dispatch counters) safe to index
+    /// without a `match`.
     pub const ALL: [UopKind; UopKind::COUNT] = [
         UopKind::IntAlu,
         UopKind::IntMul,

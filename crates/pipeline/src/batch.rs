@@ -21,7 +21,7 @@
 //! feeding one instruction per batch is exactly equivalent to feeding
 //! sixty-four (asserted by the batch properties).
 
-use watchdog_isa::crack::{CommitFacts, Cracked, CrackedInst, CtrlKind, MetaEffect, KIND_DESCS};
+use watchdog_isa::crack::{CommitFacts, Cracked, CrackedInst, CtrlKind, MetaEffect};
 use watchdog_isa::uop::{Uop, UopKind, UopTag};
 use watchdog_mem::AccessClass;
 
@@ -40,27 +40,20 @@ pub enum MemOp {
 impl MemOp {
     /// Classifies a µop kind (mirrors the routing
     /// [`TimingCore::consume_batch`](crate::TimingCore::consume_batch)
-    /// applies).
-    ///
-    /// Derived from the cracker's dense
-    /// [`KIND_DESCS`] descriptor table
-    /// rather than a second hand-written `match`, so the batch and the
-    /// cracker classify by construction from one source; the batch tests
-    /// pin the result against the `UopKind::is_*` reference classifiers
-    /// for every kind.
+    /// applies) from the `UopKind::is_*` classifiers, so the batch and the
+    /// cracker classify from one source.
     pub const fn of(kind: UopKind) -> MemOp {
-        let d = KIND_DESCS[kind as usize];
-        if !d.mem {
+        if !kind.is_mem() {
             return MemOp::None;
         }
-        let class = if d.lock_access {
+        let class = if kind.is_lock_access() {
             AccessClass::Lock
-        } else if d.shadow_access {
+        } else if kind.is_shadow_access() {
             AccessClass::Shadow
         } else {
             AccessClass::Data
         };
-        if d.mem_write {
+        if kind.is_mem_write() {
             MemOp::Write(class)
         } else {
             MemOp::Read(class)
@@ -68,11 +61,11 @@ impl MemOp {
     }
 }
 
-/// Batch-feed statistics of a [`TimingCore`](crate::TimingCore):
-/// how the committed µop stream arrived, not what it cost — these counters
-/// are deliberately **not** part of
-/// [`TimingReport`](crate::TimingReport), which must stay field-identical
-/// however the stream is batched.
+/// Batch-feed statistics of a [`TimingCore`](crate::TimingCore): how the
+/// committed µop stream arrived. `insts` and `uops` are the core's one
+/// count of each, which [`TimingReport`](crate::TimingReport) also
+/// reports; `batches` depends on how the stream was cut, so it stays out
+/// of the report, which must be field-identical under any batching.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FeedStats {
     /// Non-empty batches consumed.

@@ -1,12 +1,12 @@
 //! Core configuration reproducing Table 2 of the paper.
 
-use crate::rename::META_REGS_FLOOR;
 use crate::wheel::POOL_PAD;
-use watchdog_mem::{ConfigError, MAX_ENTRIES};
+use watchdog_mem::ConfigError;
 
 /// Table 2's physical register files, printed by
 /// [`CoreConfig::describe`]. Not modelled: the timing model renames only
-/// the metadata file (`CoreConfig::meta_phys_regs`), so these sizes never
+/// the metadata file, whose pool can never run out
+/// ([`META_PREGS`](crate::rename::META_PREGS)), so these sizes never
 /// affect a simulated number.
 pub const TABLE2_REGISTERS: &str = "(160 int + 144 floating point)";
 
@@ -72,9 +72,6 @@ pub struct CoreConfig {
     /// the L1 caches; two ports match the D-cache's load-port bandwidth so
     /// checks keep pace with loads).
     pub ll_ports: usize,
-    /// Physical metadata registers (128-bit sidecars; sizing follows the
-    /// integer file — the paper does not size this file separately).
-    pub meta_phys_regs: usize,
     /// Branch-misprediction redirect penalty in cycles (fetch 3 + rename 2
     /// + dispatch 1 plus queue/refill delays).
     pub redirect_penalty: u64,
@@ -118,7 +115,6 @@ impl CoreConfig {
             fp_muls: 1,
             fp_divs: 1,
             ll_ports: 2,
-            meta_phys_regs: 160,
             redirect_penalty: 14,
             lat_int_alu: 1,
             lat_int_mul: 3,
@@ -197,13 +193,12 @@ impl CoreConfig {
     }
 
     /// Checks that every sizing field describes a buildable machine:
-    /// each window, the return-address stack and the metadata register
-    /// file hold `1..=`[`MAX_ENTRIES`] entries (the register file more
-    /// than rename's permanent mappings), each functional-unit class
-    /// (including the issue-slot pool, sized by `issue_width`) has
-    /// `1..=`[`POOL_PAD`] units, the fetch/rename/commit widths are in
-    /// `1..=64`, and every latency (`dispatch_latency`,
-    /// `redirect_penalty`, each `lat_*`) is at most
+    /// each window and the return-address stack hold
+    /// `1..=`[`MAX_ENTRIES`](watchdog_mem::MAX_ENTRIES) entries, each
+    /// functional-unit class (including the issue-slot pool, sized by
+    /// `issue_width`) has `1..=`[`POOL_PAD`] units, the
+    /// fetch/rename/commit widths are in `1..=64`, and every latency
+    /// (`dispatch_latency`, `redirect_penalty`, each `lat_*`) is at most
     /// [`MAX_LATENCY`](watchdog_mem::MAX_LATENCY), which keeps every
     /// timestamp sum from overflowing (the argument is on the constant).
     ///
@@ -233,12 +228,6 @@ impl CoreConfig {
         width("rename_width", self.rename_width)?;
         width("commit_width", self.commit_width)?;
         entries("ras_entries", self.ras_entries)?;
-        ConfigError::check_range(
-            "meta_phys_regs",
-            self.meta_phys_regs as u64,
-            META_REGS_FLOOR as u64 + 1,
-            MAX_ENTRIES,
-        )?;
         for (field, value) in [
             ("dispatch_latency", self.dispatch_latency),
             ("redirect_penalty", self.redirect_penalty),
@@ -316,10 +305,5 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("int_alus"), "{err}");
-        let bad = CoreConfig {
-            meta_phys_regs: META_REGS_FLOOR,
-            ..CoreConfig::sandy_bridge()
-        };
-        assert_eq!(bad.validate().unwrap_err().field, "meta_phys_regs");
     }
 }

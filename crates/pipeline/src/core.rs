@@ -30,7 +30,7 @@ use crate::batch::{FeedStats, MemOp, UopBatch};
 
 use crate::bpred::{BpredStats, Predictor};
 use crate::config::CoreConfig;
-use crate::rename::{Rename, RenameConfig, RenameStats};
+use crate::rename::{Rename, RenameStats};
 use crate::tele::{CoreTelemetry, NUM_STALL_CAUSES, STALL_CAUSE_NAMES};
 use crate::wheel::{CalendarWheel, CursorPools, ReleaseRing};
 
@@ -243,16 +243,13 @@ pub struct TimingCore {
     last_commit: u64,
     commit_cycle: u64,
     commit_count: u64,
-    // Counters.
-    insts: u64,
-    uops: u64,
+    // Counters. `feed` holds the one instruction and µop count the
+    // report, the rename statistics and every export read.
+    feed: FeedStats,
     uops_by_tag: [u64; NUM_TAGS],
     stalls: StallCycles,
-    // Batch-feed counters (carry no timing state).
-    feed: FeedStats,
-    // Optional self-profiler (host-side observation only: no timestamp
-    // ever depends on it, so equivalence holds with it on or off).
-    tele: Option<Box<CoreTelemetry>>,
+    // The self-profiler: observation only, no timestamp depends on it.
+    tele: CoreTelemetry,
 }
 
 impl TimingCore {
@@ -275,9 +272,7 @@ impl TimingCore {
         TimingCore {
             hier: Hierarchy::new(hier_cfg),
             bpred: Predictor::new(cfg.ras_entries),
-            rename: Rename::new(RenameConfig {
-                meta_regs: cfg.meta_phys_regs,
-            }),
+            rename: Rename::new(),
             fe_cycle: 0,
             fe_slots: 0,
             fe_bytes: 0,
@@ -292,60 +287,46 @@ impl TimingCore {
             last_commit: 0,
             commit_cycle: 0,
             commit_count: 0,
-            insts: 0,
-            uops: 0,
+            feed: FeedStats::default(),
             uops_by_tag: [0; NUM_TAGS],
             stalls: StallCycles::default(),
-            feed: FeedStats::default(),
-            tele: None,
+            tele: CoreTelemetry::default(),
             cfg,
         }
     }
 
-    /// Attaches the self-profiler. Call before feeding the core: the
-    /// one-time `Box` here is the profiler's only allocation, keeping
-    /// the consume loop allocation-free with recording on.
-    pub fn enable_telemetry(&mut self) {
-        self.tele = Some(Box::default());
-    }
-
-    /// Detaches and returns the collected profile (used by drivers that
-    /// export telemetry before [`TimingCore::finish`] consumes the
-    /// core).
-    pub fn take_telemetry(&mut self) -> Option<Box<CoreTelemetry>> {
-        self.tele.take()
-    }
-
     /// Exports everything the core can observe about itself — the
-    /// self-profiler (when enabled), per-unit FU utilization, the
-    /// calendar wheel's overflow high-water mark, the batch-feed
-    /// counters and the hierarchy's lock-probe memo hits — into `reg`
-    /// under the `profile.*` / `cpi.*` / `feed.*` namespaces, then
+    /// self-profiler, per-unit FU utilization, the calendar wheel's
+    /// overflow high-water mark, the batch-feed counters and the
+    /// hierarchy's lock-probe memo hits — into `reg` under the
+    /// `profile.*` / `cpi.*` / `feed.*` namespaces, then
     /// `mem.ll.memo_hits` last.
     pub fn export_telemetry_into(&self, reg: &mut MetricsRegistry) {
-        if let Some(t) = &self.tele {
-            t.export_into(reg);
-            // CPI stack under `cpi.*`: every commit slot of every cycle
-            // attributed to exactly one cause. The drain tail — slots
-            // after the last commit up to the report's cycle count, plus
-            // the unfilled remainder of the last commit cycle — is
-            // computed here from the same state `finish` reads, so
-            // committed + stall + drain slots sum to exactly
-            // `cycles × commit_width` (the zero-slack invariant).
-            let width = self.cfg.commit_width;
-            let cycles = self.last_commit.max(self.fe_cycle) + 1;
-            reg.counter_at("cpi.cycles", Unit::Cycles, cycles);
-            reg.counter_at("cpi.commit_width", Unit::Count, width);
-            reg.counter_at("cpi.slots", Unit::Count, cycles * width);
-            for (name, &slots) in TAG_NAMES.iter().zip(&t.commit_slots_by_tag) {
-                reg.counter_at(&format!("cpi.commit.{name}"), Unit::Count, slots);
-            }
-            for (name, &slots) in STALL_CAUSE_NAMES.iter().zip(&t.stall_slots) {
-                reg.counter_at(&format!("cpi.stall.{name}"), Unit::Count, slots);
-            }
-            let drain = (width - self.commit_count) + (cycles - 1 - self.last_commit) * width;
-            reg.counter_at("cpi.stall.drain", Unit::Count, drain);
+        reg.counter_at("profile.insts", Unit::Count, self.feed.insts);
+        reg.counter_at("profile.uops", Unit::Count, self.feed.uops);
+        self.tele.export_into(reg);
+        // CPI stack under `cpi.*`: every commit slot of every cycle
+        // attributed to exactly one cause. Each committed µop takes one
+        // slot under its tag, so the commit slots are the report's
+        // per-tag µop totals. The drain tail — slots after the last
+        // commit up to the report's cycle count, plus the unfilled
+        // remainder of the last commit cycle — is computed here from the
+        // same state `finish` reads, so committed + stall + drain slots
+        // sum to exactly `cycles × commit_width` (the zero-slack
+        // invariant).
+        let width = self.cfg.commit_width;
+        let cycles = self.cycles();
+        reg.counter_at("cpi.cycles", Unit::Cycles, cycles);
+        reg.counter_at("cpi.commit_width", Unit::Count, width);
+        reg.counter_at("cpi.slots", Unit::Count, cycles * width);
+        for (name, &slots) in TAG_NAMES.iter().zip(&self.uops_by_tag) {
+            reg.counter_at(&format!("cpi.commit.{name}"), Unit::Count, slots);
         }
+        for (name, &slots) in STALL_CAUSE_NAMES.iter().zip(&self.tele.stall_slots) {
+            reg.counter_at(&format!("cpi.stall.{name}"), Unit::Count, slots);
+        }
+        let drain = (width - self.commit_count) + (cycles - 1 - self.last_commit) * width;
+        reg.counter_at("cpi.stall.drain", Unit::Count, drain);
         for fu in Fu::ALL {
             for (unit, &n) in self.fu_reserve_counts(fu).iter().enumerate() {
                 reg.counter_at(&format!("profile.fu.{}.{unit}", fu.label()), Unit::Count, n);
@@ -365,10 +346,17 @@ impl TimingCore {
         &self.hier
     }
 
-    /// How the committed µop stream arrived (batch occupancy diagnostics;
-    /// deliberately outside [`TimingReport`]).
+    /// How the committed µop stream arrived. Its `insts` and `uops` are
+    /// the counters [`TimingCore::finish`] reports; only the batch count
+    /// stays outside [`TimingReport`].
     pub fn feed_stats(&self) -> FeedStats {
         self.feed
+    }
+
+    /// Cycles so far: the commit time of the last µop, or the frontend's
+    /// cycle when it ran past it.
+    fn cycles(&self) -> u64 {
+        self.last_commit.max(self.fe_cycle) + 1
     }
 
     fn fe_next_cycle(&mut self) {
@@ -449,36 +437,39 @@ impl TimingCore {
         if n == 0 {
             return;
         }
-        self.feed.batches += 1;
-        self.feed.insts += n as u64;
-        self.feed.uops += batch.uops() as u64;
         let insts = batch.insts();
         let uops = batch.uop_descs();
         let mems = batch.mems();
         let addrs = batch.addrs();
 
-        // Self-profiler prologue: sample window occupancy at the batch
-        // boundary. One predictable branch when telemetry is off.
-        let tele_on = self.tele.is_some();
-        if let Some(t) = self.tele.as_deref_mut() {
-            t.rob_occupancy.observe(self.rob.len() as u64);
-            t.iq_occupancy.observe(self.iq.len() as u64);
-            t.lq_occupancy.observe(self.lq.len() as u64);
-            t.sq_occupancy.observe(self.sq.len() as u64);
+        // Every count of the batch, in one cache-hot pass over the µop
+        // descriptors: instructions, µops, µops by tag (the report's
+        // Fig. 8 totals and the CPI stack's commit slots) and by kind.
+        self.feed.batches += 1;
+        self.feed.insts += n as u64;
+        self.feed.uops += uops.len() as u64;
+        for u in uops {
+            self.uops_by_tag[tag_index(u.tag)] += 1;
+            self.tele.dispatch_by_kind[u.kind as usize] += 1;
         }
+        // Window occupancy at the batch boundary.
+        self.tele.rob_occupancy.observe(self.rob.len() as u64);
+        self.tele.iq_occupancy.observe(self.iq.len() as u64);
+        self.tele.lq_occupancy.observe(self.lq.len() as u64);
+        self.tele.sq_occupancy.observe(self.sq.len() as u64);
 
-        // CPI-stack accumulators, flushed into the profiler once per batch
-        // (plain locals, so the hot loop never re-borrows `self.tele`).
-        let mut cpi_commit = [0u64; NUM_TAGS];
+        // CPI-stack stall accumulators, flushed into the profiler once per
+        // batch (a plain local, so the hot loop never re-borrows
+        // `self.tele`).
         let mut cpi_stall = [0u64; NUM_STALL_CAUSES];
 
         let lock_via_ll = self.hier.lock_cache_enabled();
         // An I-fetch hit costs the L1 latency, which the frontend hides;
         // only the cycles beyond it stall fetch.
         let l1 = self.hier.config().l1_lat;
+        // One I-cache access per new L1I line (a power of two).
+        let fetch_shift = self.hier.config().l1i.block.trailing_zeros();
         for (i, ev) in insts.iter().enumerate() {
-            self.insts += 1;
-
             // Frontend cause of record for this instruction's commit gaps:
             // plain fetch bandwidth unless a redirect or I-cache miss
             // starved the frontend here.
@@ -491,8 +482,8 @@ impl TimingCore {
                 fe_cause = ST_REDIRECT;
             }
 
-            // Instruction fetch: one I-cache access per new 64-byte block.
-            let block = ev.pc / 64;
+            // Instruction fetch: one I-cache access per new L1I line.
+            let block = ev.pc >> fetch_shift;
             if block != self.last_fetch_block {
                 self.last_fetch_block = block;
                 let lat = self.hier.access(AccessClass::Ifetch, ev.pc, false);
@@ -534,9 +525,6 @@ impl TimingCore {
             let mut branch_complete = 0u64;
 
             for ((u, &mem), &addr) in uops[r.clone()].iter().zip(&mems[r.clone()]).zip(&addrs[r]) {
-                self.uops += 1;
-                self.uops_by_tag[tag_index(u.tag)] += 1;
-
                 // Frontend slot (rename/dispatch width).
                 if self.fe_slots >= self.cfg.rename_width {
                     self.fe_next_cycle();
@@ -705,43 +693,40 @@ impl TimingCore {
                 // previous commit and this µop's commit are a gap, charged
                 // to one cause (first match wins — memory miss outstanding,
                 // FU contention, dependency wait, window full, frontend).
-                // The committed µop itself takes one slot under its tag.
-                // Everything here is observation; no timestamp depends on
-                // it, so equivalence holds with telemetry on or off.
-                if tele_on {
-                    let width = self.cfg.commit_width;
-                    let t = complete.max(self.last_commit);
-                    let gap = if t > self.commit_cycle {
-                        (width - self.commit_count) + (t - self.commit_cycle - 1) * width
-                    } else {
-                        0
+                // The committed µop itself takes one slot under its tag,
+                // counted with the batch. Everything here is observation;
+                // no timestamp depends on it.
+                let width = self.cfg.commit_width;
+                let t = complete.max(self.last_commit);
+                let gap = if t > self.commit_cycle {
+                    (width - self.commit_count) + (t - self.commit_cycle - 1) * width
+                } else {
+                    0
+                };
+                if gap > 0 {
+                    // A load-class µop whose access just walked the
+                    // hierarchy: the outcome flags say which structure
+                    // missed (stores complete at issue+1, so a store's
+                    // miss never explains its commit gap).
+                    let outcome = matches!(
+                        kind,
+                        UopKind::Load
+                            | UopKind::ShadowLoad
+                            | UopKind::Check
+                            | UopKind::CheckCombined
+                            | UopKind::LockLoad
+                    )
+                    .then(|| self.hier.last_outcome());
+                    let cause = match outcome {
+                        Some(o) if o.tlb_miss => ST_TLB,
+                        Some(o) if o.l1_miss && o.lock_path => ST_LL,
+                        Some(o) if o.l1_miss => ST_L1D,
+                        _ if issue > earliest => ST_FU,
+                        _ if ready > disp + self.cfg.dispatch_latency => ST_DEP,
+                        _ if win != 0 => win,
+                        _ => fe_cause,
                     };
-                    if gap > 0 {
-                        // A load-class µop whose access just walked the
-                        // hierarchy: the outcome flags say which structure
-                        // missed (stores complete at issue+1, so a store's
-                        // miss never explains its commit gap).
-                        let outcome = matches!(
-                            kind,
-                            UopKind::Load
-                                | UopKind::ShadowLoad
-                                | UopKind::Check
-                                | UopKind::CheckCombined
-                                | UopKind::LockLoad
-                        )
-                        .then(|| self.hier.last_outcome());
-                        let cause = match outcome {
-                            Some(o) if o.tlb_miss => ST_TLB,
-                            Some(o) if o.l1_miss && o.lock_path => ST_LL,
-                            Some(o) if o.l1_miss => ST_L1D,
-                            _ if issue > earliest => ST_FU,
-                            _ if ready > disp + self.cfg.dispatch_latency => ST_DEP,
-                            _ if win != 0 => win,
-                            _ => fe_cause,
-                        };
-                        cpi_stall[cause] += gap;
-                    }
-                    cpi_commit[tag_index(u.tag)] += 1;
+                    cpi_stall[cause] += gap;
                 }
 
                 // Commit: slot assignment + window pushes.
@@ -772,32 +757,24 @@ impl TimingCore {
             }
         }
 
-        // Self-profiler epilogue: per-kind dispatch counters as one
-        // cache-hot pass over the batch's µop descriptors.
-        if let Some(t) = self.tele.as_deref_mut() {
-            t.insts += n as u64;
-            t.uops += uops.len() as u64;
-            for u in uops {
-                t.dispatch_by_kind[u.kind as usize] += 1;
-            }
-            for (acc, add) in t.commit_slots_by_tag.iter_mut().zip(cpi_commit) {
-                *acc += add;
-            }
-            for (acc, add) in t.stall_slots.iter_mut().zip(cpi_stall) {
-                *acc += add;
-            }
+        for (acc, add) in self.tele.stall_slots.iter_mut().zip(cpi_stall) {
+            *acc += add;
         }
     }
 
     /// Finalizes the run and returns the report.
     pub fn finish(self) -> TimingReport {
         TimingReport {
-            cycles: self.last_commit.max(self.fe_cycle) + 1,
-            insts: self.insts,
-            uops: self.uops,
+            cycles: self.cycles(),
+            insts: self.feed.insts,
+            uops: self.feed.uops,
             uops_by_tag: self.uops_by_tag,
             bpred: self.bpred.stats(),
-            rename: self.rename.stats(),
+            // Every µop is renamed, so the rename count is the µop count.
+            rename: RenameStats {
+                renamed_uops: self.feed.uops,
+                ..self.rename.stats()
+            },
             hierarchy: self.hier.stats(),
             stalls: self.stalls,
         }
@@ -892,6 +869,24 @@ mod tests {
         let base = icache(3);
         assert!(base > 0, "the stream's first block misses");
         assert_eq!(icache(5), base);
+    }
+
+    #[test]
+    fn ifetch_probes_once_per_l1i_line() {
+        // A straight-line stream probes the I-cache once per new L1I line,
+        // so longer lines take fewer probes.
+        let ifetches = |block| {
+            let mut hier = HierarchyConfig::default();
+            hier.l1i.block = block;
+            let mut core = TimingCore::new(CoreConfig::sandy_bridge(), hier);
+            feed_alu_stream(&mut core, false, 3000);
+            core.finish().hierarchy.ifetch_accesses
+        };
+        let (short, table2, long) = (ifetches(16), ifetches(64), ifetches(256));
+        assert!(
+            short > table2 && table2 > long,
+            "{short} > {table2} > {long} I-fetch accesses"
+        );
     }
 
     #[test]
@@ -1113,14 +1108,12 @@ mod tests {
         assert_eq!(h, 0xf70a_46dd_2e62_d952, "report changed: {report}");
     }
 
-    /// Tentpole invariant at core level: with telemetry attached, the CPI
-    /// stack's committed + stall + drain slots sum to exactly
-    /// `cycles × commit_width`, and the committed slots agree with the
-    /// report's independent per-tag µop totals.
+    /// The CPI stack's committed + stall + drain slots sum to exactly
+    /// `cycles × commit_width`, and the exported commit slots are the
+    /// report's per-tag µop totals.
     #[test]
     fn cpi_stack_is_zero_slack_on_a_mixed_stream() {
         let mut core = TimingCore::new(CoreConfig::sandy_bridge(), HierarchyConfig::default());
-        core.enable_telemetry();
         let cfg = CrackConfig::watchdog();
         let mut x = 0x243F6A8885A308D3u64;
         for i in 0..3000u64 {
@@ -1157,9 +1150,9 @@ mod tests {
             .sum::<u64>()
             + get("cpi.stall.drain");
         assert_eq!(committed + stalled, slots, "zero-slack accounting");
-        // The commit slots are a second accounting path: they must agree
-        // with the report's per-tag totals, and some gap slots must have
-        // been attributed to memory misses on this cache-hostile chase.
+        // The commit slots are the report's per-tag totals, and some gap
+        // slots must have been attributed to memory misses on this
+        // cache-hostile chase.
         let miss_slots = get("cpi.stall.tlb_miss") + get("cpi.stall.l1d_miss");
         assert!(miss_slots > 0, "pointer chase must show miss stalls");
         let r = core.finish();
@@ -1184,7 +1177,6 @@ mod tests {
     #[test]
     fn dependency_waits_outrank_a_full_iq() {
         let mut core = TimingCore::new(CoreConfig::sandy_bridge(), HierarchyConfig::default());
-        core.enable_telemetry();
         feed_alu_stream(&mut core, true, 3000);
         let mut reg = MetricsRegistry::new();
         core.export_telemetry_into(&mut reg);

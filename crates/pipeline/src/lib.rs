@@ -24,11 +24,10 @@
 //!   loop: release-time rings, a circular timing wheel and rotating-cursor
 //!   FU pools, one structure per role, each property-tested against a
 //!   small executable spec.
-//! * [`tele`] — the core's optional self-profiler: per-kind dispatch
+//! * [`tele`] — the self-profiler every core carries: per-kind dispatch
 //!   counters, window-occupancy histograms and the CPI stack, all
-//!   simulated counts recorded out-of-band, so no report field ever
-//!   depends on whether telemetry is attached. The crate reads no host
-//!   clock.
+//!   simulated counts that no timestamp depends on, exported beside the
+//!   report rather than inside it. The crate reads no host clock.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,5 +44,5 @@ pub use crate::core::{Fu, TimingCore, TimingReport, NUM_FUS, NUM_TAGS, TAG_NAMES
 pub use batch::{FeedStats, MemOp, UopBatch};
 pub use bpred::Predictor;
 pub use config::CoreConfig;
-pub use rename::{Rename, RenameConfig, RenameStats};
-pub use tele::{CoreTelemetry, NUM_STALL_CAUSES, NUM_UOP_KINDS, STALL_CAUSE_NAMES, UOP_KIND_NAMES};
+pub use rename::{Rename, RenameStats};
+pub use tele::{NUM_STALL_CAUSES, NUM_UOP_KINDS, STALL_CAUSE_NAMES, UOP_KIND_NAMES};

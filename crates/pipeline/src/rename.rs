@@ -20,29 +20,26 @@ use watchdog_isa::crack::{CrackedInst, MetaEffect};
 use watchdog_isa::reg::{Gpr, LReg, NUM_META_TEMPS};
 use watchdog_isa::uop::Uop;
 
-/// Physical register file sizes. Only the metadata file is modelled: the
-/// data mappings never limit the timing model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RenameConfig {
-    /// Metadata physical registers; must exceed [`META_REGS_FLOOR`].
-    pub meta_regs: usize,
-}
+/// Metadata mappings: one per GPR and per cracker metadata temporary.
+const META_MAPPINGS: usize = Gpr::COUNT + NUM_META_TEMPS;
 
-impl Default for RenameConfig {
-    fn default() -> Self {
-        RenameConfig { meta_regs: 160 }
-    }
-}
-
-/// Metadata physical registers the initial mappings pin: the two
-/// permanent registers plus one per GPR and cracker metadata temporary.
-/// A pool must be strictly larger to rename anything.
-pub const META_REGS_FLOOR: usize = 2 + Gpr::COUNT + NUM_META_TEMPS;
+/// Size of the metadata physical register pool, which can never run out.
+/// A non-permanent register is live only while a mapping references it,
+/// so at most one per mapping (one per GPR and per cracker metadata
+/// temporary, 18 in all) is live between µops. An allocation takes its
+/// fresh register before releasing the destination's old one, so one more
+/// is live for that moment. With the two permanent registers that makes
+/// 21. Only the metadata file is modelled: the data mappings never limit
+/// the timing model, and neither does this pool, so its size is not a
+/// machine parameter.
+pub const META_PREGS: usize = 2 + META_MAPPINGS + 1;
 
 /// Renaming statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RenameStats {
-    /// µops renamed.
+    /// µops renamed: every µop the timing core consumed, filled in by
+    /// [`TimingCore::finish`](crate::TimingCore::finish) from its one
+    /// µop count ([`Rename`] alone leaves it 0).
     pub renamed_uops: u64,
     /// Metadata copies eliminated at rename (no µop executed).
     pub eliminated_copies: u64,
@@ -64,30 +61,33 @@ pub const META_PREG_GLOBAL: usize = 1;
 /// The dual-mapping rename table.
 #[derive(Debug)]
 pub struct Rename {
-    cfg: RenameConfig,
     /// Metadata mapping for each GPR.
     meta_map: [usize; Gpr::COUNT],
     /// Metadata mapping for cracker metadata temporaries.
     meta_tmp_map: [usize; NUM_META_TEMPS],
     /// Reference count per metadata physical register (indices 0 and 1 are
     /// permanent and never freed).
-    meta_ref: Vec<u32>,
+    meta_ref: [u32; META_PREGS],
     meta_free: Vec<usize>,
     live_meta: usize,
     stats: RenameStats,
 }
 
+impl Default for Rename {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl Rename {
     /// Builds the rename table; all metadata mappings start invalid.
-    pub fn new(cfg: RenameConfig) -> Self {
-        assert!(cfg.meta_regs > META_REGS_FLOOR, "metadata pool too small");
-        let mut meta_ref = vec![0u32; cfg.meta_regs];
+    pub fn new() -> Self {
+        let mut meta_ref = [0u32; META_PREGS];
         // Permanent registers: refcounts account for the initial mappings.
-        meta_ref[META_PREG_INVALID] = (Gpr::COUNT + NUM_META_TEMPS) as u32;
+        meta_ref[META_PREG_INVALID] = META_MAPPINGS as u32;
         meta_ref[META_PREG_GLOBAL] = 0;
-        let meta_free = (2..cfg.meta_regs).rev().collect();
+        let meta_free = (2..META_PREGS).rev().collect();
         Rename {
-            cfg,
             meta_map: [META_PREG_INVALID; Gpr::COUNT],
             meta_tmp_map: [META_PREG_INVALID; NUM_META_TEMPS],
             meta_ref,
@@ -162,7 +162,6 @@ impl Rename {
     /// consume loop, which streams destinations out of the
     /// [`UopBatch`](crate::batch::UopBatch) SoA arrays.
     pub fn rename_dst(&mut self, dst: Option<LReg>) {
-        self.stats.renamed_uops += 1;
         if let Some(d) = dst {
             if d.is_metadata() && !matches!(d, LReg::StackKey | LReg::StackLock) {
                 self.alloc_meta(d);
@@ -214,7 +213,7 @@ impl Rename {
     ///
     /// Returns a description of the first violated invariant.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let mut expected = vec![0u32; self.cfg.meta_regs];
+        let mut expected = [0u32; META_PREGS];
         for g in Gpr::all() {
             expected[self.meta_map[g.index()]] += 1;
         }
@@ -243,7 +242,7 @@ impl Rename {
                 self.live_meta, live_from_ref
             ));
         }
-        if self.meta_free.len() + self.live_meta + 2 != self.cfg.meta_regs {
+        if self.meta_free.len() + self.live_meta + 2 != META_PREGS {
             return Err("free list and live set do not partition the pool".into());
         }
         Ok(())
@@ -271,7 +270,7 @@ mod tests {
 
     #[test]
     fn copy_elimination_shares_physical_registers() {
-        let mut r = Rename::new(RenameConfig::default());
+        let mut r = Rename::new();
         // r1 gets metadata from a pointer load.
         process(
             &mut r,
@@ -309,7 +308,7 @@ mod tests {
 
     #[test]
     fn shared_preg_freed_only_after_all_mappings_die() {
-        let mut r = Rename::new(RenameConfig::default());
+        let mut r = Rename::new();
         process(
             &mut r,
             &Inst::Load {
@@ -340,7 +339,7 @@ mod tests {
 
     #[test]
     fn invalidate_and_global_map_to_permanent_registers() {
-        let mut r = Rename::new(RenameConfig::default());
+        let mut r = Rename::new();
         process(&mut r, &Inst::MovImm { dst: g(0), imm: 5 }, false);
         assert_eq!(r.meta_mapping(LReg::M(g(0))), META_PREG_INVALID);
         process(
@@ -363,7 +362,7 @@ mod tests {
 
     #[test]
     fn select_uop_allocates() {
-        let mut r = Rename::new(RenameConfig::default());
+        let mut r = Rename::new();
         let before = r.stats().meta_allocs;
         process(
             &mut r,
@@ -384,7 +383,7 @@ mod tests {
 
     #[test]
     fn long_chains_never_leak() {
-        let mut r = Rename::new(RenameConfig::default());
+        let mut r = Rename::new();
         for i in 0..10_000u64 {
             let d = g((i % 14) as u8);
             let a = g(((i + 1) % 14) as u8);
@@ -428,11 +427,5 @@ mod tests {
             "bounded by logical registers"
         );
         r.check_invariants().unwrap();
-    }
-
-    #[test]
-    #[should_panic(expected = "metadata pool too small")]
-    fn tiny_pool_rejected() {
-        let _ = Rename::new(RenameConfig { meta_regs: 4 });
     }
 }

@@ -1,42 +1,40 @@
 //! The timing core's self-profiler.
 //!
-//! [`CoreTelemetry`] is an optional, preallocated instrumentation block
-//! a [`TimingCore`](crate::core::TimingCore) carries beside its
-//! model state. When absent (the default) the consume loop pays one
-//! predictable branch per batch; when present it collects what the
-//! dispatch-path investigation needs and the model cannot tell us:
+//! `CoreTelemetry` is a fixed, preallocated block every
+//! [`TimingCore`](crate::core::TimingCore) carries beside its model
+//! state. It records what the model's report does not:
 //!
 //! * **per-µop-kind dispatch counters** — which µop mix actually hits
-//!   the scheduler (a second accounting path, deliberately independent
-//!   of [`TimingReport`](crate::TimingReport)'s tag totals so the
-//!   cross-check tests can catch drift between them);
+//!   the scheduler;
 //! * **window-occupancy histograms** — ROB/IQ/LQ/SQ depth sampled at
 //!   every batch boundary;
-//! * **the CPI stack** — every commit slot attributed to one cause.
+//! * **the CPI stack's stall slots** — every commit slot no µop fills,
+//!   attributed to one cause. The commit slots are the report's per-tag
+//!   µop totals, so the core exports them from those.
 //!
-//! Everything here is a simulated count: the block reads no host clock,
-//! so equal µop streams give equal telemetry, whatever feeds them. It is
-//! also pure observation: enabling it never changes a timestamp, so every
-//! equivalence suite holds with it on.
+//! Instruction and µop totals are the core's one pair of counters
+//! ([`FeedStats`](crate::FeedStats)), not repeated here. Everything is a
+//! simulated count: the block reads no host clock, so equal µop streams
+//! give equal telemetry, whatever feeds them. It is also pure
+//! observation: no timestamp depends on it.
 
-use crate::core::NUM_TAGS;
 use watchdog_isa::uop::UopKind;
 use watchdog_telemetry::{Histogram, MetricsRegistry, Unit};
 
 /// Number of [`UopKind`] variants (the dispatch-counter array length),
-/// tied to the ISA's own count so the name table, the counters and the
-/// dispatch-descriptor tables can never drift apart.
+/// tied to the ISA's own count so the name table and the counters can
+/// never drift apart.
 pub const NUM_UOP_KINDS: usize = UopKind::COUNT;
 
 /// Number of distinct stall causes in the CPI-stack accounting (the
 /// drain tail is exported separately as `cpi.stall.drain`).
 pub const NUM_STALL_CAUSES: usize = 12;
 
-/// Registry-name suffix per stall cause, in [`CoreTelemetry::stall_slots`]
-/// index order. The first-match classification priority in the consume
-/// loop runs the *other* way — memory misses beat FU contention beat
-/// dependency waits beat window-full beat frontend causes — so the cheap
-/// structural causes only absorb slots no finer cause claims.
+/// Registry-name suffix per stall cause, in the order of the profiler's
+/// stall-slot counters. The first-match classification priority in the
+/// consume loop runs the *other* way — memory misses beat FU contention
+/// beat dependency waits beat window-full beat frontend causes — so the
+/// cheap structural causes only absorb slots no finer cause claims.
 pub const STALL_CAUSE_NAMES: [&str; NUM_STALL_CAUSES] = [
     "fetch", "icache", "redirect", "rob_full", "iq_full", "lq_full", "sq_full", "fu", "dep",
     "tlb_miss", "ll_miss", "l1d_miss",
@@ -64,45 +62,32 @@ pub const UOP_KIND_NAMES: [&str; NUM_UOP_KINDS] = [
     "nop",
 ];
 
-/// The preallocated instrumentation block: flat counter arrays and
-/// inline histograms, boxed once when attached. Recording into it never
-/// allocates — the batch-feed allocation-discipline test runs with one
-/// of these attached.
-#[derive(Debug, Clone, Default)]
-pub struct CoreTelemetry {
-    /// Macro-instructions seen by the instrumented consume loop — a
-    /// second accounting path for the cross-check suite.
-    pub insts: u64,
-    /// µops seen by the instrumented consume loop.
-    pub uops: u64,
+/// The preallocated profiler block: flat counter arrays and inline
+/// histograms, built with the core. Recording into it never allocates,
+/// which the batch-feed allocation-discipline test pins.
+#[derive(Debug, Default)]
+pub(crate) struct CoreTelemetry {
     /// Dispatched µops by [`UopKind`] discriminant.
-    pub dispatch_by_kind: [u64; NUM_UOP_KINDS],
+    pub(crate) dispatch_by_kind: [u64; NUM_UOP_KINDS],
     /// ROB depth at batch boundaries.
-    pub rob_occupancy: Histogram,
+    pub(crate) rob_occupancy: Histogram,
     /// IQ depth at batch boundaries.
-    pub iq_occupancy: Histogram,
+    pub(crate) iq_occupancy: Histogram,
     /// LQ depth at batch boundaries.
-    pub lq_occupancy: Histogram,
+    pub(crate) lq_occupancy: Histogram,
     /// SQ depth at batch boundaries.
-    pub sq_occupancy: Histogram,
-    /// CPI-stack commit slots by µop tag: one slot per committed µop,
-    /// indexed like [`TAG_NAMES`](crate::core::TAG_NAMES). Deliberately
-    /// accumulated in the consume loop, independently of
-    /// [`TimingReport`](crate::TimingReport)'s `uops_by_tag`, so the
-    /// zero-slack suite can cross-check the two paths.
-    pub commit_slots_by_tag: [u64; NUM_TAGS],
+    pub(crate) sq_occupancy: Histogram,
     /// CPI-stack stall slots by cause, indexed like [`STALL_CAUSE_NAMES`].
-    /// Together with `commit_slots_by_tag` and the drain tail computed at
-    /// export, these sum to exactly `cycles × commit_width`.
-    pub stall_slots: [u64; NUM_STALL_CAUSES],
+    /// Together with the committed µops (one slot each) and the drain
+    /// tail computed at export, these sum to exactly
+    /// `cycles × commit_width`.
+    pub(crate) stall_slots: [u64; NUM_STALL_CAUSES],
 }
 
 impl CoreTelemetry {
-    /// Exports every collected quantity under the stable `profile.*`
-    /// namespace.
-    pub fn export_into(&self, reg: &mut MetricsRegistry) {
-        reg.counter_at("profile.insts", Unit::Count, self.insts);
-        reg.counter_at("profile.uops", Unit::Count, self.uops);
+    /// Exports the dispatch counters and occupancy histograms under the
+    /// stable `profile.*` namespace.
+    pub(crate) fn export_into(&self, reg: &mut MetricsRegistry) {
         for (name, &n) in UOP_KIND_NAMES.iter().zip(&self.dispatch_by_kind) {
             reg.counter_at(&format!("profile.dispatch.{name}"), Unit::Count, n);
         }
@@ -175,16 +160,11 @@ mod tests {
 
     #[test]
     fn export_produces_the_stable_namespace() {
-        let mut t = CoreTelemetry {
-            insts: 10,
-            uops: 25,
-            ..CoreTelemetry::default()
-        };
+        let mut t = CoreTelemetry::default();
         t.dispatch_by_kind[UopKind::Check as usize] = 5;
         t.rob_occupancy.observe(100);
         let mut reg = MetricsRegistry::new();
         t.export_into(&mut reg);
-        assert_eq!(reg.counter_value("profile.insts"), Some(10));
         assert_eq!(reg.counter_value("profile.dispatch.check"), Some(5));
         assert_eq!(reg.hist_value("profile.occupancy.rob").unwrap().max(), 100);
     }

@@ -183,6 +183,10 @@ fn feed_stats_track_batch_occupancy() {
     );
     assert!(f.mean_occupancy() > (UopBatch::TARGET_INSTS / 2) as f64);
     assert!(f.uops > f.insts, "watchdog streams crack to >1 µop/inst");
+    // The feed's counts are the report's: one counter per event.
+    let r = core.finish();
+    assert_eq!((f.insts, f.uops), (r.insts, r.uops));
+    assert_eq!(r.rename.renamed_uops, r.uops, "every µop is renamed");
 
     // One instruction per batch reports occupancy 1.
     batch.clear();

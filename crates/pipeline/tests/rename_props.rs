@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use watchdog_isa::crack::{crack, CrackConfig};
 use watchdog_isa::insn::{AluOp, Inst, MemAddr, PtrHint, Width};
 use watchdog_isa::reg::Gpr;
-use watchdog_pipeline::{Rename, RenameConfig};
+use watchdog_pipeline::Rename;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -32,7 +32,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
 proptest! {
     #[test]
     fn refcounts_never_leak_or_double_free(ops in proptest::collection::vec(arb_op(), 1..300)) {
-        let mut r = Rename::new(RenameConfig::default());
+        let mut r = Rename::new();
         let cfg = CrackConfig::watchdog();
         for op in ops {
             let inst = match op {

@@ -134,16 +134,18 @@ pub fn replay(
     trace: &Trace,
     cfg: &ReplayConfig,
 ) -> Result<RunReport, TraceError> {
-    replay_one(program, trace, cfg, false).map(|(report, _)| report)
+    let cfgs = std::slice::from_ref(cfg);
+    let replayed = replay_impl(program, trace, cfgs)?;
+    Ok(replayed.reports(trace, cfgs).pop().expect("one report"))
 }
 
-/// [`replay()`] with the timing core's self-profiler attached: the core
-/// collects per-kind dispatch counters, occupancy histograms and the CPI
-/// stack, exported with the feed counters and the lock-probe memo hits
-/// as a `profile.*`/`cpi.*`/`feed.*`/`mem.ll.memo_hits` registry beside
-/// the report. The registry equals the `core_metrics` of a live
-/// instrumented run of the same cell. The report itself is byte-identical to an
-/// uninstrumented [`replay()`] — telemetry is observation, never timing.
+/// [`replay()`] that also returns the timing core's self-profile: the
+/// per-kind dispatch counters, occupancy histograms and CPI stack every
+/// core records, exported with the feed counters and the lock-probe memo
+/// hits as a `profile.*`/`cpi.*`/`feed.*`/`mem.ll.memo_hits` registry
+/// beside the report. The registry equals the `core_metrics` of a live
+/// instrumented run of the same cell. The report itself is
+/// byte-identical to [`replay()`].
 ///
 /// # Errors
 ///
@@ -153,7 +155,12 @@ pub fn replay_instrumented(
     trace: &Trace,
     cfg: &ReplayConfig,
 ) -> Result<(RunReport, MetricsRegistry), TraceError> {
-    replay_one(program, trace, cfg, true)
+    let cfgs = std::slice::from_ref(cfg);
+    let replayed = replay_impl(program, trace, cfgs)?;
+    let mut registry = MetricsRegistry::new();
+    replayed.cores[0].export_telemetry_into(&mut registry);
+    let report = replayed.reports(trace, cfgs).pop().expect("one report");
+    Ok((report, registry))
 }
 
 /// Replays `trace` under every configuration of `cfgs` in one pass: each
@@ -186,72 +193,48 @@ pub fn replay_many(
     trace: &Trace,
     cfgs: &[ReplayConfig],
 ) -> Result<Vec<RunReport>, TraceError> {
-    let replayed = replay_impl(program, trace, cfgs, false)?;
-    Ok(cfgs
-        .iter()
-        .zip(&replayed.class_of)
-        .map(|(cfg, &class)| replayed.report(trace, cfg, class))
-        .collect())
-}
-
-/// One configuration through [`replay_impl`].
-fn replay_one(
-    program: &Program,
-    trace: &Trace,
-    cfg: &ReplayConfig,
-    telemetry: bool,
-) -> Result<(RunReport, MetricsRegistry), TraceError> {
-    let mut replayed = replay_impl(program, trace, std::slice::from_ref(cfg), telemetry)?;
-    let report = replayed.report(trace, cfg, 0);
-    let run = replayed
-        .runs
-        .pop()
-        .expect("one configuration, one timing class");
-    Ok((report, run.registry))
-}
-
-/// What one timing core produced.
-struct ClassRun {
-    timing: TimingReport,
-    registry: MetricsRegistry,
+    Ok(replay_impl(program, trace, cfgs)?.reports(trace, cfgs))
 }
 
 /// The results of one [`replay_impl`] call.
 #[derive(Default)]
 struct Replayed {
-    /// Each configuration's timing class: an index into `runs`.
+    /// Each configuration's timing class: an index into `cores`.
     class_of: Vec<usize>,
-    /// One timing core's results per class.
-    runs: Vec<ClassRun>,
+    /// One fed, unfinished timing core per class.
+    cores: Vec<TimingCore>,
     /// The shared crack cache's statistics, if any configuration enabled it.
     crack_cache: Option<CrackCacheStats>,
 }
 
 impl Replayed {
-    /// The report of `cfg`, a member of timing class `class`.
-    fn report(&self, trace: &Trace, cfg: &ReplayConfig, class: usize) -> RunReport {
-        RunReport {
-            program: trace.program.clone(),
-            mode: trace.mode.label(),
-            machine: trace.machine,
-            heap: trace.heap,
-            footprint: trace.footprint,
-            violation: trace.outcome.violation(),
-            timing: Some(self.runs[class].timing.clone()),
-            crack_cache: self.crack_cache.filter(|_| cfg.crack_cache),
-        }
+    /// Finishes every core and returns the report of each configuration
+    /// of `cfgs`, the configurations this replay ran.
+    fn reports(self, trace: &Trace, cfgs: &[ReplayConfig]) -> Vec<RunReport> {
+        let timings: Vec<TimingReport> = self.cores.into_iter().map(TimingCore::finish).collect();
+        cfgs.iter()
+            .zip(&self.class_of)
+            .map(|(cfg, &class)| RunReport {
+                program: trace.program.clone(),
+                mode: trace.mode.label(),
+                machine: trace.machine,
+                heap: trace.heap,
+                footprint: trace.footprint,
+                violation: trace.outcome.violation(),
+                timing: Some(timings[class].clone()),
+                crack_cache: self.crack_cache.filter(|_| cfg.crack_cache),
+            })
+            .collect()
     }
 }
 
 /// The replay loop, over every configuration of `cfgs` at once: one
 /// [`TimingCore`] per timing class (see [`timing_classes`]), built from
-/// the class's first configuration. `telemetry` attaches each core's
-/// self-profiler and exports its registry (empty otherwise).
+/// the class's first configuration.
 fn replay_impl(
     program: &Program,
     trace: &Trace,
     cfgs: &[ReplayConfig],
-    telemetry: bool,
 ) -> Result<Replayed, TraceError> {
     for cfg in cfgs {
         cfg.validate()?;
@@ -278,11 +261,7 @@ fn replay_impl(
     let mut cores: Vec<TimingCore> = Vec::new();
     for (i, &class) in class_of.iter().enumerate() {
         if class == cores.len() {
-            let mut core = TimingCore::new(cfgs[i].core, hiers[i]);
-            if telemetry {
-                core.enable_telemetry();
-            }
-            cores.push(core);
+            cores.push(TimingCore::new(cfgs[i].core, hiers[i]));
         }
     }
 
@@ -299,22 +278,9 @@ fn replay_impl(
         }
     })?;
 
-    let runs = cores
-        .into_iter()
-        .map(|core| {
-            let mut registry = MetricsRegistry::new();
-            if telemetry {
-                core.export_telemetry_into(&mut registry);
-            }
-            ClassRun {
-                timing: core.finish(),
-                registry,
-            }
-        })
-        .collect();
     Ok(Replayed {
         class_of,
-        runs,
+        cores,
         crack_cache: cache.map(|c| c.stats()),
     })
 }

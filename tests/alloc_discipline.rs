@@ -9,11 +9,9 @@
 //! table, the prefetcher scratch and the batch arenas are all
 //! preallocated, so the hot loop never touches the allocator.
 //!
-//! The loop runs with **telemetry enabled**: the metrics registry,
-//! self-profiler histograms and section counters preallocate at
-//! registration time, so recording must be allocation-free too — that is
-//! the telemetry layer's zero-overhead-when-disabled contract's sharper
-//! sibling, zero-allocation-when-enabled.
+//! The core's self-profiler records throughout: its counters and
+//! histograms are fixed arrays built with the core, so recording is
+//! allocation-free too.
 //!
 //! The same counter then bounds the whole live loop: a complete
 //! `Simulator::run` of the `mcf` cell in the baseline, location-based,
@@ -35,6 +33,7 @@ use watchdog_core::sim::{Mode, SimConfig, Simulator};
 use watchdog_isa::crack::CrackedInst;
 use watchdog_mem::HierarchyConfig;
 use watchdog_pipeline::{CoreConfig, TimingCore, UopBatch};
+use watchdog_telemetry::MetricsRegistry;
 use watchdog_workloads::{benchmark, Scale};
 
 /// Counts every allocation (fresh or growing) routed through the global
@@ -105,9 +104,10 @@ fn live_runs_stay_within_budget() {
     }
 }
 
-/// The batched feed over a full `mcf` suite cell — with the telemetry
-/// self-profiler recording dispatch counters, occupancy histograms and
-/// FU utilization throughout — allocates nothing after construction:
+/// The batched feed over a full `mcf` suite cell — with the core's
+/// self-profiler recording dispatch counters, occupancy histograms, the
+/// CPI stack and FU utilization throughout — allocates nothing after
+/// construction:
 /// the allocation count across every `push_cracked` and `consume_batch`
 /// call is exactly zero.
 fn batched_feed_allocates_nothing() {
@@ -123,7 +123,6 @@ fn batched_feed_allocates_nothing() {
     assert!(!stream.is_empty(), "mcf cell produced no committed insts");
 
     let mut core = TimingCore::new(CoreConfig::sandy_bridge(), HierarchyConfig::default());
-    core.enable_telemetry();
     let mut batch = UopBatch::with_capacity(UopBatch::TARGET_INSTS);
 
     // Measured region: the steady-state loop, exactly as the live path
@@ -142,13 +141,23 @@ fn batched_feed_allocates_nothing() {
 
     // The zero-allocation claim is only meaningful if the profiler was
     // actually recording through the measured region.
-    let tele = core.take_telemetry().expect("telemetry stays attached");
+    let mut reg = MetricsRegistry::new();
+    core.export_telemetry_into(&mut reg);
+    let count = |name| reg.counter_value(name).expect(name);
     assert_eq!(
-        tele.insts,
+        count("profile.insts"),
         stream.len() as u64,
         "the self-profiler saw every instruction"
     );
-    assert!(tele.uops >= tele.insts, "µop counters recorded");
+    assert!(
+        count("profile.uops") >= count("profile.insts"),
+        "µop counters recorded"
+    );
+    assert_eq!(
+        reg.hist_value("profile.occupancy.rob").map(|h| h.count()),
+        Some(count("feed.batches")),
+        "occupancy sampled at every batch"
+    );
 
     let report = core.finish();
     assert!(report.cycles > 0, "timed model reported no cycles");

@@ -38,7 +38,7 @@ const fn geometry(size: u64, ways: u64, block: u64) -> CacheConfig {
 }
 
 /// One bad value per row: the field and the edit that breaks it.
-const BAD: [(&str, Edit); 25] = [
+const BAD: [(&str, Edit); 24] = [
     ("rob_entries", |c| c.core.rob_entries = 0),
     ("iq_entries", |c| c.core.iq_entries = 0),
     ("lq_entries", |c| c.core.lq_entries = 0),
@@ -46,7 +46,6 @@ const BAD: [(&str, Edit); 25] = [
     ("int_alus", |c| c.core.int_alus = 0),
     ("int_alus", |c| c.core.int_alus = POOL_PAD + 1),
     ("load_ports", |c| c.core.load_ports = 0),
-    ("meta_phys_regs", |c| c.core.meta_phys_regs = 0),
     ("commit_width", |c| c.core.commit_width = 0),
     ("issue_width", |c| c.core.issue_width = 0),
     ("rename_width", |c| c.core.rename_width = 0),
@@ -176,7 +175,7 @@ fn boundary_values_still_run() {
 type Set = fn(&mut SimConfig, u64);
 
 /// Every core and hierarchy field, by name.
-const FIELDS: [(&str, Set); 56] = [
+const FIELDS: [(&str, Set); 55] = [
     ("fetch_bytes_per_cycle", |c, v| {
         c.core.fetch_bytes_per_cycle = v
     }),
@@ -197,7 +196,6 @@ const FIELDS: [(&str, Set); 56] = [
     ("fp_muls", |c, v| c.core.fp_muls = v as usize),
     ("fp_divs", |c, v| c.core.fp_divs = v as usize),
     ("ll_ports", |c, v| c.core.ll_ports = v as usize),
-    ("meta_phys_regs", |c, v| c.core.meta_phys_regs = v as usize),
     ("redirect_penalty", |c, v| c.core.redirect_penalty = v),
     ("lat_int_alu", |c, v| c.core.lat_int_alu = v),
     ("lat_int_mul", |c, v| c.core.lat_int_mul = v),

@@ -3,8 +3,9 @@
 //! cause, so the `cpi.*` registry namespace sums *exactly* — no slack,
 //! no double counting — to `cycles × commit_width` on every suite cell,
 //! under all four paper modes, for live and replayed feeds alike; and
-//! the committed program/metadata slots agree with the report's
-//! independent per-tag µop totals (the Fig. 8 breakdown cross-check).
+//! the exported committed program/metadata slots equal the report's
+//! per-tag µop totals (the Fig. 8 breakdown, under the `cpi.commit.*`
+//! names).
 
 use watchdog::bench::parallel_map;
 use watchdog::pipeline::{STALL_CAUSE_NAMES, TAG_NAMES};
@@ -55,9 +56,8 @@ fn check_zero_slack(reg: &MetricsRegistry, label: &str) -> (u64, [u64; 6]) {
 }
 
 /// Live feed: every registered benchmark × all four modes at test scale.
-/// Beyond zero slack, the commit slots must agree with the report's
-/// per-tag µop totals and the accounted cycle count with the report's —
-/// two independent accounting paths meeting at the same numbers.
+/// Beyond zero slack, the commit slots must equal the report's per-tag
+/// µop totals and the accounted cycle count the report's.
 #[test]
 fn cpi_stacks_are_zero_slack_on_every_suite_cell() {
     let cells: Vec<(String, Mode)> = all_benchmarks()

@@ -1,11 +1,10 @@
 //! Telemetry cross-check: on every suite cell (each of the twenty
 //! benchmarks under each evaluated mode), the metrics registry built by
 //! `export_metrics` must agree exactly with the `RunReport` it was built
-//! from, and the self-profiler's *independent* accounting (its own
-//! inst/µop/dispatch counters, recorded inside the consume loop) must
-//! agree with the timing model's. A drift in either direction — a
-//! registry export lagging a report field, or the instrumented path
-//! counting differently from the model — fails here with the cell named.
+//! from, and the self-profiler's exports (`profile.*`, `feed.*`) must
+//! agree with the timing model's totals. A drift — a registry export
+//! lagging a report field or reading the wrong counter — fails here with
+//! the cell named.
 
 use watchdog::core::{export_metrics, RunTelemetry};
 use watchdog::prelude::*;
@@ -77,9 +76,8 @@ fn crosscheck_cell(cell: &str, report: &RunReport, tele: &RunTelemetry) {
         "{cell}"
     );
 
-    // The self-profiler counts µops in the consume loop, independently
-    // of the timing model's tag totals; both paths must land on the same
-    // numbers, and the per-kind dispatch counters must sum to the total.
+    // The profile's totals are the timing model's, and the per-kind
+    // dispatch counters must sum to the µop total.
     assert_eq!(
         c(&reg, cell, "profile.insts"),
         t.insts,

@@ -23,7 +23,7 @@
 //! unchecked **baseline**.
 
 use watchdog_isa::crack::{
-    assemble_cracked, crack, CommitFacts, CrackConfig, CrackedInst, MetaEffect,
+    assemble_cracked, crack, BoundsUops, CommitFacts, CrackConfig, CrackedInst, MetaEffect,
 };
 use watchdog_isa::crack_cache::{CrackCache, CrackCacheStats};
 use watchdog_isa::insn::Inst;
@@ -53,13 +53,27 @@ pub enum CheckMode {
     Watchdog,
 }
 
+impl CheckMode {
+    /// The cracker configuration a machine checking under `self` (with
+    /// the §8 `bounds` flavour, if any) decodes under. [`Machine::new`]
+    /// and [`Mode::crack_config`](crate::sim::Mode::crack_config) both
+    /// read it, so live runs and trace replay crack identically.
+    pub fn crack_config(self, bounds: Option<BoundsUops>) -> CrackConfig {
+        match (self, bounds) {
+            (CheckMode::Watchdog, Some(b)) => CrackConfig::with_bounds(b),
+            (CheckMode::Watchdog, None) => CrackConfig::watchdog(),
+            _ => CrackConfig::baseline(),
+        }
+    }
+}
+
 /// Machine configuration.
 #[derive(Debug, Clone)]
 pub struct MachineConfig {
     /// Checking scheme.
     pub check: CheckMode,
     /// Bounds extension (§8); requires [`CheckMode::Watchdog`].
-    pub bounds: Option<watchdog_isa::crack::BoundsUops>,
+    pub bounds: Option<BoundsUops>,
     /// Pointer-identification policy (§5).
     pub policy: PointerPolicy,
     /// Collect a [`Profile`] of static instructions that move valid
@@ -216,12 +230,7 @@ impl<'p> Machine<'p> {
     /// global/invalid lock locations are seeded, and `main`'s stack frame
     /// receives its identifier.
     pub fn new(prog: &'p Program, cfg: MachineConfig) -> Self {
-        let wd = cfg.check == CheckMode::Watchdog;
-        let crack_cfg = match (wd, cfg.bounds) {
-            (true, Some(b)) => CrackConfig::with_bounds(b),
-            (true, None) => CrackConfig::watchdog(),
-            (false, _) => CrackConfig::baseline(),
-        };
+        let crack_cfg = cfg.check.crack_config(cfg.bounds);
         let shadow = if cfg.bounds.is_some() {
             ShadowSpace::with_bounds()
         } else {
@@ -241,7 +250,7 @@ impl<'p> Machine<'p> {
         }
         for &(slot, target) in prog.global_ptrs() {
             mem.write_u64(slot, target);
-            if wd {
+            if cfg.check == CheckMode::Watchdog {
                 shadow.store(&mut mem, slot, MetaRecord::global());
             }
         }

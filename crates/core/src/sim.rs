@@ -165,15 +165,11 @@ impl Mode {
         }
     }
 
-    /// The cracker configuration this mode decodes under — the same mapping
-    /// [`Machine::new`] applies, exposed so trace replay cracks identically.
+    /// The cracker configuration this mode decodes under
+    /// ([`CheckMode::crack_config`], the mapping [`Machine::new`] applies),
+    /// exposed so trace replay cracks identically.
     pub fn crack_config(&self) -> watchdog_isa::crack::CrackConfig {
-        use watchdog_isa::crack::CrackConfig;
-        match (self.check_mode() == CheckMode::Watchdog, self.bounds_uops()) {
-            (true, Some(b)) => CrackConfig::with_bounds(b),
-            (true, None) => CrackConfig::watchdog(),
-            (false, _) => CrackConfig::baseline(),
-        }
+        self.check_mode().crack_config(self.bounds_uops())
     }
 
     /// Applies this mode's memory-hierarchy knobs (lock-location cache,
@@ -706,24 +702,9 @@ mod tests {
             Mode::watchdog(),
         ] {
             let cfg = SimConfig::timed(mode);
-            let batched = Simulator::new(cfg.clone()).run(&p).unwrap();
-            let policy = match mode.pointer_id() {
-                Some(PointerId::IsaAssisted) => {
-                    PointerPolicy::Profiled(Simulator::profile(&p, cfg.max_insts).unwrap())
-                }
-                _ => PointerPolicy::Conservative,
-            };
-            let mut machine = Machine::new(
-                &p,
-                MachineConfig {
-                    check: mode.check_mode(),
-                    bounds: mode.bounds_uops(),
-                    policy,
-                    profiling: false,
-                    emit_uops: true,
-                    crack_cache: true,
-                },
-            );
+            let sim = Simulator::new(cfg.clone());
+            let batched = sim.run(&p).unwrap();
+            let mut machine = Machine::new(&p, sim.machine_config(&p).unwrap());
             let mut hier = cfg.hierarchy;
             mode.apply_hierarchy(&mut hier);
             let mut core = TimingCore::new(cfg.core, hier);

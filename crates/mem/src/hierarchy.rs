@@ -337,8 +337,8 @@ pub struct Hierarchy {
     ll_memo_hits: u64,
     // The same memo structure for the L1 D-cache path (data, shadow, and
     // lock-without-LL$ accesses): `dtlb_page_memo` is the page most
-    // recently translated by the D-TLB (whose lookup is a linear scan —
-    // the hottest loop on the data path), `l1d_memo[set]` the line most
+    // recently translated by the D-TLB (a repeat skips even its O(1)
+    // hashed lookup and LRU relink), `l1d_memo[set]` the line most
     // recently accessed in that L1D set. L1D prefetch fills install lines
     // with fresh stamps, so each fill invalidates its set's memo entry.
     l1d_block_shift: u32,

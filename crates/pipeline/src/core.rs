@@ -32,7 +32,7 @@ use crate::bpred::{BpredStats, Predictor};
 use crate::config::CoreConfig;
 use crate::rename::{Rename, RenameStats};
 use crate::tele::{CoreTelemetry, NUM_STALL_CAUSES, STALL_CAUSE_NAMES};
-use crate::wheel::{CalendarWheel, CursorPools, ReleaseRing};
+use crate::wheel::{CalendarWheel, FuPools, ReleaseRing};
 
 /// Number of µop accounting tags.
 pub const NUM_TAGS: usize = 6;
@@ -76,7 +76,7 @@ const ST_LL: usize = 10;
 const ST_L1D: usize = 11;
 
 /// Functional-unit / cache-port classes the scheduler reserves from.
-/// The discriminant indexes the [`CursorPools`] pool arrays.
+/// The discriminant indexes the [`FuPools`] pool arrays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fu {
     /// Integer ALUs (also absorb select/bounds-check/nop µops).
@@ -104,38 +104,6 @@ pub enum Fu {
 
 /// Number of [`Fu`] classes (size of the pool arrays).
 pub const NUM_FUS: usize = 10;
-
-impl Fu {
-    /// Every class, in pool-array order.
-    pub const ALL: [Fu; NUM_FUS] = [
-        Fu::IntAlu,
-        Fu::MulDiv,
-        Fu::FpAlu,
-        Fu::FpMul,
-        Fu::FpDiv,
-        Fu::Branch,
-        Fu::LoadPort,
-        Fu::StorePort,
-        Fu::LlPort,
-        Fu::IssueSlot,
-    ];
-
-    /// Registry-name suffix for the class (telemetry export).
-    pub fn label(self) -> &'static str {
-        match self {
-            Fu::IntAlu => "int_alu",
-            Fu::MulDiv => "mul_div",
-            Fu::FpAlu => "fp_alu",
-            Fu::FpMul => "fp_mul",
-            Fu::FpDiv => "fp_div",
-            Fu::Branch => "branch",
-            Fu::LoadPort => "load_port",
-            Fu::StorePort => "store_port",
-            Fu::LlPort => "ll_port",
-            Fu::IssueSlot => "issue_slot",
-        }
-    }
-}
 
 /// Frontend stall cycles by cause (diagnostic).
 #[derive(Debug, Clone, Copy, Default)]
@@ -215,7 +183,7 @@ impl TimingReport {
 /// [`TimingCore::consume_batch`], then call [`TimingCore::finish`].
 ///
 /// Window occupancy lives in release rings (ROB/LQ/SQ) and a calendar
-/// wheel (IQ), functional units in rotating-cursor pools (see
+/// wheel (IQ), functional units in lowest-index-first pools (see
 /// [`crate::wheel`]); all are sized once in [`TimingCore::new`], so the
 /// consume loop is allocation-free in the steady state.
 #[derive(Debug)]
@@ -238,7 +206,7 @@ pub struct TimingCore {
     // Dependence tracking: completion time per logical register.
     reg_ready: [u64; NUM_LREGS],
     // Per-FU-class next-free times (one entry per unit/port).
-    pools: CursorPools,
+    pools: FuPools,
     // In-order commit state.
     last_commit: u64,
     commit_cycle: u64,
@@ -257,7 +225,7 @@ impl TimingCore {
     /// Every scheduling structure is sized here, once, from the configured
     /// window depths — the consume loop never allocates.
     pub fn new(cfg: CoreConfig, hier_cfg: HierarchyConfig) -> Self {
-        let pools = CursorPools::new([
+        let pools = FuPools::new([
             cfg.int_alus,
             cfg.muldiv_units,
             cfg.fp_alus,
@@ -296,9 +264,8 @@ impl TimingCore {
     }
 
     /// Exports everything the core can observe about itself — the
-    /// self-profiler, per-unit FU utilization, the calendar wheel's
-    /// overflow high-water mark, the batch-feed counters and the
-    /// hierarchy's lock-probe memo hits — into `reg` under the
+    /// self-profiler, the batch-feed counters and the hierarchy's
+    /// lock-probe memo hits — into `reg` under the
     /// `profile.*` / `cpi.*` / `feed.*` namespaces, then
     /// `mem.ll.memo_hits` last.
     pub fn export_telemetry_into(&self, reg: &mut MetricsRegistry) {
@@ -327,16 +294,6 @@ impl TimingCore {
         }
         let drain = (width - self.commit_count) + (cycles - 1 - self.last_commit) * width;
         reg.counter_at("cpi.stall.drain", Unit::Count, drain);
-        for fu in Fu::ALL {
-            for (unit, &n) in self.fu_reserve_counts(fu).iter().enumerate() {
-                reg.counter_at(&format!("profile.fu.{}.{unit}", fu.label()), Unit::Count, n);
-            }
-        }
-        reg.counter_at(
-            "profile.wheel.overflow_peak",
-            Unit::Count,
-            self.iq.overflow_peak() as u64,
-        );
         self.feed.export_into(reg);
         reg.counter_at("mem.ll.memo_hits", Unit::Count, self.hier.ll_memo_hits());
     }
@@ -377,13 +334,6 @@ impl TimingCore {
     /// `earliest`; occupies it for `busy` cycles. Returns the start time.
     fn reserve(&mut self, fu: Fu, earliest: u64, busy: u64) -> u64 {
         self.pools.reserve(fu as usize, earliest, busy)
-    }
-
-    /// Per-unit reservation counts of class `fu` (index = unit/port
-    /// number) — the utilization breakdown the port-balance regression
-    /// test pins.
-    pub fn fu_reserve_counts(&self, fu: Fu) -> &[u64] {
-        self.pools.reserve_counts(fu as usize)
     }
 
     /// Reserves a global issue slot, then the requested functional unit —
@@ -1196,48 +1146,5 @@ mod tests {
         let (dep, icache) = (get("cpi.stall.dep"), get("cpi.stall.icache"));
         assert!(dep > 10 * icache, "dep {dep}, icache {icache}");
         assert_eq!(gaps, dep + icache, "no other cause claims a slot");
-    }
-
-    /// Satellite: the rotating cursor makes port choice deterministic and
-    /// balanced. Pins the per-ALU utilization counters of a fixed
-    /// independent stream — any tie-break drift shows up here, not as a
-    /// silent report change.
-    #[test]
-    fn cursor_pins_fu_utilization_counters() {
-        let run = || {
-            let mut core = TimingCore::new(CoreConfig::sandy_bridge(), HierarchyConfig::default());
-            for i in 0..600u64 {
-                let inst = Inst::AluImm {
-                    op: AluOp::Add,
-                    dst: g((i % 8) as u8),
-                    a: g(8),
-                    imm: 1,
-                };
-                let ci = cracked(
-                    &inst,
-                    false,
-                    &CrackConfig::baseline(),
-                    0x40_0000 + i * 5,
-                    &[],
-                );
-                feed(&mut core, &ci);
-            }
-            core
-        };
-        let core = run();
-        let alus = core.fu_reserve_counts(Fu::IntAlu).to_vec();
-        assert_eq!(alus.iter().sum::<u64>(), 600, "every µop took one ALU");
-        assert_eq!(
-            alus,
-            vec![100, 100, 100, 100, 100, 100],
-            "cursor rotation spreads a symmetric stream evenly"
-        );
-        assert_eq!(
-            core.fu_reserve_counts(Fu::IssueSlot).iter().sum::<u64>(),
-            600,
-            "every µop took one issue slot"
-        );
-        // Deterministic: an identical rerun reproduces the breakdown.
-        assert_eq!(run().fu_reserve_counts(Fu::IntAlu), alus.as_slice());
     }
 }

@@ -21,9 +21,9 @@
 //!   window-pressure effects that Figures 7–11 measure, at a fraction of
 //!   the cost of a cycle-by-cycle pipeline.
 //! * [`wheel`] — the calendar-queue scheduling structures behind the hot
-//!   loop: release-time rings, a circular timing wheel and rotating-cursor
-//!   FU pools, one structure per role, each property-tested against a
-//!   small executable spec.
+//!   loop: release-time rings, a circular timing wheel and lowest-index
+//!   FU pools of next-free times, one structure per role, each
+//!   property-tested against a small executable spec.
 //! * [`tele`] — the self-profiler every core carries: per-kind dispatch
 //!   counters, window-occupancy histograms and the CPI stack, all
 //!   simulated counts that no timestamp depends on, exported beside the

@@ -7,7 +7,7 @@
 //! log factor per µop on the hottest loop in the workspace. This module
 //! keeps one structure per role whose operations are O(1) in the steady
 //! state: [`ReleaseRing`] for the ROB/LQ/SQ, [`CalendarWheel`] for the IQ
-//! and [`CursorPools`] for the functional units. The loop that drives them
+//! and [`FuPools`] for the functional units. The loop that drives them
 //! is [`crate::core`]'s single per-µop dispatch loop.
 //!
 //! Each structure is held to a few-line executable spec by property tests
@@ -34,14 +34,14 @@
 //!   dependence chain) waits in a preallocated overflow list whose length
 //!   the IQ capacity bounds.
 //! * **Unit choice among equal minima is invisible.**
-//!   [`CursorPools::reserve`] must replace a *true minimum* of the pool's
+//!   [`FuPools::reserve`] must replace a *true minimum* of the pool's
 //!   next-free multiset (replacing any merely-idle unit diverges: with
 //!   units free at `{0, 5}`, reserving at `earliest = 6` must consume the
 //!   `0` — a later `reserve(3)` distinguishes `{5, ...}` from `{0, ...}`).
 //!   But *which* of several **equal** minima is replaced cannot be
-//!   observed — the resulting multiset is the same — so [`CursorPools`]
-//!   may rotate its scan origin for deterministic, balanced port
-//!   assignment while returning the start times of a lowest-index scan.
+//!   observed — the resulting multiset is the same — so any minimum may be
+//!   replaced, and [`FuPools`] takes the first one a scan from index 0
+//!   finds, keeping nothing per class but the next-free times.
 //!
 //! All structures allocate at construction only: the wheel's slot counts,
 //! bitmap and overflow list, the rings' buffers and the pools' arrays are
@@ -167,7 +167,6 @@ pub struct CalendarWheel {
     base: u64,
     in_horizon: usize,
     overflow: Vec<u64>,
-    overflow_peak: usize,
 }
 
 impl CalendarWheel {
@@ -252,7 +251,6 @@ impl CalendarWheel {
             base: 0,
             in_horizon: 0,
             overflow: Vec::with_capacity(cap),
-            overflow_peak: 0,
         }
     }
 
@@ -273,7 +271,6 @@ impl CalendarWheel {
             self.insert_horizon(t);
         } else {
             self.overflow.push(t);
-            self.overflow_peak = self.overflow_peak.max(self.overflow.len());
         }
     }
 
@@ -361,14 +358,6 @@ impl CalendarWheel {
             }
         }
     }
-
-    /// High-water mark of entries that ever waited beyond the
-    /// [`WHEEL_SLOTS`]-cycle horizon in the overflow list. A telemetry
-    /// observable: a non-zero peak means some issue skew exceeded the
-    /// horizon.
-    pub fn overflow_peak(&self) -> usize {
-        self.overflow_peak
-    }
 }
 
 /// Units per pool after padding. Every pool stores exactly this many
@@ -378,45 +367,17 @@ impl CalendarWheel {
 /// mispredict on the two scans every µop performs.
 pub const POOL_PAD: usize = 8;
 
-/// Circular fixed-length minimum scan from `origin`: index and value of
-/// the first minimum in circular visiting order. Padding slots hold
-/// `u64::MAX` and real times stay below it (a release time would have to
-/// saturate a `u64` to tie), so pads never win the strict-`<` race and the
-/// visit order restricted to real units is exactly the circular order on
-/// `0..n` — the scan is equivalent to rotating over the real units alone.
-#[inline]
-fn scan_from(pool: &[u64; POOL_PAD], origin: usize) -> (usize, u64) {
-    let mut best = origin;
-    let mut best_t = pool[origin];
-    for k in 1..POOL_PAD {
-        let i = (origin + k) & (POOL_PAD - 1);
-        let t = pool[i];
-        let better = t < best_t;
-        best = if better { i } else { best };
-        best_t = if better { t } else { best_t };
-    }
-    (best, best_t)
-}
-
-/// Rotating-cursor pools: each reservation scans the class pool for a true
-/// minimum **starting at a cursor** that advances past the chosen unit, so
-/// ties rotate deterministically across ports instead of hammering unit 0.
-///
-/// Start times equal a lowest-index scan's: both replace a minimum of the
-/// same multiset with the same `start + busy`, and the choice among
-/// *equal* minima cannot affect any later reservation (the multisets stay
-/// equal). Only the per-unit utilization counters depend on the choice —
-/// which is the point: under the cursor, symmetric µop streams load the
-/// ports symmetrically (pinned by a regression test in `crate::core`).
+/// Lowest-index-first pools: per class, the next-free time of every unit.
+/// Each reservation replaces the **first** minimum a fixed-length scan
+/// from index 0 finds — the same unit `min_by_key` picks. Padding slots
+/// hold `u64::MAX` and real times stay below it (a release time would have
+/// to saturate a `u64` to tie), so pads never win the strict-`<` race.
 #[derive(Debug)]
-pub struct CursorPools {
+pub struct FuPools {
     free: [[u64; POOL_PAD]; NUM_FUS],
-    counts: [[u64; POOL_PAD]; NUM_FUS],
-    n: [usize; NUM_FUS],
-    cursor: [usize; NUM_FUS],
 }
 
-impl CursorPools {
+impl FuPools {
     /// Builds pools with `sizes[class]` units per class, all free at 0.
     ///
     /// # Panics
@@ -429,12 +390,7 @@ impl CursorPools {
             pool[..n].fill(0);
             pool
         });
-        CursorPools {
-            free,
-            counts: [[0; POOL_PAD]; NUM_FUS],
-            n: sizes,
-            cursor: [0; NUM_FUS],
-        }
+        FuPools { free }
     }
 
     /// Reserves a unit of `class` whose next-free time is a **minimum** of
@@ -442,21 +398,24 @@ impl CursorPools {
     /// for `busy` cycles. Returns the start time
     /// (`earliest.max(min_free)`).
     pub fn reserve(&mut self, class: usize, earliest: u64, busy: u64) -> u64 {
-        debug_assert!(self.n[class] > 0, "every FU class has at least one unit");
-        let (best, best_t) = scan_from(&self.free[class], self.cursor[class]);
+        let pool = &mut self.free[class];
+        let mut best = 0;
+        let mut best_t = pool[0];
+        for (i, &t) in pool.iter().enumerate().skip(1) {
+            let better = t < best_t;
+            best = if better { i } else { best };
+            best_t = if better { t } else { best_t };
+        }
         let start = earliest.max(best_t);
-        self.free[class][best] = start + busy;
         debug_assert!(start.checked_add(busy).is_some(), "next-free saturated");
-        self.counts[class][best] += 1;
-        let n = self.n[class];
-        self.cursor[class] = if best + 1 >= n { 0 } else { best + 1 };
+        pool[best] = start + busy;
         start
     }
 
-    /// How many reservations each unit of `class` has served (index =
-    /// unit/port number).
-    pub fn reserve_counts(&self, class: usize) -> &[u64] {
-        &self.counts[class][..self.n[class]]
+    /// The next-free time of every unit of `class`, padding included
+    /// (index = unit/port number; pads read `u64::MAX`).
+    pub fn next_free(&self, class: usize) -> &[u64; POOL_PAD] {
+        &self.free[class]
     }
 }
 
@@ -500,20 +459,6 @@ mod tests {
         assert_eq!(w.pop_min(), Some(5000));
         assert_eq!(w.pop_min(), Some(20_000));
         assert_eq!(w.pop_min(), None);
-    }
-
-    #[test]
-    fn overflow_peak_tracks_the_slow_path_high_water() {
-        let mut w = CalendarWheel::with_capacity(8);
-        assert_eq!(w.overflow_peak(), 0);
-        w.push(10);
-        assert_eq!(w.overflow_peak(), 0, "horizon pushes never touch overflow");
-        w.push(10_000);
-        w.push(20_000);
-        assert_eq!(w.overflow_peak(), 2);
-        // Draining migrates entries out, but the peak is a high-water mark.
-        w.drain_le(9_000);
-        assert_eq!(w.overflow_peak(), 2);
     }
 
     #[test]
@@ -570,8 +515,8 @@ mod tests {
         assert_eq!(r.pop_min(), None);
     }
 
-    /// Pools spec: per-class next-free times; a reservation replaces a
-    /// minimum and starts no earlier than it.
+    /// Pools spec: per-class next-free times; a reservation replaces the
+    /// first minimum and starts no earlier than it.
     fn spec_reserve(pool: &mut [u64], earliest: u64, busy: u64) -> u64 {
         let (i, &free) = pool.iter().enumerate().min_by_key(|&(_, t)| *t).unwrap();
         let start = earliest.max(free);
@@ -587,7 +532,7 @@ mod tests {
             s[1] = 1;
             s
         };
-        let mut cursor = CursorPools::new(sizes);
+        let mut pools = FuPools::new(sizes);
         let mut spec: Vec<Vec<u64>> = sizes.iter().map(|&n| vec![0; n]).collect();
         let mut x = 0x9E3779B97F4A7C15u64;
         for _ in 0..10_000 {
@@ -596,32 +541,19 @@ mod tests {
             let earliest = (x >> 8) % 64;
             let busy = 1 + (x >> 32) % 4;
             assert_eq!(
-                cursor.reserve(class, earliest, busy),
+                pools.reserve(class, earliest, busy),
                 spec_reserve(&mut spec[class], earliest, busy)
             );
+            // The same unit took the reservation, not merely an equal one.
+            assert_eq!(pools.free[class][..sizes[class]], spec[class][..]);
         }
-        // The multisets of next-free times agree even though unit order may
-        // differ.
-        for class in 0..2 {
-            let mut a = cursor.free[class][..sizes[class]].to_vec();
-            a.sort_unstable();
-            spec[class].sort_unstable();
-            assert_eq!(a, spec[class]);
-        }
-    }
-
-    #[test]
-    fn cursor_rotates_ties_across_units() {
-        let sizes = {
-            let mut s = [0usize; NUM_FUS];
-            s[0] = 4;
-            s
-        };
-        let mut p = CursorPools::new(sizes);
-        // Four equal-minimum reservations: one per unit, not four on unit 0.
-        for _ in 0..4 {
+        // Four equal-minimum reservations fill units 0, 1, 2 in index order.
+        let mut p = FuPools::new(sizes);
+        for unit in 0..3 {
             assert_eq!(p.reserve(0, 0, 1), 0);
+            assert_eq!(p.free[0][unit], 1);
         }
-        assert_eq!(p.reserve_counts(0), &[1, 1, 1, 1]);
+        assert_eq!(p.reserve(0, 0, 1), 1);
+        assert_eq!(p.free[0][..3], [2, 1, 1]);
     }
 }

@@ -5,11 +5,11 @@
 //!
 //! * Windows ([`ReleaseRing`], [`CalendarWheel`]): a sorted `Vec<u64>`
 //!   multiset, where pop-min takes the front and drain-le cuts a prefix.
-//! * Pools ([`CursorPools`]): per-class `Vec<u64>` next-free times, where
-//!   each reservation replaces a minimum.
+//! * Pools ([`FuPools`]): per-class `Vec<u64>` next-free times, where
+//!   each reservation replaces the first minimum.
 
 use proptest::prelude::*;
-use watchdog_pipeline::wheel::{CalendarWheel, CursorPools, ReleaseRing, WHEEL_SLOTS};
+use watchdog_pipeline::wheel::{CalendarWheel, FuPools, ReleaseRing, POOL_PAD, WHEEL_SLOTS};
 use watchdog_pipeline::NUM_FUS;
 
 /// The window operations the lockstep driver exercises, implemented by
@@ -124,8 +124,9 @@ fn lockstep<Q: Window>(
     Ok(())
 }
 
-/// The pools spec: reserves on a minimum of `pool`, no earlier than
-/// `earliest`, for `busy` cycles; returns the start time.
+/// The pools spec: reserves on the first minimum of `pool` (`min_by_key`
+/// keeps the first of equal keys), no earlier than `earliest`, for `busy`
+/// cycles; returns the start time.
 fn spec_reserve(pool: &mut [u64], earliest: u64, busy: u64) -> u64 {
     let (i, &free) = pool.iter().enumerate().min_by_key(|&(_, t)| *t).unwrap();
     let start = earliest.max(free);
@@ -161,8 +162,9 @@ proptest! {
         lockstep::<ReleaseRing>(start, cap, &ops, &skews, true)?;
     }
 
-    /// Rotating-cursor pools return the spec's start times for any
-    /// reservation stream, with one utilization count per reservation.
+    /// The pools return the spec's start times for any reservation
+    /// stream and leave every unit's next-free time equal to the spec's:
+    /// both replace the first minimum in index order.
     #[test]
     fn cursor_pools_match_scan_pools(
         sizes in proptest::collection::vec(1usize..7, NUM_FUS..NUM_FUS + 1),
@@ -171,23 +173,16 @@ proptest! {
     ) {
         let mut spec: Vec<Vec<u64>> = sizes.iter().map(|&n| vec![0; n]).collect();
         let sizes: [usize; NUM_FUS] = sizes.try_into().unwrap();
-        let mut cursor = CursorPools::new(sizes);
-        let mut reserved = [0u64; NUM_FUS];
+        let mut pools = FuPools::new(sizes);
         for (i, &(class, earliest, busy)) in ops.iter().enumerate() {
             prop_assert_eq!(
-                cursor.reserve(class, earliest, busy),
+                pools.reserve(class, earliest, busy),
                 spec_reserve(&mut spec[class], earliest, busy),
                 "reservation {} diverged", i
             );
-            reserved[class] += 1;
-        }
-        for class in 0..NUM_FUS {
-            prop_assert_eq!(cursor.reserve_counts(class).len(), sizes[class]);
-            prop_assert_eq!(
-                cursor.reserve_counts(class).iter().sum::<u64>(),
-                reserved[class],
-                "class {} total utilization", class
-            );
+            let (units, pads) = pools.next_free(class).split_at(sizes[class]);
+            prop_assert_eq!(units, &spec[class][..], "reservation {} took another unit", i);
+            prop_assert_eq!(pads, &[u64::MAX; POOL_PAD][sizes[class]..]);
         }
     }
 }

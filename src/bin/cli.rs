@@ -36,7 +36,8 @@ const TRACE: Flag = Flag::value("--trace", "a file path");
 fn usage() -> ! {
     eprintln!(
         "usage:\n  watchdog-cli list\n  watchdog-cli modes\n  watchdog-cli run <bench> \
-         [--mode <mode>] [--scale test|small|ref] [--functional] [--json] [--telemetry] [--cpi]\n  \
+         [--mode <mode>] [--scale test|small|ref] [--functional] [--json] [--telemetry]\n  \
+         watchdog-cli run <bench> --cpi [--scale test|small|ref]\n  \
          watchdog-cli perf [--samples N] [--filter F] [--out-dir DIR] [-o FILE] [--rev R]\n  \
          watchdog-cli perf compare <baseline.json> <candidate.json> [--threshold PCT] [-o FILE]\n  \
          watchdog-cli events validate <events.jsonl> [--ledger FILE]\n  watchdog-cli juliet [--mode <mode>] [--jobs J]\n  \
@@ -101,6 +102,12 @@ fn cmd_run(args: &[String]) {
     let (json, telemetry) = (a.has("--json"), a.has("--telemetry"));
 
     if a.has("--cpi") {
+        // The CPI stack is its own report: four timed modes, one table.
+        let others = ["--mode", "--functional", "--json", "--telemetry"];
+        if let Some(f) = others.into_iter().find(|&f| a.has(f)) {
+            eprintln!("error: --cpi runs every timed mode into one table; it takes no {f}");
+            usage();
+        }
         cmd_run_cpi(spec.name, scale);
         return;
     }

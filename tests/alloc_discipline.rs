@@ -105,9 +105,8 @@ fn live_runs_stay_within_budget() {
 }
 
 /// The batched feed over a full `mcf` suite cell — with the core's
-/// self-profiler recording dispatch counters, occupancy histograms, the
-/// CPI stack and FU utilization throughout — allocates nothing after
-/// construction:
+/// self-profiler recording dispatch counters, occupancy histograms and
+/// the CPI stack throughout — allocates nothing after construction:
 /// the allocation count across every `push_cracked` and `consume_batch`
 /// call is exactly zero.
 fn batched_feed_allocates_nothing() {

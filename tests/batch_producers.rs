@@ -11,8 +11,7 @@
 //! batches are compared at every flush point of the live loop.
 
 use watchdog::bench::parallel_map;
-use watchdog::core::machine::{Machine, MachineConfig, Step};
-use watchdog::core::PointerPolicy;
+use watchdog::core::machine::{Machine, Step};
 use watchdog::gen::{generate, GenConfig};
 use watchdog::pipeline::UopBatch;
 use watchdog::prelude::*;
@@ -21,33 +20,17 @@ fn jobs() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// The µop-emitting machine configuration a timed simulation of `mode`
-/// builds (ISA-assisted modes run the §5.2 profiling pass first).
-fn machine_config(program: &Program, mode: Mode, max_insts: u64) -> MachineConfig {
-    let policy = match mode.pointer_id() {
-        Some(PointerId::IsaAssisted) => {
-            PointerPolicy::Profiled(Simulator::profile(program, max_insts).expect("profiles"))
-        }
-        _ => PointerPolicy::Conservative,
-    };
-    MachineConfig {
-        check: mode.check_mode(),
-        bounds: mode.bounds_uops(),
-        policy,
-        profiling: false,
-        emit_uops: true,
-        crack_cache: true,
-    }
-}
-
 /// Steps one machine through `step_batched` and a twin through `step` +
 /// `push_cracked`, comparing the two batches every
 /// [`UopBatch::TARGET_INSTS`] instructions and at the end of the run.
 /// Returns the first divergence, or `None`.
 fn check(program: &Program, mode: Mode) -> Option<String> {
     let label = format!("{}/{}", program.name(), mode.label());
-    let max_insts = SimConfig::timed(mode).max_insts;
-    let cfg = machine_config(program, mode, max_insts);
+    let sim = SimConfig::timed(mode);
+    let max_insts = sim.max_insts;
+    let cfg = Simulator::new(sim)
+        .machine_config(program)
+        .expect("profiles");
     let mut live = Machine::new(program, cfg.clone());
     let mut twin = Machine::new(program, cfg);
     let mut expanded = UopBatch::with_capacity(UopBatch::TARGET_INSTS);

@@ -601,4 +601,18 @@ fn every_front_end_rejects_bad_flags_before_it_simulates() {
     assert_flag_error(&["trace", "record", "mcf", "--mode"], None, "--mode");
     assert_flag_error(&["campaign", "--seeds", "2"], Some("0"), "WATCHDOG_JOBS");
     assert_flag_error(&["juliet", "--mode", "nope"], None, "\"nope\"");
+    // `run --cpi` prints its own four-mode table, so every flag that
+    // would shape a single run is a conflict, not silently dropped.
+    for (extra, flag) in [
+        (&["--json"][..], "--json"),
+        (&["--functional"], "--functional"),
+        (&["--telemetry"], "--telemetry"),
+        (&["--mode", "isa"], "--mode"),
+    ] {
+        let args: Vec<&str> = ["run", "mcf", "--scale", "test", "--cpi"]
+            .into_iter()
+            .chain(extra.iter().copied())
+            .collect();
+        assert_flag_error(&args, None, flag);
+    }
 }
